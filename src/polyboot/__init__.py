@@ -75,6 +75,7 @@ from .weights import (
     multiway_weights,
     product_weights,
     uniform_weights,
+    weights_for_block,
     weights_for_draw,
 )
 

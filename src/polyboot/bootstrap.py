@@ -1,9 +1,19 @@
 """Bootstrap orchestration: B resampling draws for any scheme x estimator.
 
-Draws are independent tasks keyed by their index, so results are identical
-for any worker count. Failed draws (degenerate weights, solver failures,
-singular weight matrices) are recorded and excluded from quantiles rather
-than aborting the run, unless they exceed a 20% systematic-failure cap.
+The weights are a draw's only random input, so draw b is the estimator
+applied to row b of a (B, N) weight matrix. The engine walks that matrix in
+blocks of rows (``weights.block_rows``: about 4 MB each, a function of B and
+N only). Mean and OLS estimates come from one matrix product per block
+(``block @ y``; ``block @ [vec(x x'), x y]`` then a k x k solve per row);
+PPML, GMM and user moments evaluate the estimator row by row. Blocks run
+serially unless ``threads`` > 1 maps them over a thread pool; since each
+block owns its random streams and the partition never depends on the
+thread count, the draws are the same bit for bit for any ``threads``.
+
+Failed draws (degenerate weights, solver failures, singular designs or
+weight matrices, non-finite estimates) are recorded and excluded from
+quantiles rather than aborting the run, unless they exceed a 20%
+systematic-failure cap.
 """
 
 from __future__ import annotations
@@ -24,8 +34,14 @@ from .errors import (
     SolverError,
     Unsupported,
 )
-from .estimators import EstimatorSpec, evaluate_estimator
-from .weights import uniform_weights, weights_for_draw
+from .estimators import EstimatorSpec, evaluate_estimator, regressors, solve_normal_equations
+from .weights import (
+    ObservationWeights,
+    block_rows,
+    uniform_weights,
+    weights_for_block,
+    weights_for_draw,  # noqa: F401 - importable here for per-draw callers
+)
 
 _DRAW_FAILURES = (DegenerateDraw, SolverError, SingularWeightMatrix, SingularDesign)
 MAX_FAILURE_SHARE = 0.20
@@ -90,22 +106,66 @@ class DiscreteAtomSet:
             raise ParamError("masses must be nonnegative and sum to 1")
 
 
-def _run_draws(sample, spec, scheme, n_draws, seed, alpha, threads):
-    def one(b):
-        try:
-            w = weights_for_draw(sample, scheme, seed, b, alpha=alpha)
-            theta, info = evaluate_estimator(spec, sample, w)
-            return b, theta, info, None
-        except _DRAW_FAILURES as exc:
-            return b, None, None, f"{type(exc).__name__}: {exc}"
+def _block_estimator(sample, spec, scheme):
+    """A function of a weight block returning the row -> (theta, info)
+    estimator for that block; a failed row raises its draw failure."""
+    if spec.kind == "mean":
+        y = sample.column(spec.column)
 
-    if threads is not None and threads <= 1:
-        results = [one(b) for b in range(n_draws)]
+        def for_block(block):
+            theta = block @ y
+            return lambda r: (theta[r : r + 1], {})
+
+    elif spec.kind == "ols":
+        x = regressors(sample, spec.x, spec.intercept)
+        k = x.shape[1]
+        # per observation vec(x x') then x y: block @ features holds each
+        # row's weighted Gram matrix and right-hand side
+        features = np.column_stack(
+            [(x[:, :, None] * x[:, None, :]).reshape(-1, k * k), x * sample.column(spec.y)[:, None]]
+        )
+
+        def for_block(block):
+            sums = block @ features
+            grams, rhs = sums[:, : k * k].reshape(-1, k, k), sums[:, k * k :]
+            return lambda r: (solve_normal_equations(grams[r], rhs[r]), {})
+
+    else:
+
+        def for_block(block):
+            return lambda r: evaluate_estimator(spec, sample, ObservationWeights(block[r], scheme))
+
+    return for_block
+
+
+def _run_draws(sample, spec, scheme, n_draws, seed, alpha, threads):
+    """(b, theta, info, failure reason or None) per draw, in draw order."""
+    for_block = _block_estimator(sample, spec, scheme)
+    step = block_rows(n_draws, sample.n_obs)
+
+    def run_block(b0):
+        # each block draws its own random streams, so blocks may run concurrently
+        failed = {}
+        block = weights_for_block(sample, scheme, seed, b0, min(b0 + step, n_draws), alpha, failed)
+        estimate = for_block(block)
+        out = []
+        for r, b in enumerate(range(b0, b0 + block.shape[0])):
+            if b in failed:
+                out.append((b, None, None, f"DegenerateDraw: {failed[b]}"))
+                continue
+            try:
+                out.append((b, *estimate(r), None))
+            except _DRAW_FAILURES as exc:
+                out.append((b, None, None, f"{type(exc).__name__}: {exc}"))
+        return out
+
+    starts = range(0, n_draws, step)
+    if threads is None or threads <= 1:
+        blocks = [run_block(b0) for b0 in starts]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(n_draws)))
-    results.sort(key=lambda r: r[0])
-    return results
+            blocks = list(pool.map(run_block, starts))
+    return [draw for block in blocks for draw in block]
 
 
 def run_bootstrap(
@@ -120,21 +180,25 @@ def run_bootstrap(
     """Run B resampling draws of the estimator under a weighting scheme.
 
     ``scheme`` is ``bayes``, ``pigeonhole`` or ``prior`` (the Gamma(alpha/n)
-    marginal-prior sampler). Draw b uses the substream keyed by (seed, b),
-    so the result is reproducible and independent of ``threads``.
+    marginal-prior sampler). Draw b uses the substreams keyed by (seed, b),
+    so the result is reproducible and the same bit for bit for any
+    ``threads``: None or 1 runs the weight blocks serially, more maps them
+    over a pool of that many threads.
     """
     if n_draws < 1:
         raise ParamError("need at least one draw")
     point, _ = evaluate_estimator(spec, sample, uniform_weights(sample))
     results = _run_draws(sample, spec, scheme, n_draws, seed, alpha, threads)
 
-    draws, metadata, failures = [], [], []
-    for b, theta, info, err in results:
-        if err is None:
-            draws.append(theta)
-            metadata.append(info)
-        else:
-            failures.append((b, err))
+    solved = [r for r in results if r[3] is None]
+    thetas = np.array([r[1] for r in solved], dtype=np.float64).reshape(len(solved), len(point))
+    finite = np.isfinite(thetas).all(axis=1)
+    non_finite = {r[0] for r, ok in zip(solved, finite) if not ok}
+    failures = [
+        (b, "NonFiniteDraw: the estimate is not finite" if err is None else err)
+        for b, _, _, err in results
+        if err is not None or b in non_finite
+    ]
     if len(failures) > MAX_FAILURE_SHARE * n_draws:
         raise BootstrapError(
             f"{len(failures)} of {n_draws} draws failed; first: {failures[0][1]}"
@@ -142,13 +206,13 @@ def run_bootstrap(
     method = f"prior({alpha:g})" if scheme == "prior" else scheme
     return BootstrapResult(
         point_estimate=np.asarray(point, dtype=np.float64),
-        draws=np.array(draws, dtype=np.float64).reshape(len(draws), len(point)),
+        draws=thetas[finite],
         method=method,
         seed=seed,
         n_draws_requested=n_draws,
         param_names=spec.param_names(),
         failures=tuple(failures),
-        draw_metadata=tuple(metadata),
+        draw_metadata=tuple(r[2] for r, ok in zip(solved, finite) if ok),
     )
 
 

@@ -157,13 +157,17 @@ def _histogram(draws, bins):
     return out
 
 
-def _cmd_bootstrap(args):
-    sample = load_csv(args.data, order=args.order)
-    spec = _spec_from_args(args)
+def _check_alpha(args):
     if args.method == "prior" and args.alpha is None:
         raise ParamError("--method prior requires --alpha")
     if args.method != "prior" and args.alpha is not None:
         raise ParamError("--alpha only applies to --method prior")
+
+
+def _cmd_bootstrap(args):
+    sample = load_csv(args.data, order=args.order)
+    spec = _spec_from_args(args)
+    _check_alpha(args)
     result = run_bootstrap(
         sample,
         spec,
@@ -206,6 +210,7 @@ def _cmd_variance(args):
 def _cmd_counterfactual(args):
     sample = load_csv(args.data, order=args.order)
     spec = _spec_from_args(args)
+    _check_alpha(args)
     result = run_bootstrap(
         sample,
         spec,
@@ -281,25 +286,28 @@ def _cmd_coverage(args):
         cfg = json.load(fh)
     dgp = None
     source = None
-    if "dgp" in cfg:
-        dgp = _dgp_from_config(cfg["dgp"])
-    elif "source" in cfg:
-        source = load_csv(cfg["source"]["data"], order=cfg["source"].get("order", 2))
-    else:
-        raise ParamError("config needs a 'dgp' or 'source' section")
-    config = CoverageConfig(
-        estimator=_spec_from_config(cfg["estimator"]),
-        methods=tuple(cfg["methods"]),
-        n_replications=int(cfg["replications"]),
-        n_bootstrap=int(cfg.get("draws", 500)),
-        level=float(cfg.get("level", 0.95)),
-        seed=args.seed,
-        dgp=dgp,
-        source_sample=source,
-        truth=tuple(cfg["truth"]) if "truth" in cfg else None,
-        target_index=int(cfg.get("target_index", 0)),
-        threads=args.threads,
-    )
+    try:
+        if "dgp" in cfg:
+            dgp = _dgp_from_config(cfg["dgp"])
+        elif "source" in cfg:
+            source = load_csv(cfg["source"]["data"], order=cfg["source"].get("order", 2))
+        else:
+            raise ParamError("config needs a 'dgp' or 'source' section")
+        config = CoverageConfig(
+            estimator=_spec_from_config(cfg["estimator"]),
+            methods=tuple(cfg["methods"]),
+            n_replications=int(cfg["replications"]),
+            n_bootstrap=int(cfg.get("draws", 500)),
+            level=float(cfg.get("level", 0.95)),
+            seed=args.seed,
+            dgp=dgp,
+            source_sample=source,
+            truth=tuple(cfg["truth"]) if "truth" in cfg else None,
+            target_index=int(cfg.get("target_index", 0)),
+            threads=args.threads,
+        )
+    except KeyError as exc:
+        raise ParamError(f"config is missing the key {exc.args[0]!r}") from None
     progress = None
     if args.progress:
 
@@ -454,7 +462,7 @@ def main(argv=None) -> int:
     except PolybootError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except json.JSONDecodeError as exc:

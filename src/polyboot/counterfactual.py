@@ -86,7 +86,8 @@ def resolve_counterfactual(spec: str) -> CounterfactualFn:
 def propagate(sample: PolyadicSample, result: BootstrapResult, g: CounterfactualFn) -> PredictionDraws:
     """Evaluate g on the original sample once per successful theta-draw.
 
-    Draws with non-finite (or complex) outputs are dropped and counted.
+    A draw on which g raises, returns the wrong shape, or returns non-finite
+    (or complex) values is dropped and counted.
     """
     try:
         point = g(sample, result.point_estimate)
@@ -98,8 +99,12 @@ def propagate(sample: PolyadicSample, result: BootstrapResult, g: Counterfactual
     rows = []
     dropped = 0
     for theta in result.draws:
-        out = np.atleast_1d(np.asarray(g.fn(sample, theta)))
-        if np.iscomplexobj(out) or not np.all(np.isfinite(out)):
+        try:
+            out = g(sample, theta)
+            usable = not np.iscomplexobj(out) and np.all(np.isfinite(out))
+        except Exception:  # noqa: BLE001 - a user-supplied g fails on this draw only
+            usable = False
+        if not usable:
             dropped += 1
             continue
         rows.append(np.asarray(out, dtype=np.float64))

@@ -315,17 +315,27 @@ def weighted_mean(sample: PolyadicSample, weights, column) -> float:
     return float(weights.weights @ sample.column(column))
 
 
-def weighted_ols(sample: PolyadicSample, weights, y, x_columns, intercept=False) -> np.ndarray:
-    """Solve the weighted normal equations (sum w x x') theta = sum w x y."""
+def regressors(sample: PolyadicSample, x_columns, intercept=False) -> np.ndarray:
+    """The (N, K) regressor matrix, with a leading column of ones for an intercept."""
     x = sample.columns(x_columns)
     if intercept:
         x = np.column_stack([np.ones(sample.n_obs), x])
-    w = weights.weights
-    gram = x.T @ (w[:, None] * x)
+    return x
+
+
+def solve_normal_equations(gram, rhs) -> np.ndarray:
+    """Solve gram theta = rhs, refusing a non-finite or ill-conditioned gram."""
     if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) >= COND_LIMIT:
         raise SingularDesign("weighted Gram matrix is numerically singular")
-    rhs = x.T @ (w * sample.column(y))
     return np.linalg.solve(gram, rhs)
+
+
+def weighted_ols(sample: PolyadicSample, weights, y, x_columns, intercept=False) -> np.ndarray:
+    """Solve the weighted normal equations (sum w x x') theta = sum w x y."""
+    x = regressors(sample, x_columns, intercept)
+    w = weights.weights
+    gram = x.T @ (w[:, None] * x)
+    return solve_normal_equations(gram, x.T @ (w * sample.column(y)))
 
 
 def weighted_ppml(
@@ -342,9 +352,7 @@ def weighted_ppml(
         raise DataError("ppml requires a nonnegative dependent variable")
     if not np.any(yv > 0):
         raise SolverError("ppml is undefined for an all-zero dependent variable")
-    x = sample.columns(x_columns)
-    if intercept:
-        x = np.column_stack([np.ones(sample.n_obs), x])
+    x = regressors(sample, x_columns, intercept)
     w = weights.weights
 
     gram = x.T @ (w[:, None] * x)

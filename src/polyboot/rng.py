@@ -5,7 +5,9 @@ Every stochastic component draws from a Philox generator keyed by
 of the 256-bit counter.  A substream is therefore a pure function of
 ``(seed, role, index, lane)``: results are bit-identical regardless of how
 draws are scheduled across threads, and distinct draw indices can never
-collide (each index owns 2**128 counter blocks).
+collide (each index owns 2**128 counter blocks). ``Substreams`` reaches the
+same streams by re-keying one generator, which is much cheaper than
+building a new one per draw.
 """
 
 from __future__ import annotations
@@ -25,13 +27,41 @@ ROLE_PIGEONHOLE_DGP = 6
 ROLE_COVERAGE = 7
 
 
+def _key(seed: int, role: int) -> int:
+    return ((role & _MASK64) << 64) | (seed & _MASK64)
+
+
 def substream(seed: int, role: int, index: int, lane: int = 0) -> np.random.Generator:
     """Return the generator for substream ``(seed, role, index, lane)``."""
     if index < 0 or lane < 0:
         raise ValueError("index and lane must be nonnegative")
-    key = ((role & _MASK64) << 64) | (seed & _MASK64)
     counter = ((index & _MASK64) << 192) | ((lane & _MASK64) << 128)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return np.random.Generator(np.random.Philox(key=_key(seed, role), counter=counter))
+
+
+class Substreams:
+    """Every substream of one ``(seed, role)`` from a single Philox.
+
+    ``at(index, lane)`` sets the counter words to ``[0, 0, lane, index]`` and
+    empties the output buffer, after which the generator yields exactly what
+    ``substream(seed, role, index, lane)`` yields. One instance must not be
+    shared between threads.
+    """
+
+    def __init__(self, seed: int, role: int):
+        self._bits = np.random.Philox(key=_key(seed, role))
+        self._state = self._bits.state
+        self._generator = np.random.Generator(self._bits)
+
+    def at(self, index: int, lane: int = 0) -> np.random.Generator:
+        if index < 0 or lane < 0:
+            raise ValueError("index and lane must be nonnegative")
+        state = self._state
+        state["state"]["counter"][:] = (0, 0, lane & _MASK64, index & _MASK64)
+        state["buffer_pos"] = 4  # empty: the next output starts a new block
+        state["has_uint32"] = 0
+        self._bits.state = state
+        return self._generator
 
 
 def derive_seed(seed: int, role: int, index: int) -> int:

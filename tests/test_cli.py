@@ -66,6 +66,68 @@ def test_alpha_without_prior_exits_4(capsys, exact_line_csv):
     assert "alpha" in err
 
 
+def test_counterfactual_alpha_without_prior_exits_4(capsys, exact_line_csv):
+    code, _, err = run(
+        capsys, "counterfactual", "--data", exact_line_csv, "--estimator", "ols",
+        "--y", "y", "--x", "x", "--counterfactual", "identity", "--seed", "1",
+        "--method", "pigeonhole", "--alpha", "3",
+    )
+    assert code == 4
+    assert "alpha" in err
+
+
+def _coverage_config(tmp_path, drop):
+    cfg = {
+        "dgp": {"type": "unit-effects-mean", "n": 6},
+        "estimator": {"kind": "mean", "column": "y"},
+        "methods": ["naive"],
+        "replications": 1,
+    }
+    section, _, key = drop.rpartition(".")
+    del (cfg[section] if section else cfg)[key]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+ERROR_MATRIX = [
+    # (case, argv builder, exit code, text stderr must contain)
+    ("data-is-directory",
+     lambda tmp: ["estimate", "--data", str(tmp), "--estimator", "mean", "--column", "y"],
+     2, "data error"),
+    ("data-missing",
+     lambda tmp: ["estimate", "--data", str(tmp / "none.csv"), "--estimator", "mean",
+                  "--column", "y"],
+     2, "data error"),
+    ("config-is-directory",
+     lambda tmp: ["coverage-sim", "--config", str(tmp), "--seed", "1"],
+     2, "data error"),
+    *[
+        (f"coverage-config-without-{key}",
+         lambda tmp, key=key: ["coverage-sim", "--config", _coverage_config(tmp, key),
+                               "--seed", "1"],
+         4, repr(key.rpartition(".")[2]))
+        for key in ("replications", "methods", "estimator", "dgp.n")
+    ],
+    ("coverage-config-not-json",
+     lambda tmp: ["coverage-sim", "--config", make_fixture("exact-line", 0, tmp), "--seed", "1"],
+     4, "configuration error"),
+    ("unknown-flag-value",
+     lambda tmp: ["estimate", "--data", str(tmp), "--estimator", "nope"],
+     4, "invalid choice"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, expected, text", [case[1:] for case in ERROR_MATRIX], ids=[c[0] for c in ERROR_MATRIX]
+)
+def test_error_matrix_exit_codes(capsys, tmp_path, build, expected, text):
+    code, _, err = run(capsys, *build(tmp_path))
+    assert code == expected
+    assert text in err
+    assert "Traceback" not in err
+
+
 def unit_effects_csv(tmp_path):
     return make_fixture("unit-effects", seed=3, out_dir=tmp_path)
 

@@ -57,6 +57,34 @@ def test_nonfinite_draws_dropped_and_counted():
     assert preds.draws.shape[0] + preds.dropped == res.draws.shape[0]
 
 
+def test_g_raising_on_a_draw_is_dropped_and_counted():
+    s, res = bootstrap_mean(seed=10, draws=100)
+    cutoff = np.quantile(res.draws[:, 0], 0.8)
+    assert res.point_estimate[0] <= cutoff
+
+    def fn(sample, theta):
+        if theta[0] > cutoff:
+            return np.array([1.0 / 0.0])  # ZeroDivisionError on the high draws
+        return theta[:1]
+
+    preds = pb.propagate(s, res, pb.CounterfactualFn("raises", 1, fn))
+    assert preds.dropped == int(np.sum(res.draws[:, 0] > cutoff)) > 0
+    assert np.array_equal(preds.draws[:, 0], res.draws[res.draws[:, 0] <= cutoff, 0])
+
+
+def test_g_wrong_shape_on_a_draw_is_dropped_and_counted():
+    s, res = bootstrap_mean(seed=11, draws=100)
+    cutoff = np.quantile(res.draws[:, 0], 0.8)
+    assert res.point_estimate[0] <= cutoff
+
+    def fn(sample, theta):
+        return np.array([theta[0], theta[0]]) if theta[0] > cutoff else theta[:1]
+
+    preds = pb.propagate(s, res, pb.CounterfactualFn("reshapes", 1, fn))
+    assert preds.dropped == int(np.sum(res.draws[:, 0] > cutoff)) > 0
+    assert preds.draws.shape == (res.draws.shape[0] - preds.dropped, 1)
+
+
 def test_summarize_exceedance():
     s, res = bootstrap_mean(seed=6)
     g = pb.resolve_counterfactual("identity:1")

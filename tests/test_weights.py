@@ -255,7 +255,14 @@ def test_positivity_contrast():
 def test_weights_normalized_and_deterministic(scheme, seed, b):
     rng = np.random.default_rng(17)
     s = random_dyadic_sample(rng, 5)
-    w1 = pb.weights_for_draw(s, scheme, seed=seed, b=b)
+    try:
+        w1 = pb.weights_for_draw(s, scheme, seed=seed, b=b)
+    except DegenerateDraw:
+        # a pigeonhole draw that puts all n counts on one unit leaves every
+        # dyad at zero weight (about 1 draw in 625 at n = 5); only that may fail
+        counts = pb.draw_pigeonhole_counts(s.n_units, seed=seed, b=b).values
+        assert scheme == "pigeonhole" and np.count_nonzero(counts) == 1
+        return
     w2 = pb.weights_for_draw(s, scheme, seed=seed, b=b)
     assert np.array_equal(w1.weights, w2.weights)
     assert np.all(w1.weights >= 0)

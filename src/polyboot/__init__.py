@@ -29,7 +29,6 @@ from .coverage import (
     run_coverage,
 )
 from .data_model import (
-    EmpiricalDistribution,
     PolyadicSample,
     full_index_set,
     load_csv,

@@ -107,29 +107,30 @@ def _add_estimator_args(p):
     )
 
 
+# the flags each --estimator needs, as its error message names them
+_REQUIRED_FLAGS = {
+    "mean": "--column",
+    "ols": "--y and --x",
+    "ppml": "--y and --x",
+    "linear-iv": "--y, --x and --instruments",
+}
+
+
 def _spec_from_args(args) -> EstimatorSpec:
-    if args.estimator == "mean":
-        if not args.column:
-            raise ParamError("--estimator mean requires --column")
-        return EstimatorSpec(kind="mean", column=args.column)
-    if args.estimator in ("ols", "ppml"):
-        if not args.y or not args.x:
-            raise ParamError(f"--estimator {args.estimator} requires --y and --x")
-        return EstimatorSpec(
-            kind=args.estimator, y=args.y, x=tuple(args.x), intercept=args.intercept
-        )
-    if not args.y or not args.x or not args.instruments:
-        raise ParamError("--estimator linear-iv requires --y, --x and --instruments")
-    return EstimatorSpec(
-        kind="gmm",
-        builtin_moment="linear-iv",
-        y=args.y,
-        x=tuple(args.x),
-        instruments=tuple(args.instruments),
+    """The estimator flags, as a config 'estimator' section, through _spec_from_config."""
+    cfg = {k: v for k in ("column", "y", "x", "instruments") if (v := getattr(args, k))}
+    cfg.update(
+        kind=args.estimator,
         intercept=args.intercept,
         gmm_mode=args.gmm_mode,
         weight_style=args.weight_style,
     )
+    try:
+        return _spec_from_config(cfg)
+    except KeyError:
+        raise ParamError(
+            f"--estimator {args.estimator} requires {_REQUIRED_FLAGS[args.estimator]}"
+        ) from None
 
 
 def _cmd_estimate(args):
@@ -256,45 +257,51 @@ def _dgp_from_config(cfg):
     raise ParamError(f"unknown dgp type {kind!r}")
 
 
+def _section(cfg, key):
+    """cfg[key], which must be a JSON object."""
+    value = cfg[key]
+    if not isinstance(value, dict):
+        raise ParamError(f"config section {key!r} must be a JSON object")
+    return value
+
+
 def _spec_from_config(cfg) -> EstimatorSpec:
+    """The one EstimatorSpec builder; a missing required key raises KeyError."""
     kind = cfg.get("kind")
     if kind == "mean":
         return EstimatorSpec(kind="mean", column=cfg["column"])
-    if kind in ("ols", "ppml"):
-        return EstimatorSpec(
-            kind=kind,
-            y=cfg["y"],
-            x=tuple(cfg["x"]),
-            intercept=bool(cfg.get("intercept", False)),
-        )
-    if kind == "linear-iv":
-        return EstimatorSpec(
-            kind="gmm",
-            builtin_moment="linear-iv",
-            y=cfg["y"],
-            x=tuple(cfg["x"]),
-            instruments=tuple(cfg["instruments"]),
-            intercept=bool(cfg.get("intercept", False)),
-            gmm_mode=cfg.get("gmm_mode", "two-step"),
-            weight_style=cfg.get("weight_style", "centered"),
-        )
-    raise ParamError(f"unknown estimator kind {kind!r}")
+    if kind not in ("ols", "ppml", "linear-iv"):
+        raise ParamError(f"unknown estimator kind {kind!r}")
+    regression = dict(y=cfg["y"], x=tuple(cfg["x"]), intercept=bool(cfg.get("intercept", False)))
+    if kind != "linear-iv":
+        return EstimatorSpec(kind=kind, **regression)
+    return EstimatorSpec(
+        kind="gmm",
+        builtin_moment="linear-iv",
+        instruments=tuple(cfg["instruments"]),
+        gmm_mode=cfg.get("gmm_mode", "two-step"),
+        weight_style=cfg.get("weight_style", "centered"),
+        **regression,
+    )
 
 
 def _cmd_coverage(args):
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ParamError("config must be a JSON object")
     dgp = None
     source = None
     try:
         if "dgp" in cfg:
-            dgp = _dgp_from_config(cfg["dgp"])
+            dgp = _dgp_from_config(_section(cfg, "dgp"))
         elif "source" in cfg:
-            source = load_csv(cfg["source"]["data"], order=cfg["source"].get("order", 2))
+            src = _section(cfg, "source")
+            source = load_csv(src["data"], order=src.get("order", 2))
         else:
             raise ParamError("config needs a 'dgp' or 'source' section")
         config = CoverageConfig(
-            estimator=_spec_from_config(cfg["estimator"]),
+            estimator=_spec_from_config(_section(cfg, "estimator")),
             methods=tuple(cfg["methods"]),
             n_replications=int(cfg["replications"]),
             n_bootstrap=int(cfg.get("draws", 500)),

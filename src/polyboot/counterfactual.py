@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import skew
 
 from .bootstrap import BootstrapResult, CredibleInterval
 from .data_model import PolyadicSample
@@ -152,10 +151,21 @@ def summarize(preds: PredictionDraws, level: float, thresholds=()) -> Counterfac
         point=preds.point,
         interval=CredibleInterval(level, lo, hi),
         exceedance=exceedance,
-        skewness=np.atleast_1d(skew(preds.draws, axis=0)),
+        skewness=_skewness(preds.draws),
         n_draws=b,
         dropped=preds.dropped,
     )
+
+
+def _skewness(draws) -> np.ndarray:
+    """Population skewness m3 / m2^1.5 per column; NaN where the spread is
+    below rounding of the mean (m2 <= (eps * mean)^2)."""
+    mean = draws.mean(axis=0)
+    dev = draws - mean
+    m2 = (dev**2).mean(axis=0)
+    m3 = (dev**2 * dev).mean(axis=0)
+    with np.errstate(all="ignore"):
+        return np.where(m2 <= (np.finfo(np.float64).eps * mean) ** 2, np.nan, m3 / m2**1.5)
 
 
 def ranking_match_fraction(preds: PredictionDraws) -> float:

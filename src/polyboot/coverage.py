@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from . import rng
 from .bootstrap import credible_interval, run_bootstrap
@@ -288,7 +288,7 @@ def _interval(method, config, data):
         var = graham_variance(moment, data.sample, theta)
     else:
         var = naive_dyad_robust(moment, data.sample, theta)
-    z = norm.ppf(1.0 - (1.0 - config.level) / 2.0)
+    z = NormalDist().inv_cdf(1.0 - (1.0 - config.level) / 2.0)
     center = float(theta[config.target_index])
     half = z * float(var.se[config.target_index])
     return center - half, center + half

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,28 +182,6 @@ def _check_sample(s: PolyadicSample):
 def full_index_set(n: int, order: int) -> np.ndarray:
     """All ordered ``order``-tuples of distinct ids in [0, n)."""
     return np.array(list(itertools.permutations(range(n), order)), dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """A sample together with normalized observation weights."""
-
-    sample: PolyadicSample
-    weights: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        w = self.weights
-        if w is None:
-            w = np.full(self.sample.n_obs, 1.0 / self.sample.n_obs)
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (self.sample.n_obs,):
-            raise ParamError("weights must align with observations")
-        if np.any(w < 0):
-            raise ParamError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ParamError("weights must sum to 1")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
 
 
 def load_csv(path, order: int = 2, variable_columns=None) -> PolyadicSample:

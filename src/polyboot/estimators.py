@@ -10,7 +10,7 @@ roots, where the weight matrix is irrelevant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,9 @@ class MomentFunction:
 
     ``fn`` is vectorized over observations: (variables (N, V), theta (K,))
     -> (N, L). ``jacobian``, when given, returns per-observation L x K
-    derivative blocks and must match finite differences to 1e-5 relative.
+    derivative blocks and must match finite differences to 1e-5 relative; it
+    drives the solvers' Newton and Gauss-Newton steps as well as the analytic
+    variance, and without it both use central differences.
     ``residual_instrument`` exposes the (e, Z) decomposition required by the
     acm-style weight matrix.
     """
@@ -270,29 +272,12 @@ def moment_mean(moment, variables, weights, theta) -> np.ndarray:
 
 def moment_mean_jacobian(moment, variables, weights, theta) -> np.ndarray:
     """d/dtheta of the weighted mean moment, (L, K)."""
-    if moment.jacobian is not None:
-        blocks = moment.jacobian(variables, theta)
-        return np.einsum("n,nlk->lk", weights, blocks)
-    return _fd_mean_jacobian(moment, variables, weights, theta)
-
-
-def _fd_mean_jacobian(moment, variables, weights, theta):
-    k = moment.n_params
-    out = np.empty((moment.n_moments, k))
-    for j in range(k):
-        h = 1e-6 * (1.0 + abs(theta[j]))
-        tp, tm = theta.copy(), theta.copy()
-        tp[j] += h
-        tm[j] -= h
-        out[:, j] = (
-            moment_mean(moment, variables, weights, tp)
-            - moment_mean(moment, variables, weights, tm)
-        ) / (2 * h)
-    return out
+    return np.einsum("n,nlk->lk", weights, observation_jacobian(moment, variables, theta))
 
 
 def observation_jacobian(moment, variables, theta) -> np.ndarray:
-    """Per-observation Jacobian blocks (N, L, K), finite differences if needed."""
+    """Per-observation Jacobian blocks (N, L, K): the moment's own ``jacobian``,
+    or central differences with step 1e-6 (1 + |theta_j|) when it has none."""
     if moment.jacobian is not None:
         return moment.jacobian(variables, theta)
     n, k = variables.shape[0], moment.n_params
@@ -440,8 +425,9 @@ def acm_weight_matrix(moment, sample, weights, theta) -> GmmWeightMatrix:
 def solve_z(moment, sample, weights, init=None, settings=None) -> tuple:
     """Newton root of the just-identified weighted moment; (theta, iterations).
 
-    Central-difference Jacobian with step 1e-6 (1 + |theta_j|), halving line
-    search on residual increase, convergence at max-norm <= root_tol.
+    Uses the moment's Jacobian (central differences only when the moment has
+    none, see ``observation_jacobian``), a halving line search on residual
+    increase, and declares convergence at max-norm <= root_tol.
     """
     settings = settings or SolverSettings()
     if not moment.just_identified:
@@ -456,7 +442,7 @@ def solve_z(moment, sample, weights, init=None, settings=None) -> tuple:
     for it in range(settings.max_iter):
         if np.all(np.isfinite(m)) and np.max(np.abs(m)) <= settings.root_tol:
             return theta, it
-        jac = _fd_mean_jacobian(moment, variables, w, theta)
+        jac = moment_mean_jacobian(moment, variables, w, theta)
         grad = jac.T @ m  # gradient of the squared-residual merit (up to 2x)
         try:
             step = np.linalg.solve(jac, -m)
@@ -500,7 +486,7 @@ def _gauss_newton(moment, variables, w, weight_matrix, init, settings):
     q = q_of(m)
     converged = False
     for _ in range(settings.max_iter):
-        jac = _fd_mean_jacobian(moment, variables, w, theta)
+        jac = moment_mean_jacobian(moment, variables, w, theta)
         grad = jac.T @ (wm @ m)
         if np.max(np.abs(grad)) <= settings.foc_tol:
             converged = True
@@ -525,7 +511,7 @@ def _gauss_newton(moment, variables, w, weight_matrix, init, settings):
             # stuck at a point with a nonzero gradient: treat as stalled
             break
     else:
-        jac = _fd_mean_jacobian(moment, variables, w, theta)
+        jac = moment_mean_jacobian(moment, variables, w, theta)
         converged = np.max(np.abs(jac.T @ (wm @ m))) <= settings.foc_tol
     return theta, q, converged
 
@@ -547,37 +533,55 @@ def _minimize_gmm(moment, sample, weights, weight_matrix, settings):
     return best[0]
 
 
-def gmm_one_step(moment, sample, weights, settings=None) -> np.ndarray:
-    """Minimize psibar' psibar (identity weight matrix)."""
+def _gmm(moment, sample, weights, settings, mode, weight_style="centered"):
+    """GMM in ``mode``; returns (theta, info dict with solver metadata).
+
+    One-step minimizes with the identity weight matrix. Each re-weighting round
+    then re-estimates the weight matrix at the latest theta and minimizes again
+    from there: two-step GMM is one centered round, iterated GMM runs rounds
+    until theta moves by at most iter_tol. Just-identified systems are solved
+    directly as moment roots, where the weight matrix is irrelevant.
+    """
     settings = settings or SolverSettings()
     if moment.just_identified:
-        theta, _ = solve_z(moment, sample, weights, init=settings.init, settings=settings)
-        return theta
-    return _minimize_gmm(moment, sample, weights, np.eye(moment.n_moments), settings)
+        theta, iters = solve_z(moment, sample, weights, init=settings.init, settings=settings)
+        if mode == "iterated":
+            return theta, {"iterations": 1, "objective_trace": []}
+        return theta, {"iterations": iters} if mode == "two-step" else {}
+    iterated = mode == "iterated"
+    if iterated and weight_style == "acm" and moment.residual_instrument is None:
+        raise ParamError("acm-style iteration needs a residual x instrument moment")
+    theta = _minimize_gmm(moment, sample, weights, np.eye(moment.n_moments), settings)
+    if mode == "one-step":
+        return theta, {}
+    reweight = acm_weight_matrix if iterated and weight_style == "acm" else centered_weight_matrix
+    trace = []
+    rounds = settings.iter_max if iterated else 1
+    for it in range(1, rounds + 1):
+        omega = reweight(moment, sample, weights, theta)
+        theta_new = _minimize_gmm(
+            moment, sample, weights, omega.matrix, replace(settings, init=tuple(theta))
+        )
+        if not iterated:
+            return theta_new, {"weight_matrix_ridged": omega.ridged}
+        m = moment_mean(moment, sample.variables, weights.weights, theta_new)
+        trace.append(float(m @ omega.matrix @ m))
+        delta = np.linalg.norm(theta_new - theta)
+        theta = theta_new
+        if delta <= settings.iter_tol:
+            return theta, {"iterations": it, "objective_trace": trace}
+    raise SolverError("iterated GMM did not reach a fixed point", trace=trace)
+
+
+def gmm_one_step(moment, sample, weights, settings=None) -> np.ndarray:
+    """Minimize psibar' psibar (identity weight matrix)."""
+    return _gmm(moment, sample, weights, settings, "one-step")[0]
 
 
 def gmm_two_step(moment, sample, weights, settings=None) -> np.ndarray:
     """Two-step GMM: identity weight matrix, then the centered inverse
     covariance evaluated at the step-1 solution."""
-    theta, _ = _gmm_two_step_info(moment, sample, weights, settings)
-    return theta
-
-
-def _gmm_two_step_info(moment, sample, weights, settings=None):
-    settings = settings or SolverSettings()
-    if moment.just_identified:
-        theta, iters = solve_z(moment, sample, weights, init=settings.init, settings=settings)
-        return theta, {"iterations": iters}
-    theta1 = _minimize_gmm(moment, sample, weights, np.eye(moment.n_moments), settings)
-    omega = centered_weight_matrix(moment, sample, weights, theta1)
-    settings2 = SolverSettings(
-        foc_tol=settings.foc_tol,
-        root_tol=settings.root_tol,
-        max_iter=settings.max_iter,
-        init=tuple(theta1),
-    )
-    theta = _minimize_gmm(moment, sample, weights, omega.matrix, settings2)
-    return theta, {"weight_matrix_ridged": omega.ridged}
+    return _gmm(moment, sample, weights, settings, "two-step")[0]
 
 
 def gmm_iterated(moment, sample, weights, settings=None, weight_style="centered") -> tuple:
@@ -586,34 +590,8 @@ def gmm_iterated(moment, sample, weights, settings=None, weight_style="centered"
     Starts from the identity weight matrix. Returns
     (theta, iterations, objective_trace).
     """
-    settings = settings or SolverSettings()
-    if moment.just_identified:
-        theta, _ = solve_z(moment, sample, weights, init=settings.init, settings=settings)
-        return theta, 1, []
-    if weight_style == "acm" and moment.residual_instrument is None:
-        raise ParamError("acm-style iteration needs a residual x instrument moment")
-
-    theta = _minimize_gmm(moment, sample, weights, np.eye(moment.n_moments), settings)
-    trace = []
-    for it in range(1, settings.iter_max + 1):
-        if weight_style == "acm":
-            omega = acm_weight_matrix(moment, sample, weights, theta)
-        else:
-            omega = centered_weight_matrix(moment, sample, weights, theta)
-        inner = SolverSettings(
-            foc_tol=settings.foc_tol,
-            root_tol=settings.root_tol,
-            max_iter=settings.max_iter,
-            init=tuple(theta),
-        )
-        theta_new = _minimize_gmm(moment, sample, weights, omega.matrix, inner)
-        m = moment_mean(moment, sample.variables, weights.weights, theta_new)
-        trace.append(float(m @ omega.matrix @ m))
-        delta = np.linalg.norm(theta_new - theta)
-        theta = theta_new
-        if delta <= settings.iter_tol:
-            return theta, it, trace
-    raise SolverError("iterated GMM did not reach a fixed point", trace=trace)
+    theta, info = _gmm(moment, sample, weights, settings, "iterated", weight_style)
+    return theta, info["iterations"], info["objective_trace"]
 
 
 # ---------------------------------------------------------------------------
@@ -704,12 +682,6 @@ def evaluate_estimator(spec: EstimatorSpec, sample: PolyadicSample, weights) -> 
             sample, weights, spec.y, spec.x, spec.intercept, spec.settings
         )
         return theta, {"iterations": iters}
-    moment = build_moment(spec, sample)
-    if spec.gmm_mode == "one-step":
-        return gmm_one_step(moment, sample, weights, spec.settings), {}
-    if spec.gmm_mode == "two-step":
-        return _gmm_two_step_info(moment, sample, weights, spec.settings)
-    theta, iters, trace = gmm_iterated(
-        moment, sample, weights, spec.settings, weight_style=spec.weight_style
+    return _gmm(
+        build_moment(spec, sample), sample, weights, spec.settings, spec.gmm_mode, spec.weight_style
     )
-    return theta, {"iterations": iters, "objective_trace": trace}

@@ -9,13 +9,13 @@ propagates either variance through a counterfactual gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .data_model import PolyadicSample
 from .errors import ParamError, SingularJacobian, Unsupported
-from .estimators import moment_mean, moment_mean_jacobian
+from .estimators import moment_mean_jacobian
 from .weights import uniform_weights
 
 COND_LIMIT = 1e12
@@ -135,11 +135,5 @@ def delta_method_interval(gamma_hat, gradient, sigma_hat, level) -> tuple:
     if not np.all(np.isfinite(g)):
         raise ParamError("gradient must be finite")
     var = float(g @ cov @ g)
-    half = norm.ppf(1.0 - (1.0 - level) / 2.0) * np.sqrt(max(var, 0.0))
+    half = NormalDist().inv_cdf(1.0 - (1.0 - level) / 2.0) * np.sqrt(max(var, 0.0))
     return float(gamma_hat - half), float(gamma_hat + half)
-
-
-def moment_residual(moment, sample, theta) -> float:
-    """Max-norm of the uniform-weight moment at theta (diagnostic)."""
-    m = moment_mean(moment, sample.variables, uniform_weights(sample).weights, theta)
-    return float(np.max(np.abs(m)))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,17 +80,23 @@ def test_counterfactual_alpha_without_prior_exits_4(capsys, exact_line_csv):
     assert "alpha" in err
 
 
-def _coverage_config(tmp_path, drop):
+def _coverage_config(tmp_path, drop=None, **sections):
     cfg = {
         "dgp": {"type": "unit-effects-mean", "n": 6},
         "estimator": {"kind": "mean", "column": "y"},
         "methods": ["naive"],
         "replications": 1,
     }
-    section, _, key = drop.rpartition(".")
-    del (cfg[section] if section else cfg)[key]
+    if drop:
+        section, _, key = drop.rpartition(".")
+        del (cfg[section] if section else cfg)[key]
+    cfg.update(sections)
+    return _write_json(tmp_path, cfg)
+
+
+def _write_json(tmp_path, value):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(value))
     return str(path)
 
 
@@ -109,6 +119,24 @@ ERROR_MATRIX = [
          4, repr(key.rpartition(".")[2]))
         for key in ("replications", "methods", "estimator", "dgp.n")
     ],
+    ("coverage-config-not-an-object",
+     lambda tmp: ["coverage-sim", "--config", _write_json(tmp, [1, 2]), "--seed", "1"],
+     4, "config must be a JSON object"),
+    *[
+        (f"coverage-config-{section}-not-an-object",
+         lambda tmp, section=section, drop=drop: [
+             "coverage-sim", "--config", _coverage_config(tmp, drop, **{section: 5}),
+             "--seed", "1"],
+         4, f"config section {section!r} must be a JSON object")
+        for section, drop in (("dgp", None), ("estimator", None), ("source", "dgp"))
+    ],
+    ("estimate-mean-without-column",
+     lambda tmp: ["estimate", "--data", make_fixture("exact-line", 0, tmp), "--estimator", "mean"],
+     4, "--estimator mean requires --column"),
+    ("estimate-linear-iv-without-instruments",
+     lambda tmp: ["estimate", "--data", make_fixture("exact-line", 0, tmp), "--estimator",
+                  "linear-iv", "--y", "y", "--x", "x"],
+     4, "--estimator linear-iv requires --y, --x and --instruments"),
     ("coverage-config-not-json",
      lambda tmp: ["coverage-sim", "--config", make_fixture("exact-line", 0, tmp), "--seed", "1"],
      4, "configuration error"),
@@ -290,3 +318,13 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "bootstrap" in proc.stdout
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(pb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    check = "import sys, polyboot, polyboot.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

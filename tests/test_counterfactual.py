@@ -113,6 +113,22 @@ def test_summarize_exceedance():
     assert abs(p[0] - 0.5) < 0.05
 
 
+def test_summarize_skewness_matches_scipy():
+    from scipy.stats import skew
+
+    _, res = bootstrap_mean(seed=6)
+    rng = np.random.default_rng(3)
+    draws = np.column_stack([
+        rng.gamma(2.0, size=400) * 1e3 + 5.0,  # right-skewed, large offset
+        -rng.exponential(size=400),  # left-skewed
+        np.full(400, 2.5),  # constant: no spread, skewness undefined
+    ])
+    preds = pb.PredictionDraws(point=np.zeros(3), draws=draws, dropped=0, source=res)
+    got = pb.summarize(preds, 0.9).skewness
+    assert np.allclose(got[:2], skew(draws[:, :2], axis=0), rtol=1e-14, atol=0.0)
+    assert np.isnan(got[2])
+
+
 def test_monotone_g_maps_quantiles_exactly():
     # with B = 201 draws, the 2.5/97.5 quantile positions are integers, so a
     # strictly increasing map commutes with the empirical quantiles exactly

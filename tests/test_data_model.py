@@ -137,16 +137,6 @@ def test_validate_empty_group_and_cluster_levels():
     assert any("empty cluster level" in d for d in diags)
 
 
-def test_empirical_distribution_rejects_bad_weights(dyad_sample):
-    import pytest as _pytest
-    from polyboot.errors import ParamError
-
-    with _pytest.raises(ParamError):
-        pb.EmpiricalDistribution(dyad_sample, np.full(6, 0.5))
-    with _pytest.raises(ParamError):
-        pb.EmpiricalDistribution(dyad_sample, np.array([1.5, -0.5, 0, 0, 0, 0]))
-
-
 def test_empty_sample_rejected():
     with pytest.raises(DataError, match="empty"):
         pb.PolyadicSample(
@@ -170,8 +160,3 @@ def test_relabeling_leaves_estimators_unchanged(perm, seed):
     t1, _ = pb.evaluate_estimator(spec, s, w1)
     t2, _ = pb.evaluate_estimator(spec, relabeled, w2)
     assert np.allclose(t1, t2, atol=1e-12)
-
-
-def test_empirical_distribution_defaults(dyad_sample):
-    dist = pb.EmpiricalDistribution(dyad_sample)
-    assert np.allclose(dist.weights, 1 / 6)

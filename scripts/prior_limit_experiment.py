@@ -27,7 +27,7 @@ def ks_chain(draws, seed):
     bayes = pb.run_bootstrap(sample, spec, "bayes", n_draws=draws, seed=seed)
     print(f"KS distance to the Bayesian bootstrap posterior ({draws} draws, n={n}):")
     for mult in (0.125, 0.25, 0.5, 1.0):
-        prior = pb.run_marginal_prior(sample, spec, alpha=mult * n, n_draws=draws, seed=seed + 1)
+        prior = pb.run_bootstrap(sample, spec, "prior", alpha=mult * n, n_draws=draws, seed=seed + 1)
         stat = ks_2samp(prior.draws[:, 0], bayes.draws[:, 0]).statistic
         print(f"  alpha = {mult:5.3f} n   KS = {stat:.4f}")
     print(f"  1% two-sample critical value: {1.628 * np.sqrt(2 / draws):.4f}")
@@ -44,8 +44,8 @@ def atom_concentration(draws, seed):
     )
     print("\nlimiting atoms:", np.sort(atoms.locations[:, 0]).round(4).tolist())
     for alpha_scale in (1e-1, 1e-3, 1e-6):
-        res = pb.run_marginal_prior(
-            sample, spec, alpha=alpha_scale * sample.n_units, n_draws=draws, seed=seed + 2
+        res = pb.run_bootstrap(
+            sample, spec, "prior", alpha=alpha_scale * sample.n_units, n_draws=draws, seed=seed + 2
         )
         dist = np.min(np.abs(res.draws[:, 0][:, None] - atoms.locations[:, 0][None, :]), axis=1)
         print(f"  alpha/n = {alpha_scale:7.0e}: share of draws within 1e-3 of an atom = "

@@ -7,7 +7,6 @@ from .bootstrap import (
     credible_interval,
     limiting_prior_atoms,
     run_bootstrap,
-    run_marginal_prior,
 )
 from .counterfactual import (
     CounterfactualFn,
@@ -66,14 +65,9 @@ from .variance import (
 )
 from .weights import (
     ObservationWeights,
-    UnitDraw,
-    draw_exponential_units,
-    draw_gamma_units,
-    draw_pigeonhole_counts,
-    grouped_product_weights,
-    multiway_weights,
     product_weights,
     uniform_weights,
+    unit_draws,
     weights_for_block,
     weights_for_draw,
 )

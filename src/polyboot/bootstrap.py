@@ -106,7 +106,7 @@ class DiscreteAtomSet:
             raise ParamError("masses must be nonnegative and sum to 1")
 
 
-def _block_estimator(sample, spec, scheme):
+def _block_estimator(sample, spec):
     """A function of a weight block returning the row -> (theta, info)
     estimator for that block; a failed row raises its draw failure."""
     if spec.kind == "mean":
@@ -133,14 +133,14 @@ def _block_estimator(sample, spec, scheme):
     else:
 
         def for_block(block):
-            return lambda r: evaluate_estimator(spec, sample, ObservationWeights(block[r], scheme))
+            return lambda r: evaluate_estimator(spec, sample, ObservationWeights(block[r]))
 
     return for_block
 
 
 def _run_draws(sample, spec, scheme, n_draws, seed, alpha, threads):
     """(b, theta, info, failure reason or None) per draw, in draw order."""
-    for_block = _block_estimator(sample, spec, scheme)
+    for_block = _block_estimator(sample, spec)
     step = block_rows(n_draws, sample.n_obs)
 
     def run_block(b0):
@@ -213,23 +213,6 @@ def run_bootstrap(
         param_names=spec.param_names(),
         failures=tuple(failures),
         draw_metadata=tuple(r[2] for r, ok in zip(solved, finite) if ok),
-    )
-
-
-def run_marginal_prior(
-    sample: PolyadicSample,
-    spec: EstimatorSpec,
-    alpha: float,
-    n_draws: int = 1000,
-    seed: int = 0,
-    threads: int | None = None,
-) -> BootstrapResult:
-    """Sample the implied marginal prior along the uninformative limit:
-    unit draws are Gamma(alpha/n, 1) instead of Exp(1)."""
-    if not alpha > 0:
-        raise ParamError("alpha must be > 0")
-    return run_bootstrap(
-        sample, spec, scheme="prior", n_draws=n_draws, seed=seed, alpha=alpha, threads=threads
     )
 
 

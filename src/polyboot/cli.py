@@ -243,11 +243,11 @@ def _dgp_from_config(cfg):
     kind = cfg.get("type")
     if kind == "unit-effects-mean":
         return mean_unit_effects_dgp(
-            cfg["n"], cfg.get("sigma_c", 1.0), cfg.get("sigma_eps", 0.3)
+            int(cfg["n"]), cfg.get("sigma_c", 1.0), cfg.get("sigma_eps", 0.3)
         )
     if kind == "unit-effects-ols":
         return ols_unit_effects_dgp(
-            cfg["n"],
+            int(cfg["n"]),
             cfg.get("slope", 1.0),
             cfg.get("sigma_a", 1.0),
             cfg.get("sigma_b", 1.0),
@@ -290,31 +290,35 @@ def _cmd_coverage(args):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ParamError("config must be a JSON object")
-    dgp = None
-    source = None
+    dgp = source = None
     try:
         if "dgp" in cfg:
             dgp = _dgp_from_config(_section(cfg, "dgp"))
         elif "source" in cfg:
             src = _section(cfg, "source")
-            source = load_csv(src["data"], order=src.get("order", 2))
+            source = (src["data"], src.get("order", 2))
         else:
             raise ParamError("config needs a 'dgp' or 'source' section")
-        config = CoverageConfig(
+        settings = dict(
             estimator=_spec_from_config(_section(cfg, "estimator")),
             methods=tuple(cfg["methods"]),
             n_replications=int(cfg["replications"]),
             n_bootstrap=int(cfg.get("draws", 500)),
             level=float(cfg.get("level", 0.95)),
-            seed=args.seed,
-            dgp=dgp,
-            source_sample=source,
             truth=tuple(cfg["truth"]) if "truth" in cfg else None,
             target_index=int(cfg.get("target_index", 0)),
-            threads=args.threads,
         )
     except KeyError as exc:
         raise ParamError(f"config is missing the key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParamError(f"config value of the wrong type: {exc}") from None
+    config = CoverageConfig(
+        seed=args.seed,
+        dgp=dgp,
+        source_sample=None if source is None else load_csv(source[0], order=source[1]),
+        threads=args.threads,
+        **settings,
+    )
     progress = None
     if args.progress:
 

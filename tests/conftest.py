@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -7,6 +8,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import polyboot as pb
+
+# tests that start ``python -m polyboot.cli`` must import the package under
+# test, also from a checkout where it is not installed
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(pb.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture

@@ -39,13 +39,10 @@ def criterion(number, description, budget_seconds):
 def test_criterion_01_dirichlet_construction():
     with criterion(1, "normalized exponential draws match Dirichlet moments", 10.0):
         n, draws = 10, 100_000
-        mean_acc = np.zeros(n)
-        sq = np.empty(draws)
-        for b in range(draws):
-            v = pb.draw_exponential_units(n, seed=1001, b=b).values
-            w = v / v.sum()
-            mean_acc += w
-            sq[b] = w @ w
+        v, _ = pb.unit_draws(n, "bayes", seed=1001, b0=0, b1=draws)
+        w = v / v.sum(axis=1, keepdims=True)
+        mean_acc = w.sum(axis=0)
+        sq = np.einsum("ij,ij->i", w, w)
         # E[W_k] = 1/n with Var(W_k) = (n-1)/(n^2 (n+1))
         se_w = np.sqrt((n - 1) / (n**2 * (n + 1)) / draws)
         assert np.max(np.abs(mean_acc / draws - 1.0 / n)) < 3 * se_w
@@ -162,7 +159,7 @@ def test_criterion_07_prior_limit_chain():
         bayes = pb.run_bootstrap(sample, spec, "bayes", n_draws=10_000, seed=101)
         stats = []
         for mult in (0.25, 0.5, 1.0):
-            prior = pb.run_marginal_prior(sample, spec, alpha=mult * n, n_draws=10_000, seed=202)
+            prior = pb.run_bootstrap(sample, spec, "prior", alpha=mult * n, n_draws=10_000, seed=202)
             stats.append(ks_2samp(prior.draws[:, 0], bayes.draws[:, 0]).statistic)
         print(f"    KS chain: {[f'{s:.4f}' for s in stats]}")
         assert stats[0] > stats[1] > stats[2]
@@ -174,8 +171,8 @@ def test_criterion_08_limiting_prior_atoms():
     with criterion(8, "tiny-alpha prior mass sits on the limiting atoms", 60.0):
         sample = ratio_of_means_sample(seed=5, n=4, symmetric=True)
         spec = pb.EstimatorSpec(kind="ols", y="y", x=("x",))
-        result = pb.run_marginal_prior(
-            sample, spec, alpha=1e-6 * sample.n_units, n_draws=10_000, seed=77
+        result = pb.run_bootstrap(
+            sample, spec, "prior", alpha=1e-6 * sample.n_units, n_draws=10_000, seed=77
         )
         x, y = sample.column("x"), sample.column("y")
 

@@ -154,9 +154,18 @@ def test_prior_exact_fit_identical_for_any_alpha():
     )
     spec = pb.EstimatorSpec(kind="ols", y="y", x=("x",))
     for alpha in (1e-5, 0.5, 2.0):
-        res = pb.run_marginal_prior(s, spec, alpha=alpha, n_draws=40, seed=11)
+        res = pb.run_bootstrap(s, spec, "prior", alpha=alpha, n_draws=40, seed=11)
         assert np.allclose(res.draws, 2.0, atol=1e-9)
         assert res.method == f"prior({alpha:g})"
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), None])
+def test_prior_rejects_alpha_not_positive(alpha):
+    rng = np.random.default_rng(4)
+    s = random_dyadic_sample(rng, 4, columns=("y",))
+    spec = pb.EstimatorSpec(kind="mean", column="y")
+    with pytest.raises(ParamError, match="requires alpha" if alpha is None else "alpha must be > 0"):
+        pb.run_bootstrap(s, spec, "prior", alpha=alpha, n_draws=5, seed=1)
 
 
 def test_grouped_bayes_scheme_runs_and_is_deterministic():
@@ -212,7 +221,7 @@ def test_prior_alpha_n_close_to_bayes():
     s = random_dyadic_sample(rng, 8, columns=("y",))
     spec = pb.EstimatorSpec(kind="mean", column="y")
     bayes = pb.run_bootstrap(s, spec, "bayes", n_draws=4000, seed=12)
-    prior = pb.run_marginal_prior(s, spec, alpha=float(s.n_units), n_draws=4000, seed=13)
+    prior = pb.run_bootstrap(s, spec, "prior", alpha=float(s.n_units), n_draws=4000, seed=13)
     from scipy.stats import ks_2samp
 
     stat = ks_2samp(bayes.draws[:, 0], prior.draws[:, 0]).statistic
@@ -315,7 +324,7 @@ def test_prior_draws_concentrate_near_atoms_for_tiny_alpha():
 
     s = ratio_of_means_sample(n=4, symmetric=True)
     spec = pb.EstimatorSpec(kind="ols", y="y", x=("x",))
-    res = pb.run_marginal_prior(s, spec, alpha=1e-6 * s.n_units, n_draws=2000, seed=14)
+    res = pb.run_bootstrap(s, spec, "prior", alpha=1e-6 * s.n_units, n_draws=2000, seed=14)
     rho, chi = ratio_rho_chi(s)
     atoms = pb.limiting_prior_atoms(s, rho, chi)
     dist = np.min(np.abs(res.draws[:, 0][:, None] - atoms.locations[:, 0][None, :]), axis=1)

@@ -1,8 +1,6 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +127,19 @@ ERROR_MATRIX = [
              "--seed", "1"],
          4, f"config section {section!r} must be a JSON object")
         for section, drop in (("dgp", None), ("estimator", None), ("source", "dgp"))
+    ],
+    *[
+        (f"coverage-config-{key}-wrong-type",
+         lambda tmp, key=key, value=value: [
+             "coverage-sim", "--config", _coverage_config(tmp, **{key: value}), "--seed", "1"],
+         4, "config value of the wrong type")
+        for key, value in (
+            ("replications", "many"),
+            ("level", "x"),
+            ("methods", 5),
+            ("dgp", {"type": "unit-effects-mean", "n": "six"}),
+            ("estimator", {"kind": "ols", "y": "y", "x": 5}),
+        )
     ],
     ("estimate-mean-without-column",
      lambda tmp: ["estimate", "--data", make_fixture("exact-line", 0, tmp), "--estimator", "mean"],
@@ -321,10 +332,6 @@ def test_console_entry_point():
 
 
 def test_import_does_not_load_scipy():
-    src = str(Path(pb.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     check = "import sys, polyboot, polyboot.cli; print('scipy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True
-    )
+    out = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

@@ -68,6 +68,40 @@ def test_repeated_unit_rejected(tmp_path):
         pb.load_csv(p)
 
 
+def sample_from(index, cluster_ids=None):
+    index = np.array(index)
+    return pb.PolyadicSample(
+        order=index.shape[1],
+        unit_labels=tuple(f"u{i}" for i in range(4)),
+        index=index,
+        variables=np.zeros((len(index), 1)),
+        variable_names=("y",),
+        cluster_ids=None if cluster_ids is None else np.array(cluster_ids),
+        cluster_labels=None if cluster_ids is None else ("t0", "t1"),
+    )
+
+
+def test_repeated_unit_message_names_first_offending_tuple():
+    with pytest.raises(DataError) as exc:
+        sample_from([[0, 1, 2], [3, 1, 3], [2, 2, 0]])
+    assert str(exc.value) == "repeated unit within tuple (3, 1, 3)"
+    with pytest.raises(DataError) as exc:
+        sample_from([[0, 1], [1, 0], [2, 2], [3, 3]])
+    assert str(exc.value) == "repeated unit within tuple (2, 2)"
+
+
+def test_duplicate_message_and_cluster_level():
+    with pytest.raises(DataError) as exc:
+        sample_from([[0, 1, 2], [2, 1, 0], [0, 1, 2]])
+    assert str(exc.value) == "duplicate index tuple"
+    # the same tuple in two cluster levels is two observations
+    s = sample_from([[0, 1], [1, 0], [0, 1]], cluster_ids=[0, 0, 1])
+    assert s.n_obs == 3
+    with pytest.raises(DataError) as exc:
+        sample_from([[0, 1], [1, 0], [0, 1]], cluster_ids=[1, 0, 1])
+    assert str(exc.value) == "duplicate index tuple"
+
+
 def test_group_column(tmp_path):
     p = write(tmp_path, "u1,u2,group,y\nA,B,g1,1\nB,A,g2,2\nA,C,g1,3\nC,A,g1,4\n")
     s = pb.load_csv(p)

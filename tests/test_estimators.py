@@ -30,14 +30,13 @@ def test_weighted_mean_uniform():
 def test_weighted_mean_point_mass(dyad_sample):
     w = np.zeros(6)
     w[3] = 1.0
-    weights = pb.ObservationWeights(w, "manual")
+    weights = pb.ObservationWeights(w)
     assert pb.weighted_mean(dyad_sample, weights, "y") == dyad_sample.variables[3, 0]
 
 
 def test_weighted_mean_product_weights_hand_oracle(dyad_sample):
     v = np.array([1.0, 2.0, 3.0])
-    lv = np.log(v)
-    w = pb.product_weights(pb.UnitDraw(v, lv, "exponential", 0, 0), dyad_sample)
+    w = pb.ObservationWeights(pb.product_weights(dyad_sample, np.log(v)[None, :])[0])
     # direct enumeration over the six dyads
     expected = sum(
         v[i] * v[j] * dyad_sample.variables[r, 0]

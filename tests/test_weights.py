@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,86 +7,87 @@ from hypothesis import strategies as st
 
 import polyboot as pb
 from polyboot.errors import DegenerateDraw, ParamError
+from polyboot.rng import ROLE_CLUSTER, ROLE_UNIT, substream
 from conftest import random_dyadic_sample
 
 
-def unit_draw(values):
-    v = np.asarray(values, dtype=float)
+def logs(*rows):
+    """Unit log-values, one row per draw, from linear values."""
     with np.errstate(divide="ignore"):
-        lv = np.log(v)
-    return pb.UnitDraw(v, lv, "exponential", 0, 0)
+        return np.log(np.array(rows, dtype=float))
 
 
 # ---------------------------------------------------------------- unit draws
 
 
 def test_exponential_determinism():
-    a = pb.draw_exponential_units(5, seed=1, b=0)
-    b = pb.draw_exponential_units(5, seed=1, b=0)
-    assert np.array_equal(a.values, b.values)
+    a, _ = pb.unit_draws(5, "bayes", seed=1, b0=0, b1=1)
+    b, _ = pb.unit_draws(5, "bayes", seed=1, b0=0, b1=1)
+    assert a.shape == (1, 5)
+    assert np.array_equal(a, b)
 
 
 def test_exponential_stream_separation():
-    a = pb.draw_exponential_units(5, seed=1, b=0)
-    b = pb.draw_exponential_units(5, seed=1, b=1)
-    assert not np.array_equal(a.values, b.values)
+    values, log_values = pb.unit_draws(5, "bayes", seed=1, b0=0, b1=2)
+    assert not np.array_equal(values[0], values[1])
+    # a row is the same whatever block it is drawn in
+    assert np.array_equal(values[1], pb.unit_draws(5, "bayes", seed=1, b0=1, b1=2)[0][0])
+    assert np.array_equal(log_values, np.log(values))
 
 
 def test_exponential_mean_one():
     # 1e6 pooled draws across independent draw indices
-    total, count = 0.0, 0
-    for b in range(200):
-        total += pb.draw_exponential_units(5000, seed=3, b=b).values.sum()
-        count += 5000
-    assert abs(total / count - 1.0) < 0.01
+    values, _ = pb.unit_draws(5000, "bayes", seed=3, b0=0, b1=200)
+    assert abs(values.mean() - 1.0) < 0.01
 
 
 def test_gamma_at_alpha_n_mean_one():
-    total, count = 0.0, 0
-    for b in range(200):
-        total += pb.draw_gamma_units(5000, alpha=5000.0, seed=4, b=b).values.sum()
-        count += 5000
-    assert abs(total / count - 1.0) < 0.01
+    values, _ = pb.unit_draws(5000, "prior", seed=4, b0=0, b1=200, alpha=5000.0)
+    assert abs(values.mean() - 1.0) < 0.01
 
 
 def test_gamma_small_alpha_concentrates():
-    n, hits = 5, 0
-    draws = 10_000
-    for b in range(draws):
-        d = pb.draw_gamma_units(n, alpha=0.01 * n, seed=5, b=b)
-        w = np.exp(d.log_values - d.log_values.max())
-        w /= w.sum()
-        hits += w.max() > 0.9
-    assert hits / draws >= 0.5
+    n, draws = 5, 10_000
+    _, log_values = pb.unit_draws(n, "prior", seed=5, b0=0, b1=draws, alpha=0.01 * n)
+    w = np.exp(log_values - log_values.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    assert np.mean(w.max(axis=1) > 0.9) >= 0.5
 
 
 def test_gamma_determinism_and_param_check():
-    a = pb.draw_gamma_units(4, alpha=2.0, seed=9, b=3)
-    b = pb.draw_gamma_units(4, alpha=2.0, seed=9, b=3)
-    assert np.array_equal(a.values, b.values)
-    with pytest.raises(ParamError):
-        pb.draw_gamma_units(4, alpha=0.0, seed=9, b=0)
+    a, _ = pb.unit_draws(4, "prior", seed=9, b0=3, b1=4, alpha=2.0)
+    b, _ = pb.unit_draws(4, "prior", seed=9, b0=3, b1=4, alpha=2.0)
+    assert np.array_equal(a, b)
+    with pytest.raises(ParamError, match="alpha must be > 0"):
+        pb.unit_draws(4, "prior", seed=9, b0=0, b1=1, alpha=0.0)
+    with pytest.raises(ParamError, match="requires alpha"):
+        pb.unit_draws(4, "prior", seed=9, b0=0, b1=1)
+    with pytest.raises(ParamError, match="unknown scheme"):
+        pb.unit_draws(4, "nope", seed=9, b0=0, b1=1)
+    with pytest.raises(ParamError, match="n >= 2"):
+        pb.unit_draws(1, "bayes", seed=9, b0=0, b1=1)
+    with pytest.raises(ParamError, match="b0 < b1"):
+        pb.unit_draws(4, "bayes", seed=9, b0=2, b1=2)
 
 
 def test_pigeonhole_counts_sum():
-    for b in range(50):
-        d = pb.draw_pigeonhole_counts(7, seed=6, b=b)
-        assert d.values.sum() == 7
-        assert np.all(d.values == np.round(d.values))
+    counts, _ = pb.unit_draws(7, "pigeonhole", seed=6, b0=0, b1=50)
+    assert np.all(counts.sum(axis=1) == 7)
+    assert np.all(counts == np.round(counts))
 
 
 def test_pigeonhole_average_count_one():
-    n, draws = 1000, 10_000
+    n, draws, step = 1000, 10_000, 1000
     total = 0.0
-    for b in range(draws):
-        total += pb.draw_pigeonhole_counts(n, seed=7, b=b).values.mean()
+    for b0 in range(0, draws, step):
+        total += pb.unit_draws(n, "pigeonhole", seed=7, b0=b0, b1=b0 + step)[0].mean(axis=1).sum()
     assert abs(total / draws - 1.0) < 0.01
 
 
 def test_pigeonhole_determinism():
-    a = pb.draw_pigeonhole_counts(6, seed=8, b=2)
-    b = pb.draw_pigeonhole_counts(6, seed=8, b=2)
-    assert np.array_equal(a.values, b.values)
+    a, _ = pb.unit_draws(6, "pigeonhole", seed=8, b0=2, b1=3)
+    b, _ = pb.unit_draws(6, "pigeonhole", seed=8, b0=2, b1=3)
+    assert np.array_equal(a, b)
 
 
 # ------------------------------------------------------------ product weights
@@ -98,15 +101,17 @@ def test_product_weights_symmetric_pair():
         variables=np.zeros((2, 1)),
         variable_names=("y",),
     )
-    w = pb.product_weights(unit_draw([1.0, 1.0]), s)
-    assert np.allclose(w.weights, 0.5)
+    w = pb.product_weights(s, logs([1.0, 1.0]))
+    assert np.allclose(w, 0.5)
 
 
 def test_product_weights_hand_enumeration(dyad_sample):
     # V = (1,2,3); pair products in index order (0,1),(0,2),(1,0),(1,2),(2,0),(2,1)
-    w = pb.product_weights(unit_draw([1.0, 2.0, 3.0]), dyad_sample)
-    assert np.allclose(w.weights, np.array([2, 3, 2, 6, 3, 6]) / 22.0, atol=1e-15)
-    assert abs(w.weights.sum() - 1.0) < 1e-12
+    w = pb.product_weights(dyad_sample, logs([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]))
+    assert w.shape == (2, 6) and w.flags.c_contiguous
+    assert np.allclose(w[0], np.array([2, 3, 2, 6, 3, 6]) / 22.0, atol=1e-15)
+    assert np.allclose(w[1], np.array([6, 3, 6, 2, 3, 2]) / 22.0, atol=1e-15)
+    assert np.all(np.abs(w.sum(axis=1) - 1.0) < 1e-12)
 
 
 def test_product_weights_missing_tuple_renormalizes(dyad_sample):
@@ -118,8 +123,8 @@ def test_product_weights_missing_tuple_renormalizes(dyad_sample):
         variables=dyad_sample.variables[keep],
         variable_names=("y",),
     )
-    w = pb.product_weights(unit_draw([1.0, 2.0, 3.0]), s)
-    assert np.allclose(w.weights, np.array([2, 3, 2, 6, 3]) / 16.0, atol=1e-15)
+    w = pb.product_weights(s, logs([1.0, 2.0, 3.0]))
+    assert np.allclose(w[0], np.array([2, 3, 2, 6, 3]) / 16.0, atol=1e-15)
 
 
 def test_product_weights_degenerate_pigeonhole():
@@ -130,9 +135,13 @@ def test_product_weights_degenerate_pigeonhole():
         variables=np.zeros((2, 1)),
         variable_names=("y",),
     )
-    counts = unit_draw([0.0, 0.0, 3.0])
-    with pytest.raises(DegenerateDraw):
-        pb.product_weights(counts, s)
+    counts = logs([1.0, 1.0, 1.0], [0.0, 0.0, 3.0])
+    with pytest.raises(DegenerateDraw, match="every observed tuple has zero weight"):
+        pb.product_weights(s, counts)
+    failed = {}
+    w = pb.product_weights(s, counts, failed=failed)
+    assert failed == {1: "every observed tuple has zero weight"}
+    assert np.allclose(w[0], 0.5) and np.all(np.isnan(w[1]))
 
 
 # ------------------------------------------------------------ multiway weights
@@ -155,64 +164,93 @@ def clustered_sample(n_levels):
 
 def test_multiway_single_level_collapses_to_product():
     s = clustered_sample(1)
-    units = unit_draw([1.0, 4.0])
-    got = pb.multiway_weights(units, unit_draw([2.0]), s)
-    want = pb.product_weights(units, pb.PolyadicSample(
+    units = logs([1.0, 4.0])
+    got = pb.product_weights(s, units, logs([2.0]))
+    want = pb.product_weights(pb.PolyadicSample(
         order=2, unit_labels=("a", "b"), index=pb.full_index_set(2, 2),
-        variables=np.zeros((2, 1)), variable_names=("y",)))
-    assert np.allclose(got.weights, want.weights, atol=1e-15)
+        variables=np.zeros((2, 1)), variable_names=("y",)), units)
+    assert np.allclose(got, want, atol=1e-15)
+    with pytest.raises(ParamError, match="level count"):
+        pb.product_weights(s, units, logs([2.0, 1.0]))
+    with pytest.raises(ParamError, match="no cluster dimension"):
+        pb.product_weights(grouped_sample((0, 0)), units, logs([2.0]))
 
 
 def test_multiway_cluster_ratio():
     s = clustered_sample(2)
-    got = pb.multiway_weights(unit_draw([1.0, 1.0]), unit_draw([1.0, 3.0]), s)
+    got = pb.product_weights(s, logs([1.0, 1.0]), logs([1.0, 3.0]))[0]
     level = s.cluster_ids
-    ratio = got.weights[level == 1].sum() / got.weights[level == 0].sum()
+    ratio = got[level == 1].sum() / got[level == 0].sum()
     assert np.isclose(ratio, 3.0)
 
 
 def test_multiway_all_equal():
     s = clustered_sample(2)
-    got = pb.multiway_weights(unit_draw([1.0, 1.0]), unit_draw([1.0, 1.0]), s)
-    assert np.allclose(got.weights, 0.25)
+    got = pb.product_weights(s, logs([1.0, 1.0]), logs([1.0, 1.0]))
+    assert np.allclose(got, 0.25)
 
 
 # ------------------------------------------------------------ grouped weights
 
 
-def grouped_sample(groups):
+def grouped_sample(groups, clusters=1):
     n = len(groups)
+    base = pb.full_index_set(n, 2)
     return pb.PolyadicSample(
         order=2,
         unit_labels=tuple(f"u{i}" for i in range(n)),
-        index=pb.full_index_set(n, 2),
-        variables=np.zeros((n * (n - 1), 1)),
+        index=np.vstack([base] * clusters),
+        variables=np.zeros((clusters * len(base), 1)),
         variable_names=("y",),
         group_of_unit=groups,
+        cluster_ids=np.repeat(np.arange(clusters), len(base)) if clusters > 1 else None,
+        cluster_labels=tuple(str(t) for t in range(clusters)) if clusters > 1 else None,
     )
 
 
 def test_grouped_single_group_equals_product():
+    # one group draws on lane 0 of the unit stream, as the ungrouped sample does
     s = grouped_sample((0, 0, 0))
-    draw = unit_draw([1.0, 2.0, 3.0])
-    got = pb.grouped_product_weights([draw], s)
-    plain = pb.product_weights(draw, s)
-    assert np.allclose(got.weights, plain.weights, atol=1e-15)
+    plain = dataclasses.replace(s, group_of_unit=None)
+    got = pb.weights_for_block(s, "bayes", seed=31, b0=0, b1=20)
+    want = pb.weights_for_block(plain, "bayes", seed=31, b0=0, b1=20)
+    assert np.allclose(got, want, rtol=1e-14, atol=0)
 
 
 def test_grouped_singleton_groups_are_uniform():
     s = grouped_sample((0, 1))
-    got = pb.grouped_product_weights([unit_draw([5.0]), unit_draw([0.3])], s)
-    assert np.allclose(got.weights, 1.0 / s.n_obs)
+    got = pb.weights_for_block(s, "bayes", seed=32, b0=0, b1=20)
+    assert np.allclose(got, 1.0 / s.n_obs)
+
+
+def exp_draws(role, seed, b, n, lane=0):
+    return -np.log1p(-substream(seed, role, b, lane=lane).random(n))
+
+
+def grouped_by_hand(s, seed, b):
+    """Draw b for groups {0,1} (lane 0) and {2} (lane 1): unit weights
+    (V0/(V0+V1), V1/(V0+V1), 1), their products, times an Exp(1) value per
+    cluster level when the sample has clusters, normalized."""
+    v = exp_draws(ROLE_UNIT, seed, b, 2)
+    w = np.array([v[0] / v.sum(), v[1] / v.sum(), 1.0])
+    prods = np.array([w[i] * w[j] for i, j in s.index])
+    if s.cluster_ids is not None:
+        prods *= exp_draws(ROLE_CLUSTER, seed, b, s.n_cluster_levels)[s.cluster_ids]
+    return prods / prods.sum()
 
 
 def test_grouped_hand_example():
-    # groups {0,1} with draws (1,3) and {2} alone: W = (1/4, 3/4, 1)
     s = grouped_sample((0, 0, 1))
-    got = pb.grouped_product_weights([unit_draw([1.0, 3.0]), unit_draw([7.0])], s)
-    w = np.array([0.25, 0.75, 1.0])
-    prods = np.array([w[i] * w[j] for i, j in s.index])
-    assert np.allclose(got.weights, prods / prods.sum(), atol=1e-15)
+    got = pb.weights_for_block(s, "bayes", seed=33, b0=0, b1=12)
+    for b in range(12):
+        assert np.allclose(got[b], grouped_by_hand(s, 33, b), rtol=1e-14, atol=0)
+
+
+def test_grouped_clustered_hand_example():
+    s = grouped_sample((0, 0, 1), clusters=2)
+    got = pb.weights_for_block(s, "bayes", seed=34, b0=0, b1=12)
+    for b in range(12):
+        assert np.allclose(got[b], grouped_by_hand(s, 34, b), rtol=1e-14, atol=0)
 
 
 # ----------------------------------------------------------------- properties
@@ -223,9 +261,9 @@ def test_dirichlet_identity_and_quadratic_moment():
     n, draws = 10, 20_000
     means = np.zeros(n)
     sumsq = np.zeros(draws)
+    values, _ = pb.unit_draws(n, "bayes", seed=11, b0=0, b1=draws)
     for b in range(draws):
-        v = pb.draw_exponential_units(n, seed=11, b=b).values
-        w = v / v.sum()
+        w = values[b] / values[b].sum()
         means += w
         sumsq[b] = w @ w
     se_mean = np.sqrt((1 / n) * (1 - 1 / n) / draws)  # conservative scale
@@ -260,7 +298,7 @@ def test_weights_normalized_and_deterministic(scheme, seed, b):
     except DegenerateDraw:
         # a pigeonhole draw that puts all n counts on one unit leaves every
         # dyad at zero weight (about 1 draw in 625 at n = 5); only that may fail
-        counts = pb.draw_pigeonhole_counts(s.n_units, seed=seed, b=b).values
+        counts = pb.unit_draws(s.n_units, "pigeonhole", seed=seed, b0=b, b1=b + 1)[0][0]
         assert scheme == "pigeonhole" and np.count_nonzero(counts) == 1
         return
     w2 = pb.weights_for_draw(s, scheme, seed=seed, b=b)
@@ -270,8 +308,36 @@ def test_weights_normalized_and_deterministic(scheme, seed, b):
 
 
 def test_weight_scale_invariance(dyad_sample):
-    base = unit_draw([0.7, 1.9, 0.2])
-    scaled = unit_draw([7.0, 19.0, 2.0])
-    w1 = pb.product_weights(base, dyad_sample)
-    w2 = pb.product_weights(scaled, dyad_sample)
-    assert np.allclose(w1.weights, w2.weights, atol=1e-14)
+    w1 = pb.product_weights(dyad_sample, logs([0.7, 1.9, 0.2]))
+    w2 = pb.product_weights(dyad_sample, logs([7.0, 19.0, 2.0]))
+    assert np.allclose(w1, w2, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3), st.integers(3, 6), st.booleans(), st.data())
+def test_product_weights_relabeling_equivariance(order, n, clustered, data):
+    # relabeling unit u as perm[u] and moving its log-value along leaves
+    # every weight the same, byte for byte
+    perm = np.array(data.draw(st.permutations(range(n))))
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    index = pb.full_index_set(n, order)
+    index = index[(gen.random(len(index)) < 0.7) | (np.arange(len(index)) == 0)]
+    levels = None
+    if clustered:
+        index = np.vstack([index, index])
+        levels = gen.standard_normal((4, 2))
+    s = pb.PolyadicSample(
+        order=order,
+        unit_labels=tuple(f"u{i}" for i in range(n)),
+        index=index,
+        variables=np.zeros((len(index), 1)),
+        variable_names=("y",),
+        cluster_ids=np.repeat([0, 1], len(index) // 2) if clustered else None,
+        cluster_labels=("t0", "t1") if clustered else None,
+    )
+    log_units = gen.standard_normal((4, n))
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(n)
+    want = pb.product_weights(s, log_units, levels)
+    got = pb.product_weights(s.relabeled(perm), log_units[:, inv], levels)
+    assert got.tobytes() == want.tobytes()

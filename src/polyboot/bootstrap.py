@@ -1,14 +1,26 @@
 """Bootstrap orchestration: B resampling draws for any scheme x estimator.
 
 The weights are a draw's only random input, so draw b is the estimator
-applied to row b of a (B, N) weight matrix. The engine walks that matrix in
-blocks of rows (``weights.block_rows``: about 4 MB each, a function of B and
-N only). Mean and OLS estimates come from one matrix product per block
-(``block @ y``; ``block @ [vec(x x'), x y]`` then a k x k solve per row);
-PPML, GMM and user moments evaluate the estimator row by row. Blocks run
-serially unless ``threads`` > 1 maps them over a thread pool; since each
-block owns its random streams and the partition never depends on the
-thread count, the draws are the same bit for bit for any ``threads``.
+applied to row b of a (B, N) weight matrix. The engine walks the draws in
+blocks (``weights.block_rows``: about 4 MB of working set each, a function
+of B and the sample's shape only), each from its unit and cluster
+log-draws (``weights.log_draws``).
+
+Mean and OLS are functions of weighted feature sums s = sum_k w_k f_k, with
+f = y for the mean and f = [vec(x x'), x y] for OLS (then a k x k solve per
+draw). Such a sum is a quadratic form in the unit values, v'F v / v'M v for
+dyads with M the observed-dyad mask, so when the dense feature tensor holds
+at most four entries per observation (n**P * T <= 4 N) the sums come from
+``weights.product_sums`` without building the weight matrix; a draw whose
+normalizer v'M v is not finite or below e**-600 has its weight row built
+from the same draws instead. Sparser samples multiply each block of the
+weight matrix by the features. PPML, GMM and user moments evaluate the
+estimator on each weight row.
+
+Blocks run serially unless ``threads`` > 1 maps them over a thread pool;
+since each block owns its random streams and the partition never depends
+on the thread count, the draws are the same bit for bit for any
+``threads``.
 
 Failed draws (degenerate weights, solver failures, singular designs or
 weight matrices, non-finite estimates) are recorded and excluded from
@@ -38,8 +50,11 @@ from .estimators import EstimatorSpec, evaluate_estimator, regressors, solve_nor
 from .weights import (
     ObservationWeights,
     block_rows,
+    dense_features,
+    log_draws,
+    product_sums,
+    product_weights,
     uniform_weights,
-    weights_for_block,
     weights_for_draw,  # noqa: F401 - importable here for per-draw callers
 )
 
@@ -106,52 +121,68 @@ class DiscreteAtomSet:
             raise ParamError("masses must be nonnegative and sum to 1")
 
 
-def _block_estimator(sample, spec):
-    """A function of a weight block returning the row -> (theta, info)
-    estimator for that block; a failed row raises its draw failure."""
+def _linear_statistic(sample, spec):
+    """``(features, finish)`` for an estimator that is a function of the
+    weighted feature sums s = sum_k w_k f_k, finish(s) -> (theta, info);
+    None for the others."""
     if spec.kind == "mean":
-        y = sample.column(spec.column)
+        return sample.column(spec.column)[:, None], lambda sums: (sums, {})
+    if spec.kind != "ols":
+        return None
+    x = regressors(sample, spec.x, spec.intercept)
+    k = x.shape[1]
+    # per observation vec(x x') then x y: the sums hold the weighted Gram
+    # matrix and right-hand side
+    features = np.column_stack(
+        [(x[:, :, None] * x[:, None, :]).reshape(-1, k * k), x * sample.column(spec.y)[:, None]]
+    )
 
-        def for_block(block):
-            theta = block @ y
-            return lambda r: (theta[r : r + 1], {})
+    def finish(sums):
+        return solve_normal_equations(sums[: k * k].reshape(k, k), sums[k * k :]), {}
 
-    elif spec.kind == "ols":
-        x = regressors(sample, spec.x, spec.intercept)
-        k = x.shape[1]
-        # per observation vec(x x') then x y: block @ features holds each
-        # row's weighted Gram matrix and right-hand side
-        features = np.column_stack(
-            [(x[:, :, None] * x[:, None, :]).reshape(-1, k * k), x * sample.column(spec.y)[:, None]]
-        )
+    return features, finish
 
-        def for_block(block):
-            sums = block @ features
-            grams, rhs = sums[:, : k * k].reshape(-1, k, k), sums[:, k * k :]
-            return lambda r: (solve_normal_equations(grams[r], rhs[r]), {})
 
-    else:
+def _block_estimator(sample, spec, n_draws):
+    """``(draws per block, for_block)``: for_block(log_units, log_levels,
+    failed) gives the row -> (theta, info) estimator of a block of draws; a
+    failed row raises its draw failure, and rows without a positive weight
+    are added to ``failed``."""
+    features, finish = _linear_statistic(sample, spec) or (None, None)
+    dense = None if features is None else dense_features(sample, features)
+    if dense is not None:
 
-        def for_block(block):
+        def for_block(log_units, log_levels, failed):
+            sums = product_sums(sample, dense, log_units, log_levels, failed)
+            return lambda r: finish(sums[r])
+
+        # a block holds the (rows, n**(P-1) T (1+F)) partial contraction
+        return block_rows(n_draws, dense[0].size), for_block
+
+    def for_block(log_units, log_levels, failed):
+        block = product_weights(sample, log_units, log_levels, failed)
+        if features is None:
             return lambda r: evaluate_estimator(spec, sample, ObservationWeights(block[r]))
+        sums = block @ features
+        return lambda r: finish(sums[r])
 
-    return for_block
+    return block_rows(n_draws, sample.n_obs), for_block
 
 
 def _run_draws(sample, spec, scheme, n_draws, seed, alpha, threads):
     """(b, theta, info, failure reason or None) per draw, in draw order."""
-    for_block = _block_estimator(sample, spec)
-    step = block_rows(n_draws, sample.n_obs)
+    step, for_block = _block_estimator(sample, spec, n_draws)
 
     def run_block(b0):
         # each block draws its own random streams, so blocks may run concurrently
         failed = {}
-        block = weights_for_block(sample, scheme, seed, b0, min(b0 + step, n_draws), alpha, failed)
-        estimate = for_block(block)
+        b1 = min(b0 + step, n_draws)
+        log_units, log_levels = log_draws(sample, scheme, seed, b0, b1, alpha, failed)
+        estimate = for_block(log_units, log_levels, failed)
         out = []
-        for r, b in enumerate(range(b0, b0 + block.shape[0])):
-            if b in failed:
-                out.append((b, None, None, f"DegenerateDraw: {failed[b]}"))
+        for r, b in enumerate(range(b0, b1)):
+            if r in failed:
+                out.append((b, None, None, f"DegenerateDraw: {failed[r]}"))
                 continue
             try:
                 out.append((b, *estimate(r), None))

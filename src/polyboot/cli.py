@@ -287,7 +287,10 @@ def _spec_from_config(cfg) -> EstimatorSpec:
 
 def _cmd_coverage(args):
     with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ParamError(f"the config is not UTF-8 text: {exc}") from None
     if not isinstance(cfg, dict):
         raise ParamError("config must be a JSON object")
     dgp = source = None
@@ -296,7 +299,9 @@ def _cmd_coverage(args):
             dgp = _dgp_from_config(_section(cfg, "dgp"))
         elif "source" in cfg:
             src = _section(cfg, "source")
-            source = (src["data"], src.get("order", 2))
+            if not isinstance(src["data"], str):
+                raise TypeError(f"source.data must be a path string, got {src['data']!r}")
+            source = (src["data"], int(src.get("order", 2)))
         else:
             raise ParamError("config needs a 'dgp' or 'source' section")
         settings = dict(

@@ -18,11 +18,25 @@ Rubin's (1981) Bayesian bootstrap applied to every index dimension at once.
 Products are formed in log space so that extreme prior draws (tiny alpha)
 survive without underflow.
 
-Weights are built a block of draws at a time: ``weights_for_block`` returns
-rows b0..b1-1 of the (B, N) weight matrix, and ``weights_for_draw`` is its
-one-row case. Draw b's values come from substream (seed, role, b, lane)
-whatever block it falls in, so every row is the same bit for bit under any
-block partition.
+Weights are built a block of draws at a time: ``log_draws`` gives the unit
+log-values and cluster log-levels of draws b0..b1-1, ``weights_for_block``
+turns them into rows b0..b1-1 of the (B, N) weight matrix with
+``product_weights``, and ``weights_for_draw`` is its one-row case. Draw b's
+values come from substream (seed, role, b, lane) whatever block it falls in,
+so every row is the same bit for bit under any block partition.
+
+A statistic linear in the weights needs no weight matrix. The sum
+sum_k w_k f_k is a quadratic form in the unit values, v'F v / v'M v for a
+dyadic sample, where F holds f at the observed dyads and zeros elsewhere and
+M is the 0/1 observed-dyad mask (a P-linear form for P-tuples, with one
+more contraction over the cluster levels). ``dense_features`` scatters the
+features into that dense tensor once; it declines, leaving the weight
+matrix, when the tensor would exceed four entries per observation
+(n**P * T > 4 N). ``product_sums`` evaluates the forms for a block of
+draws from ``log_draws``, with each row scaled by exp(l - max l); a row
+whose normalizer v'M v is not finite or below e**-600 may have lost
+precision to underflow, so its weights are built from the same draws with
+``product_weights`` and summed instead.
 """
 
 from __future__ import annotations
@@ -39,9 +53,14 @@ from .errors import DegenerateDraw, ParamError
 # indistinguishable in the product-weight limit and risk degenerate streams.
 MIN_GAMMA_SHAPE = 1e-6
 
-# Memory budget of one weight block; fixing it (rather than deriving it
-# from the thread count) makes the block partition a function of (B, N).
+# Memory budget of one block of draws; fixing it (rather than deriving it
+# from the thread count) makes the block partition a function of B and the
+# sample's shape.
 BLOCK_BYTES = 4 * 2**20
+
+# Below this normalizer a row's scaled product sums may have lost relative
+# precision to underflow, so ``product_sums`` builds that row's weights.
+MIN_NORMALIZER = np.exp(-600.0)
 
 
 @dataclass(frozen=True)
@@ -60,9 +79,10 @@ def uniform_weights(sample: PolyadicSample) -> ObservationWeights:
     return ObservationWeights(np.full(sample.n_obs, 1.0 / sample.n_obs))
 
 
-def block_rows(n_draws: int, n_obs: int) -> int:
-    """Draws per weight block: BLOCK_BYTES of float64 rows, within [1, n_draws]."""
-    return min(max(BLOCK_BYTES // (8 * n_obs), 1), n_draws)
+def block_rows(n_draws: int, row_floats: int) -> int:
+    """Draws per block when each draw holds ``row_floats`` float64 values:
+    BLOCK_BYTES of rows, within [1, n_draws]."""
+    return min(max(BLOCK_BYTES // (8 * row_floats), 1), n_draws)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +231,109 @@ def product_weights(
 
 
 # ---------------------------------------------------------------------------
+# weighted sums as quadratic forms in the unit values
+
+
+def _dense_index(sample):
+    """Each observation's position (i_1, ..., i_P, t) in a dense tensor."""
+    return (*sample.index.T, 0 if sample.cluster_ids is None else sample.cluster_ids)
+
+
+def dense_features(sample: PolyadicSample, features: np.ndarray) -> np.ndarray | None:
+    """The observed-tuple mask and ``features`` (N, F) scattered into a dense
+    tensor D of shape (n,) * P + (T, 1 + F), zero at unobserved tuples:
+    D[i_1, ..., i_P, t] = (1, f_k) for observed tuple k in level t.
+
+    None when D would hold more than four entries per observation
+    (n**P * T > 4 N, T = 1 without clusters): a sparse index set keeps the
+    weight matrix.
+    """
+    n, order, n_obs = sample.n_units, sample.order, sample.n_obs
+    levels = max(sample.n_cluster_levels, 1)
+    if n**order * levels > 4 * n_obs:
+        return None
+    features = np.asarray(features, dtype=np.float64).reshape(n_obs, -1)
+    dense = np.zeros((n,) * order + (levels, 1 + features.shape[1]))
+    at = _dense_index(sample)
+    dense[(*at, 0)] = 1.0
+    dense[(*at, slice(1, None))] = features
+    return dense
+
+
+def product_sums(sample: PolyadicSample, dense, log_units, log_levels, failed: dict) -> np.ndarray:
+    """Row r's weighted feature sums sum_k w_rk f_k (R, F), for the product
+    weights of ``log_units`` and ``log_levels`` and the ``dense_features``
+    tensor D, without the weight matrix.
+
+    With v = exp(l - max l) per row, and c likewise for the levels, the
+    sums are sum v_{i_1} ... v_{i_P} c_t D[i_1, ..., i_P, t] over the same
+    sum of the mask: one (R, n) x (n, n**(P-1) T (1+F)) product, P - 1
+    batched contractions over the other unit axes and one over the levels.
+    A row whose normalizer is not finite or below ``MIN_NORMALIZER`` gets
+    its weights from ``product_weights`` instead; if it has no positive
+    weight it goes into ``failed`` (row -> reason). Failed rows are NaN.
+    """
+    rows, n = log_units.shape
+    # a failed group draw's row is NaN, a degenerate one has a zero normalizer
+    with np.errstate(invalid="ignore", divide="ignore"):
+        v = np.exp(log_units - log_units.max(axis=1, keepdims=True))
+        acc = v @ dense.reshape(n, -1)
+        for _ in range(dense.ndim - 3):
+            acc = np.matmul(v[:, None, :], acc.reshape(rows, n, -1))[:, 0]
+        acc = acc.reshape(rows, dense.shape[-2], dense.shape[-1])
+        if log_levels is None:
+            acc = acc.sum(axis=1)
+        else:
+            c = np.exp(log_levels - log_levels.max(axis=1, keepdims=True))
+            acc = np.matmul(c[:, None, :], acc)[:, 0]
+        normalizer = acc[:, 0]
+        sums = acc[:, 1:] / normalizer[:, None]
+
+    exact = np.isfinite(normalizer) & (normalizer >= MIN_NORMALIZER)
+    at = _dense_index(sample)
+    for r in np.flatnonzero(~exact):
+        if r in failed:
+            continue
+        levels = None if log_levels is None else log_levels[r : r + 1]
+        try:
+            row = product_weights(sample, log_units[r : r + 1], levels)[0]
+        except DegenerateDraw as exc:
+            failed[int(r)] = str(exc)
+            continue
+        weights = np.zeros(dense.shape[:-1])
+        weights[at] = row
+        sums[r] = weights.reshape(-1) @ dense.reshape(-1, dense.shape[-1])[:, 1:]
+    sums[list(failed)] = np.nan
+    return sums
+
+
+# ---------------------------------------------------------------------------
 # the draw-indexed weight matrix
+
+
+def log_draws(sample: PolyadicSample, scheme: str, seed: int, b0: int, b1: int, alpha, failed):
+    """The random inputs of draws b0..b1-1: ``(log_units, log_levels)``.
+
+    ``log_units`` (b1 - b0, n) holds the unit log-values, normalized within
+    each group for a grouped ``bayes`` sample; ``log_levels`` (b1 - b0, T)
+    holds the cluster log-levels, or is None without a cluster dimension or
+    under ``pigeonhole``. A row whose group draw sums to zero is recorded in
+    ``failed`` (row -> reason).
+    """
+    if not 0 <= b0 < b1:
+        raise ParamError("need 0 <= b0 < b1")
+    grouped = sample.group_of_unit is not None
+    if scheme == "bayes" and grouped:
+        log_units = _grouped_log_units(sample, seed, b0, b1, failed)
+    else:
+        if scheme == "prior" and grouped and alpha is not None:
+            raise ParamError("prior scheme does not support unit groups")
+        log_units = unit_draws(sample.n_units, scheme, seed, b0, b1, alpha)[1]
+    log_levels = None
+    if sample.cluster_ids is not None and scheme != "pigeonhole":
+        streams = rng.Substreams(seed, rng.ROLE_CLUSTER)
+        log_levels = _exponential(streams, b0, b1, sample.n_cluster_levels)[1]
+    return log_units, log_levels
 
 
 def weights_for_block(
@@ -223,7 +345,8 @@ def weights_for_block(
     alpha: float | None = None,
     failed: dict | None = None,
 ) -> np.ndarray:
-    """Rows b0..b1-1 of the (B, N) weight matrix, as a C-ordered array.
+    """Rows b0..b1-1 of the (B, N) weight matrix, as a C-ordered array:
+    ``product_weights`` of ``log_draws``.
 
     ``bayes`` and ``prior`` multiply in an Exp(1) value per cluster level
     when the sample has a cluster dimension; ``pigeonhole`` resamples units
@@ -234,22 +357,10 @@ def weights_for_block(
     draw sums to zero) raises ``DegenerateDraw``; when a ``failed`` dict is
     given it instead receives ``{b: reason}`` and the row is left as NaN.
     """
-    if not 0 <= b0 < b1:
-        raise ParamError("need 0 <= b0 < b1")
-    grouped = sample.group_of_unit is not None
     rows_failed = {}
-    if scheme == "bayes" and grouped:
-        log_units = _grouped_log_units(sample, seed, b0, b1, rows_failed)
-    else:
-        if scheme == "prior" and grouped and alpha is not None:
-            raise ParamError("prior scheme does not support unit groups")
-        log_units = unit_draws(sample.n_units, scheme, seed, b0, b1, alpha)[1]
-    log_levels = None
-    if sample.cluster_ids is not None and scheme != "pigeonhole":
-        streams = rng.Substreams(seed, rng.ROLE_CLUSTER)
-        log_levels = _exponential(streams, b0, b1, sample.n_cluster_levels)[1]
-    block = product_weights(sample, log_units, log_levels, rows_failed)
-
+    block = product_weights(
+        sample, *log_draws(sample, scheme, seed, b0, b1, alpha, rows_failed), rows_failed
+    )
     if rows_failed and failed is None:
         raise DegenerateDraw(rows_failed[min(rows_failed)])
     if failed is not None:

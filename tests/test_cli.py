@@ -98,6 +98,12 @@ def _write_json(tmp_path, value):
     return str(path)
 
 
+def _not_utf8_csv(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"u1,u2,y\n\xff\xfe,B,1\nB,\xff\xfe,2\n")
+    return str(path)
+
+
 ERROR_MATRIX = [
     # (case, argv builder, exit code, text stderr must contain)
     ("data-is-directory",
@@ -117,6 +123,22 @@ ERROR_MATRIX = [
          4, repr(key.rpartition(".")[2]))
         for key in ("replications", "methods", "estimator", "dgp.n")
     ],
+    ("data-not-utf8",
+     lambda tmp: ["estimate", "--data", _not_utf8_csv(tmp), "--estimator", "mean",
+                  "--column", "y"],
+     2, "not UTF-8"),
+    ("coverage-source-not-utf8",
+     lambda tmp: ["coverage-sim", "--config",
+                  _coverage_config(tmp, "dgp", source={"data": _not_utf8_csv(tmp)}),
+                  "--seed", "1"],
+     2, "not UTF-8"),
+    ("coverage-config-not-utf8",
+     lambda tmp: ["coverage-sim", "--config", _not_utf8_csv(tmp), "--seed", "1"],
+     4, "not UTF-8"),
+    ("coverage-source-data-not-a-path",
+     lambda tmp: ["coverage-sim", "--config", _coverage_config(tmp, "dgp", source={"data": 0}),
+                  "--seed", "1"],
+     4, "config value of the wrong type"),
     ("coverage-config-not-an-object",
      lambda tmp: ["coverage-sim", "--config", _write_json(tmp, [1, 2]), "--seed", "1"],
      4, "config must be a JSON object"),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import polyboot as pb
 from polyboot import rng, weights
+from polyboot.bootstrap import _linear_statistic
 from polyboot.errors import DegenerateDraw, SingularDesign
 from conftest import random_dyadic_sample
 
@@ -168,13 +169,151 @@ def test_draws_byte_identical_for_any_threads(spec, combo, seed):
     alpha = 3.0 if scheme == "prior" else None
     outputs = set()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weights, "BLOCK_BYTES", 8 * s.n_obs * 4)  # 30 draws in 8 blocks
+        # 30 draws in 3 (mean), 8 (GMM) or 15 (OLS) blocks
+        mp.setattr(weights, "BLOCK_BYTES", 8 * s.n_obs * 4)
         for threads in (None, 1, 2, 4):
             res = pb.run_bootstrap(
                 s, spec, scheme, n_draws=30, seed=seed, alpha=alpha, threads=threads
             )
             outputs.add((res.draws.tobytes(), res.failures, repr(res.draw_metadata)))
     assert len(outputs) == 1
+
+
+def factorized_sample(shape, n, seed):
+    """A sample whose dense feature tensor passes n**P * T <= 4 N."""
+    if shape == "triadic":
+        n = max(n, 4)  # 3**3 > 4 * 3!
+        gen = np.random.default_rng(seed)
+        index = pb.full_index_set(n, 3)
+        return pb.PolyadicSample(
+            order=3,
+            unit_labels=tuple(f"u{i}" for i in range(n)),
+            index=index,
+            variables=gen.standard_normal((len(index), 2)),
+            variable_names=("y", "x"),
+        )
+    s = shaped_sample(shape, n, seed, keep=1.0)
+    if shape == "missing":  # a third of the dyads unobserved
+        kept = np.sort(np.random.default_rng(seed).permutation(s.n_obs)[: 2 * s.n_obs // 3])
+        s = pb.PolyadicSample(2, s.unit_labels, s.index[kept], s.variables[kept], s.variable_names)
+    return s
+
+
+def materialized_draws(sample, spec, scheme, n_draws, seed, alpha):
+    """Draws and failures from the weight matrix rows (weights_for_block)
+    and the kernel applied to each row, and each draw's error scale: its
+    largest entry, at least its sum of w |y|, times the condition number
+    of its Gram matrix (1 for the mean)."""
+    features, finish = _linear_statistic(sample, spec)
+    k = len(spec.x) + spec.intercept
+    failed = {}
+    block = pb.weights_for_block(sample, scheme, seed, 0, n_draws, alpha, failed=failed)
+    draws, failures, scales = [], [], []
+    for b in range(n_draws):
+        if b in failed:
+            failures.append((b, f"DegenerateDraw: {failed[b]}"))
+            continue
+        sums = block[b] @ features
+        try:
+            theta = finish(sums)[0]
+        except SingularDesign as exc:
+            failures.append((b, f"SingularDesign: {exc}"))
+            continue
+        draws.append(theta)
+        cond = 1.0 if spec.kind == "mean" else np.linalg.cond(sums[: k * k].reshape(k, k))
+        scales.append(max(np.abs(theta).max(), block[b] @ np.abs(sample.column("y"))) * cond)
+    return np.array(draws).reshape(len(draws), -1), tuple(failures), np.array(scales)
+
+
+def assert_rows_close(got, expected, scales):
+    # the rounding of a weighted sum scales with its sum of |terms|, and a
+    # relative change d in the normal equations moves their solution by up
+    # to cond * d
+    assert np.all(np.abs(got - expected).max(axis=1) <= 1e-12 * scales)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([MEAN, OLS]),
+    st.sampled_from(["plain", "grouped", "clustered", "grouped+clustered", "triadic", "missing"]),
+    st.sampled_from(["bayes", "pigeonhole", "prior 0.01", "prior n/2", "prior 3n"]),
+    st.integers(3, 7),
+    st.integers(0, 2**63),
+)
+def test_factorized_draws_match_materialized_rows(spec, shape, scheme, n, seed):
+    scheme, _, alpha = scheme.partition(" ")
+    alpha = {"": None, "0.01": 0.01, "n/2": n / 2, "3n": 3.0 * n}[alpha]
+    if scheme == "prior" and "grouped" in shape:
+        shape = shape.replace("grouped", "plain")  # prior does not support unit groups
+    s = factorized_sample(shape, n, seed % 1019)
+    features = _linear_statistic(s, spec)[0]
+    dense = weights.dense_features(s, features)
+    assert dense is not None
+    # the kernel: each row's sums equal the weight row times the features
+    failed, block_failed = {}, {}
+    log_draws = weights.log_draws(s, scheme, seed, 0, 16, alpha, failed)
+    sums = weights.product_sums(s, dense, *log_draws, failed)
+    block = pb.weights_for_block(s, scheme, seed, 0, 16, alpha, failed=block_failed)
+    assert failed == block_failed
+    rows = [r for r in range(16) if r not in failed]
+    assert np.all(
+        np.abs(sums[rows] - block[rows] @ features) <= 1e-12 * (block[rows] @ np.abs(features))
+    )
+    # the draws, through the fallback rows too
+    try:
+        res = pb.run_bootstrap(s, spec, scheme, n_draws=16, seed=seed, alpha=alpha)
+    except pb.bootstrap.BootstrapError:
+        res = None  # more than 20% failed draws: then the reference fails too
+    expected, failures, scales = materialized_draws(s, spec, scheme, 16, seed, alpha)
+    if res is None:
+        assert len(failures) > 0.2 * 16
+        return
+    assert res.failures == failures
+    assert_rows_close(res.draws, expected, scales)
+
+
+def test_underflowing_rows_fall_back_to_their_weights():
+    # tiny prior alpha: unit values span ~1e5 orders of magnitude, so the
+    # scaled normalizer of most rows underflows; pigeonhole seed 1863 puts
+    # all n = 5 picks of draw 376 on one unit, a degenerate row
+    for spec, scheme, n, seed, n_draws, alpha in [
+        (OLS, "prior", 6, 11, 40, 1e-4),
+        (MEAN, "prior", 6, 12, 40, 1e-3),
+        (MEAN, "pigeonhole", 5, 1863, 400, None),
+    ]:
+        s = shaped_sample("plain", n, seed, keep=1.0)
+        log_units = weights.log_draws(s, scheme, seed, 0, n_draws, alpha, {})[0]
+        v = np.exp(log_units - log_units.max(axis=1, keepdims=True))
+        normalizers = (v[:, s.index[:, 0]] * v[:, s.index[:, 1]]).sum(axis=1)
+        assert (normalizers < weights.MIN_NORMALIZER).any()
+        res = pb.run_bootstrap(s, spec, scheme, n_draws=n_draws, seed=seed, alpha=alpha)
+        expected, failures, scales = materialized_draws(s, spec, scheme, n_draws, seed, alpha)
+        assert res.failures == failures
+        assert_rows_close(res.draws, expected, scales)
+    assert (376, "DegenerateDraw: every observed tuple has zero weight") in failures
+    assert normalizers[376] == 0
+
+
+def test_sparse_sample_keeps_the_weight_matrix():
+    # a ring of 12 units: N = 24 observed dyads, n**2 = 144 > 4 N
+    n = 12
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    index = np.array(ring + [(j, i) for i, j in ring])
+    s = pb.PolyadicSample(
+        order=2,
+        unit_labels=tuple(f"u{i}" for i in range(n)),
+        index=index,
+        variables=np.random.default_rng(5).standard_normal((len(index), 2)),
+        variable_names=("y", "x"),
+    )
+    for spec in (MEAN, OLS):
+        assert weights.dense_features(s, _linear_statistic(s, spec)[0]) is None
+        for scheme in ("bayes", "pigeonhole"):
+            res = pb.run_bootstrap(s, spec, scheme, n_draws=60, seed=6)
+            expected, failures = per_draw_bootstrap(s, spec, scheme, 60, 6, None)
+            assert res.failures == failures
+            scale = np.max(np.abs(expected), axis=0)
+            assert np.all(np.abs(res.draws - expected) <= 1e-12 * scale)
 
 
 def test_non_finite_estimates_are_failed_draws():

@@ -43,9 +43,7 @@ from .estimators import (
     build_moment,
     centered_weight_matrix,
     evaluate_estimator,
-    gmm_iterated,
-    gmm_one_step,
-    gmm_two_step,
+    gmm,
     linear_iv_moment,
     mean_moment,
     ols_moment,

@@ -239,7 +239,7 @@ def run_bootstrap(
         point_estimate=np.asarray(point, dtype=np.float64),
         draws=thetas[finite],
         method=method,
-        seed=seed,
+        seed=int(seed),  # a NumPy integer seed would not serialize in to_dict
         n_draws_requested=n_draws,
         param_names=spec.param_names(),
         failures=tuple(failures),

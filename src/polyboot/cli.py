@@ -68,7 +68,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    """Write ``payload`` (a JSON-able object, or ready text) to ``out_path`` or stdout."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -158,17 +159,25 @@ def _histogram(draws, bins):
     return out
 
 
-def _check_alpha(args):
+def _add_draw_args(p):
+    p.add_argument("--method", choices=["bayes", "pigeonhole", "prior"], default="bayes")
+    p.add_argument("--alpha", type=float, help="prior precision (method=prior)")
+    p.add_argument("--draws", type=int, default=1000, help="number of draws B")
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--level", type=float, action="append", default=None)
+    p.add_argument("--emit-draws", action="store_true")
+    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--out")
+
+
+def _bootstrap_from_args(args) -> tuple:
+    """(sample, BootstrapResult) for the data, estimator and draw flags."""
+    sample = load_csv(args.data, order=args.order)
+    spec = _spec_from_args(args)
     if args.method == "prior" and args.alpha is None:
         raise ParamError("--method prior requires --alpha")
     if args.method != "prior" and args.alpha is not None:
         raise ParamError("--alpha only applies to --method prior")
-
-
-def _cmd_bootstrap(args):
-    sample = load_csv(args.data, order=args.order)
-    spec = _spec_from_args(args)
-    _check_alpha(args)
     result = run_bootstrap(
         sample,
         spec,
@@ -178,6 +187,11 @@ def _cmd_bootstrap(args):
         alpha=args.alpha,
         threads=args.threads,
     )
+    return sample, result
+
+
+def _cmd_bootstrap(args):
+    _, result = _bootstrap_from_args(args)
     payload = result.to_dict(emit_draws=args.emit_draws)
     payload["quantiles"] = {}
     for level in args.level:
@@ -209,18 +223,7 @@ def _cmd_variance(args):
 
 
 def _cmd_counterfactual(args):
-    sample = load_csv(args.data, order=args.order)
-    spec = _spec_from_args(args)
-    _check_alpha(args)
-    result = run_bootstrap(
-        sample,
-        spec,
-        scheme=args.method,
-        n_draws=args.draws,
-        seed=args.seed,
-        alpha=args.alpha,
-        threads=args.threads,
-    )
+    sample, result = _bootstrap_from_args(args)
     name, _, arg = args.counterfactual.partition(":")
     if name == "identity" and not arg:
         g = resolve_counterfactual(f"identity:{result.point_estimate.shape[0]}")
@@ -339,12 +342,7 @@ def _cmd_coverage(args):
                 f"{m.method},{m.coverage!r},{m.mean_width!r},{m.n_evaluated},"
                 f"{m.n_failures},{reason}"
             )
-        text = "\n".join(lines)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _emit("\n".join(lines), args.out)
     else:
         _emit(report.to_dict(), args.out)
     return EXIT_OK
@@ -400,15 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bootstrap", help="posterior / bootstrap draws and quantiles")
     _add_data_args(p)
     _add_estimator_args(p)
-    p.add_argument("--method", choices=["bayes", "pigeonhole", "prior"], default="bayes")
-    p.add_argument("--alpha", type=float, help="prior precision (method=prior)")
-    p.add_argument("--draws", type=int, default=1000, help="number of draws B")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--level", type=float, action="append", default=None)
-    p.add_argument("--emit-draws", action="store_true")
+    _add_draw_args(p)
     p.add_argument("--histogram-bins", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_bootstrap)
 
     p = sub.add_parser("variance", help="analytic variance report")
@@ -421,16 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterfactual", help="propagate draws through g(data, theta)")
     _add_data_args(p)
     _add_estimator_args(p)
+    _add_draw_args(p)
     p.add_argument("--counterfactual", required=True, help="e.g. toy-growth:<column> or identity")
-    p.add_argument("--method", choices=["bayes", "pigeonhole", "prior"], default="bayes")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--draws", type=int, default=1000)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--level", type=float, action="append", default=None)
     p.add_argument("--threshold", type=float, action="append", default=[])
-    p.add_argument("--emit-draws", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_counterfactual)
 
     p = sub.add_parser("coverage-sim", help="Monte Carlo coverage experiment")

@@ -269,11 +269,10 @@ def _resolve_truth(config) -> float:
     return float(theta[config.target_index])
 
 
-def _interval(method, config, data):
+def _interval(method, config, sample, rep_seed):
     if method in ("bayes", "pigeonhole"):
-        rep_seed = data.rep_seed
         result = run_bootstrap(
-            data.sample,
+            sample,
             config.estimator,
             scheme=method,
             n_draws=config.n_bootstrap,
@@ -282,22 +281,16 @@ def _interval(method, config, data):
         )
         ci = credible_interval(result, config.level)
         return float(ci.lower[config.target_index]), float(ci.upper[config.target_index])
-    moment = build_moment(config.estimator, data.sample)
-    theta, _ = evaluate_estimator(config.estimator, data.sample, uniform_weights(data.sample))
+    moment = build_moment(config.estimator, sample)
+    theta, _ = evaluate_estimator(config.estimator, sample, uniform_weights(sample))
     if method == "graham":
-        var = graham_variance(moment, data.sample, theta)
+        var = graham_variance(moment, sample, theta)
     else:
-        var = naive_dyad_robust(moment, data.sample, theta)
+        var = naive_dyad_robust(moment, sample, theta)
     z = NormalDist().inv_cdf(1.0 - (1.0 - config.level) / 2.0)
     center = float(theta[config.target_index])
     half = z * float(var.se[config.target_index])
     return center - half, center + half
-
-
-@dataclass
-class _RepData:
-    sample: PolyadicSample
-    rep_seed: int
 
 
 def run_coverage(config: CoverageConfig, progress=None) -> CoverageReport:
@@ -319,12 +312,12 @@ def run_coverage(config: CoverageConfig, progress=None) -> CoverageReport:
             sample = generate_synthetic(config.dgp, config.seed, r)
         else:
             sample = pigeonhole_dgp_resample(config.source_sample, config.seed, r)
-        data = _RepData(sample, rng.derive_seed(config.seed, rng.ROLE_COVERAGE, r))
+        rep_seed = rng.derive_seed(config.seed, rng.ROLE_COVERAGE, r)
         for m in config.methods:
             if skipped[m] is not None:
                 continue
             try:
-                lo, hi = _interval(m, config, data)
+                lo, hi = _interval(m, config, sample, rep_seed)
             except Unsupported as exc:
                 skipped[m] = str(exc)
                 continue

@@ -1,11 +1,14 @@
 """Weighted structural estimators: mean, OLS, PPML, and the GMM family.
 
-Every estimator is a pure function of a sample and a normalized weight
-vector, so the same code path serves the uniform-weight point estimate and
-every resampling draw. GMM supports one-step (identity weight matrix),
-two-step (centered weight matrix re-estimated at the step-1 solution), and
-iterated modes; just-identified systems are solved directly as moment
-roots, where the weight matrix is irrelevant.
+Every builtin moment is a residual times an instrument, psi = (y - mu) z:
+the mean is y - theta (z = 1), OLS (y - x'theta) x, PPML (y - exp(x'theta)) x
+and linear-IV GMM (y - r'theta) z. Every estimator is a pure function of a
+sample and a normalized weight vector, so the same code path serves the
+uniform-weight point estimate and every resampling draw. ``gmm`` runs
+one-step (identity weight matrix), two-step (centered weight matrix
+re-estimated at the step-1 solution) and iterated modes; just-identified
+systems are solved directly as moment roots, where the weight matrix is
+irrelevant.
 """
 
 from __future__ import annotations
@@ -147,119 +150,88 @@ def _design(variables, cols, intercept):
     return x
 
 
-def mean_moment(variable_names, column) -> MomentFunction:
-    """psi = x - theta; the root is the weighted mean."""
-    (j,) = _indices(variable_names, [column])
+def _residual_instrument_moment(
+    name, variable_names, y, regressors, instruments, intercept, exp_mean=False
+) -> MomentFunction:
+    """psi = (y - mu) z with mu = r'theta, or exp(r'theta) for ``exp_mean``.
+
+    ``instruments=None`` instruments the regressors with themselves (z = r).
+    """
+    (jy,) = _indices(variable_names, [y])
+    jr = _indices(variable_names, regressors)
+    jz = None if instruments is None else _indices(variable_names, instruments)
+    k = len(jr) + (1 if intercept else 0)
+    n_mom = k if jz is None else len(jz) + (1 if intercept else 0)
+    if n_mom < k:
+        raise ParamError("need at least as many instruments as regressors")
+
+    def design(variables):
+        r = _design(variables, jr, intercept)
+        return r, r if jz is None else _design(variables, jz, intercept)
+
+    def parts(variables, theta):
+        r, z = design(variables)
+        mu = r @ theta
+        if exp_mean:
+            with np.errstate(over="ignore"):
+                mu = np.exp(mu)
+        return variables[:, jy] - mu, mu, r, z
 
     def fn(variables, theta):
-        return (variables[:, j] - theta[0])[:, None]
+        e, _, _, z = parts(variables, theta)
+        return e[:, None] * z
 
     def jac(variables, theta):
-        return np.full((variables.shape[0], 1, 1), -1.0)
+        if exp_mean:
+            _, mu, r, z = parts(variables, theta)
+            return -(mu[:, None, None] * z[:, :, None] * r[:, None, :])
+        r, z = design(variables)  # a linear moment's Jacobian does not need theta
+        return -z[:, :, None] * r[:, None, :]
 
-    return MomentFunction("mean", 1, 1, fn, jacobian=jac)
+    def resid_instr(variables, theta):
+        e, _, _, z = parts(variables, theta)
+        return e, z
+
+    return MomentFunction(name, n_mom, k, fn, jacobian=jac, residual_instrument=resid_instr)
+
+
+def mean_moment(variable_names, column) -> MomentFunction:
+    """psi = x - theta (the intercept-only OLS); the root is the weighted mean."""
+    return _residual_instrument_moment("mean", variable_names, column, (), None, True)
 
 
 def ols_moment(variable_names, y, x_columns, intercept=False) -> MomentFunction:
     """psi = (y - x'theta) x."""
-    (jy,) = _indices(variable_names, [y])
-    jx = _indices(variable_names, x_columns)
-    k = len(jx) + (1 if intercept else 0)
-
-    def fn(variables, theta):
-        x = _design(variables, jx, intercept)
-        resid = variables[:, jy] - x @ theta
-        return resid[:, None] * x
-
-    def jac(variables, theta):
-        x = _design(variables, jx, intercept)
-        return -x[:, :, None] * x[:, None, :]
-
-    def resid_instr(variables, theta):
-        x = _design(variables, jx, intercept)
-        return variables[:, jy] - x @ theta, x
-
-    return MomentFunction("ols", k, k, fn, jacobian=jac, residual_instrument=resid_instr)
+    return _residual_instrument_moment("ols", variable_names, y, x_columns, None, intercept)
 
 
 def ppml_moment(variable_names, y, x_columns, intercept=False) -> MomentFunction:
     """psi = (y - exp(x'theta)) x, the pseudo-Poisson first-order condition."""
-    (jy,) = _indices(variable_names, [y])
-    jx = _indices(variable_names, x_columns)
-    k = len(jx) + (1 if intercept else 0)
-
-    def fn(variables, theta):
-        x = _design(variables, jx, intercept)
-        with np.errstate(over="ignore"):
-            mu = np.exp(x @ theta)
-        return (variables[:, jy] - mu)[:, None] * x
-
-    def jac(variables, theta):
-        x = _design(variables, jx, intercept)
-        with np.errstate(over="ignore"):
-            mu = np.exp(x @ theta)
-        return -(mu[:, None, None] * x[:, :, None] * x[:, None, :])
-
-    def resid_instr(variables, theta):
-        x = _design(variables, jx, intercept)
-        with np.errstate(over="ignore"):
-            mu = np.exp(x @ theta)
-        return variables[:, jy] - mu, x
-
-    return MomentFunction("ppml", k, k, fn, jacobian=jac, residual_instrument=resid_instr)
+    return _residual_instrument_moment("ppml", variable_names, y, x_columns, None, intercept, True)
 
 
 def linear_iv_moment(variable_names, y, regressors, instruments, intercept=False) -> MomentFunction:
     """psi = (y - r'theta) z with L = len(instruments) (+ intercept)."""
-    (jy,) = _indices(variable_names, [y])
-    jr = _indices(variable_names, regressors)
-    jz = _indices(variable_names, instruments)
-    k = len(jr) + (1 if intercept else 0)
-    n_mom = len(jz) + (1 if intercept else 0)
-    if n_mom < k:
-        raise ParamError("need at least as many instruments as regressors")
-
-    def fn(variables, theta):
-        r = _design(variables, jr, intercept)
-        z = _design(variables, jz, intercept)
-        return (variables[:, jy] - r @ theta)[:, None] * z
-
-    def jac(variables, theta):
-        r = _design(variables, jr, intercept)
-        z = _design(variables, jz, intercept)
-        return -z[:, :, None] * r[:, None, :]
-
-    def resid_instr(variables, theta):
-        r = _design(variables, jr, intercept)
-        z = _design(variables, jz, intercept)
-        return variables[:, jy] - r @ theta, z
-
-    return MomentFunction("linear-iv", n_mom, k, fn, jacobian=jac, residual_instrument=resid_instr)
-
-
-BUILTIN_MOMENTS = ("ols", "ppml", "linear-iv")
+    return _residual_instrument_moment(
+        "linear-iv", variable_names, y, regressors, instruments, intercept
+    )
 
 
 def build_moment(spec: EstimatorSpec, sample: PolyadicSample) -> MomentFunction:
-    """Resolve the estimator's moment equations against the sample's columns."""
-    if spec.kind == "mean":
-        return mean_moment(sample.variable_names, spec.column)
-    if spec.kind == "ols":
-        return ols_moment(sample.variable_names, spec.y, spec.x, spec.intercept)
-    if spec.kind == "ppml":
-        return ppml_moment(sample.variable_names, spec.y, spec.x, spec.intercept)
-    if spec.moment is not None:
+    """Resolve the estimator's moment equations against the sample's columns:
+    ``spec.kind``, or for GMM a ready ``spec.moment`` or ``spec.builtin_moment``."""
+    if spec.kind == "gmm" and spec.moment is not None:
         return spec.moment
-    name = spec.builtin_moment
-    if name == "ols":
-        return ols_moment(sample.variable_names, spec.y, spec.x, spec.intercept)
-    if name == "ppml":
-        return ppml_moment(sample.variable_names, spec.y, spec.x, spec.intercept)
-    if name == "linear-iv":
-        return linear_iv_moment(
-            sample.variable_names, spec.y, spec.x, spec.instruments, spec.intercept
-        )
-    raise ParamError(f"unknown builtin moment {name!r}")
+    kind = spec.builtin_moment if spec.kind == "gmm" else spec.kind
+    names = sample.variable_names
+    if spec.kind == "mean":  # not a GMM builtin: a mean spec names a column, not y and x
+        return mean_moment(names, spec.column)
+    if kind in ("ols", "ppml"):
+        build = ols_moment if kind == "ols" else ppml_moment
+        return build(names, spec.y, spec.x, spec.intercept)
+    if kind == "linear-iv":
+        return linear_iv_moment(names, spec.y, spec.x, spec.instruments, spec.intercept)
+    raise ParamError(f"unknown builtin moment {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -533,15 +505,20 @@ def _minimize_gmm(moment, sample, weights, weight_matrix, settings):
     return best[0]
 
 
-def _gmm(moment, sample, weights, settings, mode, weight_style="centered"):
-    """GMM in ``mode``; returns (theta, info dict with solver metadata).
+def gmm(moment, sample, weights, settings=None, mode="two-step", weight_style="centered") -> tuple:
+    """GMM in ``mode`` (one-step, two-step or iterated); returns (theta, info).
 
     One-step minimizes with the identity weight matrix. Each re-weighting round
     then re-estimates the weight matrix at the latest theta and minimizes again
-    from there: two-step GMM is one centered round, iterated GMM runs rounds
-    until theta moves by at most iter_tol. Just-identified systems are solved
-    directly as moment roots, where the weight matrix is irrelevant.
+    from there: two-step GMM is one centered round (info:
+    ``weight_matrix_ridged``), iterated GMM runs rounds with the
+    ``weight_style`` (centered or acm) matrix until theta moves by at most
+    iter_tol (info: ``iterations``, ``objective_trace``). Just-identified
+    systems are solved directly as moment roots, where the weight matrix is
+    irrelevant.
     """
+    if mode not in ("one-step", "two-step", "iterated") or weight_style not in ("centered", "acm"):
+        raise ParamError(f"unknown gmm mode {mode!r} or weight style {weight_style!r}")
     settings = settings or SolverSettings()
     if moment.just_identified:
         theta, iters = solve_z(moment, sample, weights, init=settings.init, settings=settings)
@@ -571,27 +548,6 @@ def _gmm(moment, sample, weights, settings, mode, weight_style="centered"):
         if delta <= settings.iter_tol:
             return theta, {"iterations": it, "objective_trace": trace}
     raise SolverError("iterated GMM did not reach a fixed point", trace=trace)
-
-
-def gmm_one_step(moment, sample, weights, settings=None) -> np.ndarray:
-    """Minimize psibar' psibar (identity weight matrix)."""
-    return _gmm(moment, sample, weights, settings, "one-step")[0]
-
-
-def gmm_two_step(moment, sample, weights, settings=None) -> np.ndarray:
-    """Two-step GMM: identity weight matrix, then the centered inverse
-    covariance evaluated at the step-1 solution."""
-    return _gmm(moment, sample, weights, settings, "two-step")[0]
-
-
-def gmm_iterated(moment, sample, weights, settings=None, weight_style="centered") -> tuple:
-    """Iterate theta- and weight-matrix updates to a fixed point.
-
-    Starts from the identity weight matrix. Returns
-    (theta, iterations, objective_trace).
-    """
-    theta, info = _gmm(moment, sample, weights, settings, "iterated", weight_style)
-    return theta, info["iterations"], info["objective_trace"]
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +638,6 @@ def evaluate_estimator(spec: EstimatorSpec, sample: PolyadicSample, weights) -> 
             sample, weights, spec.y, spec.x, spec.intercept, spec.settings
         )
         return theta, {"iterations": iters}
-    return _gmm(
+    return gmm(
         build_moment(spec, sample), sample, weights, spec.settings, spec.gmm_mode, spec.weight_style
     )

@@ -7,10 +7,13 @@ of the 256-bit counter.  A substream is therefore a pure function of
 draws are scheduled across threads, and distinct draw indices can never
 collide (each index owns 2**128 counter blocks). ``Substreams`` reaches the
 same streams by re-keying one generator, which is much cheaper than
-building a new one per draw.
+building a new one per draw. Seeds, roles, indices and lanes may be Python
+or NumPy integers (``operator.index``); floats are refused.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -28,11 +31,12 @@ ROLE_COVERAGE = 7
 
 
 def _key(seed: int, role: int) -> int:
-    return ((role & _MASK64) << 64) | (seed & _MASK64)
+    return ((operator.index(role) & _MASK64) << 64) | (operator.index(seed) & _MASK64)
 
 
 def substream(seed: int, role: int, index: int, lane: int = 0) -> np.random.Generator:
     """Return the generator for substream ``(seed, role, index, lane)``."""
+    index, lane = operator.index(index), operator.index(lane)
     if index < 0 or lane < 0:
         raise ValueError("index and lane must be nonnegative")
     counter = ((index & _MASK64) << 192) | ((lane & _MASK64) << 128)
@@ -54,6 +58,7 @@ class Substreams:
         self._generator = np.random.Generator(self._bits)
 
     def at(self, index: int, lane: int = 0) -> np.random.Generator:
+        index, lane = operator.index(index), operator.index(lane)
         if index < 0 or lane < 0:
             raise ValueError("index and lane must be nonnegative")
         state = self._state
@@ -66,5 +71,5 @@ class Substreams:
 
 def derive_seed(seed: int, role: int, index: int) -> int:
     """Derive a child 64-bit seed, e.g. one per simulation replication."""
-    ss = np.random.SeedSequence(entropy=seed & _MASK64, spawn_key=(role, index))
+    ss = np.random.SeedSequence(entropy=operator.index(seed) & _MASK64, spawn_key=(role, index))
     return int(ss.generate_state(1, np.uint64)[0])

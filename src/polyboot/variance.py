@@ -15,10 +15,8 @@ import numpy as np
 
 from .data_model import PolyadicSample
 from .errors import ParamError, SingularJacobian, Unsupported
-from .estimators import moment_mean_jacobian
+from .estimators import COND_LIMIT, moment_mean_jacobian
 from .weights import uniform_weights
-
-COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)

@@ -77,8 +77,8 @@ def test_criterion_03_gmm_stacking_equivalence():
         worst = 0.0
         for b in range(20):
             w = pb.weights_for_draw(iv, "bayes", seed=1003, b=b)
-            two_step = pb.gmm_two_step(moment, iv, w)
-            theta1 = pb.gmm_one_step(moment, iv, w)
+            two_step, _ = pb.gmm(moment, iv, w, mode="two-step")
+            theta1, _ = pb.gmm(moment, iv, w, mode="one-step")
             init = pb.stacked_init(moment, iv, w, theta_init=theta1)
             root, _ = pb.solve_z(stacked, iv, w, init=init)
             worst = max(worst, abs(float(two_step[0]) - float(root[moment.n_params])))

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,4 +234,4 @@ def test_fixture_regeneration_is_exact(tmp_path):
     for name in FIXTURE_NAMES:
         p1 = make_fixture(name, seed=3, out_dir=tmp_path / "a")
         p2 = make_fixture(name, seed=3, out_dir=tmp_path / "b")
-        assert open(p1).read() == open(p2).read()
+        assert Path(p1).read_text() == Path(p2).read_text()

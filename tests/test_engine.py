@@ -1,6 +1,8 @@
 """The block draw engine: weight blocks, re-keyed streams, matrix kernels,
 thread invariance and per-draw failure handling."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,26 @@ def test_rekeyed_stream_equals_substream(role, seed, index, lane, n):
 MEAN = pb.EstimatorSpec(kind="mean", column="y")
 OLS = pb.EstimatorSpec(kind="ols", y="y", x=("x",), intercept=True)
 GMM_OLS = pb.EstimatorSpec(kind="gmm", builtin_moment="ols", y="y", x=("x",), intercept=True)
+
+
+@pytest.mark.parametrize("scheme", ["bayes", "pigeonhole", "prior"])
+def test_numpy_integers_give_the_same_streams_weights_and_draws(scheme):
+    seed, index, lane = np.int64(7), np.int64(3), np.uint64(2)
+    ref = rng.substream(7, rng.ROLE_UNIT, 3, 2).random(4)
+    assert np.array_equal(rng.substream(seed, np.int32(rng.ROLE_UNIT), index, lane).random(4), ref)
+    assert np.array_equal(rng.Substreams(seed, rng.ROLE_UNIT).at(index, lane).random(4), ref)
+    assert rng.derive_seed(seed, rng.ROLE_COVERAGE, index) == rng.derive_seed(7, rng.ROLE_COVERAGE, 3)
+    sample = random_dyadic_sample(np.random.default_rng(5), 5)
+    alpha = 2.0 if scheme == "prior" else None
+    assert np.array_equal(
+        pb.weights_for_block(sample, scheme, seed, np.int64(1), np.int64(3), alpha),
+        pb.weights_for_block(sample, scheme, 7, 1, 3, alpha),
+    )
+    got = pb.run_bootstrap(sample, OLS, scheme, 20, seed, alpha)
+    assert np.array_equal(got.draws, pb.run_bootstrap(sample, OLS, scheme, 20, 7, alpha).draws)
+    assert json.dumps(got.to_dict())  # the seed is stored as a Python int
+    with pytest.raises(TypeError):
+        rng.substream(7.0, rng.ROLE_UNIT, 0)
 
 
 def per_draw_bootstrap(sample, spec, scheme, n_draws, seed, alpha):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import polyboot as pb
-from polyboot.errors import SingularDesign, SingularWeightMatrix, SolverError
+from polyboot.errors import ParamError, SingularDesign, SingularWeightMatrix, SolverError
 from polyboot.estimators import moment_mean, moment_mean_jacobian, observation_jacobian
 from polyboot.fixtures import overidentified_iv_sample
 from conftest import random_dyadic_sample
@@ -148,6 +148,52 @@ def test_ppml_all_zero_y(dyad_sample):
         pb.weighted_ppml(s, pb.uniform_weights(s), "y", ("x",), intercept=True)
 
 
+# ------------------------------------------------------------ moment rule
+
+
+@pytest.mark.parametrize("intercept", [False, True])
+@pytest.mark.parametrize("kind", ["mean", "ols", "ppml", "linear-iv"])
+def test_builtin_moments_are_residual_times_instrument(kind, intercept):
+    # every builtin is psi = e z with e = y - mu: fn, jacobian and the
+    # (e, z) split against the formulas written out per estimator
+    names = ("y", "a", "b", "c", "d")
+    v = np.random.default_rng(15).standard_normal((40, 5))
+    v[:, 0] = np.abs(v[:, 0])
+    ones = [np.ones(40)] if intercept else []
+
+    def design(*cols):
+        return np.column_stack(ones + [v[:, list(cols)]])
+
+    if kind == "mean":
+        moment = pb.mean_moment(names, "c")
+        y, r, z = v[:, 3], np.ones((40, 1)), np.ones((40, 1))
+    elif kind == "linear-iv":
+        moment = pb.linear_iv_moment(names, "y", ("a",), ("b", "c", "d"), intercept)
+        y, r, z = v[:, 0], design(1), design(2, 3, 4)
+    else:
+        build = pb.ols_moment if kind == "ols" else pb.ppml_moment
+        moment = build(names, "y", ("a", "b"), intercept)
+        y, r, z = v[:, 0], design(1, 2), design(1, 2)
+    assert (moment.name, moment.n_moments, moment.n_params) == (kind, z.shape[1], r.shape[1])
+    theta = np.linspace(-0.4, 0.5, moment.n_params)
+    mu = np.exp(r @ theta) if kind == "ppml" else r @ theta
+    e = y - mu
+    if kind == "ppml":
+        jac = -(mu[:, None, None] * z[:, :, None] * r[:, None, :])
+    else:
+        jac = -z[:, :, None] * r[:, None, :]
+    assert np.array_equal(moment.fn(v, theta), e[:, None] * z)
+    assert np.array_equal(moment.jacobian(v, theta), jac)
+    got_e, got_z = moment.residual_instrument(v, theta)
+    assert np.array_equal(got_e, e) and np.array_equal(got_z, z)
+
+
+@pytest.mark.parametrize("intercept", [False, True])
+def test_linear_iv_needs_as_many_instruments_as_regressors(intercept):
+    with pytest.raises(ParamError, match="at least as many instruments as regressors"):
+        pb.linear_iv_moment(("y", "a", "b", "c"), "y", ("a", "b"), ("c",), intercept)
+
+
 # ------------------------------------------------------- centered weight matrix
 
 
@@ -195,9 +241,10 @@ def test_two_step_just_identified_equals_ols():
     s = random_dyadic_sample(rng, 6)
     w = rand_weights(s, 51)
     moment = pb.ols_moment(s.variable_names, "y", ("x",), intercept=True)
-    theta = pb.gmm_two_step(moment, s, w)
+    theta, info = pb.gmm(moment, s, w)
     ref = pb.weighted_ols(s, w, "y", ("x",), intercept=True)
     assert np.max(np.abs(theta - ref)) < 1e-10
+    assert set(info) == {"iterations"}  # the Newton iterations of the moment root
 
 
 def test_just_identified_nonlinear_root():
@@ -212,7 +259,7 @@ def test_just_identified_nonlinear_root():
         "expmean", 1, 1, lambda v, t: (v[:, 0] - np.exp(t[0]))[:, None]
     )
     w = rand_weights(s, 61)
-    theta = pb.gmm_two_step(moment, s, w)
+    theta, _ = pb.gmm(moment, s, w)
     m = moment_mean(moment, s.variables, w.weights, theta)
     assert np.max(np.abs(m)) <= 1e-8
     assert theta[0] == pytest.approx(np.log(pb.weighted_mean(s, w, "x")), abs=1e-9)
@@ -240,8 +287,9 @@ def test_two_step_matches_grid_oracle(iv_sample):
             return float(m @ omega.matrix @ m)
 
         ref = oracles.grid_golden_minimize(obj_step2, -5.0, 8.0)
-        theta = pb.gmm_two_step(moment, iv_sample, w)
+        theta, info = pb.gmm(moment, iv_sample, w, mode="two-step")
         assert abs(theta[0] - ref) < 1e-5
+        assert info == {"weight_matrix_ridged": False}
 
 
 def test_iterated_just_identified_single_iteration():
@@ -249,8 +297,8 @@ def test_iterated_just_identified_single_iteration():
     s = random_dyadic_sample(rng, 6)
     w = rand_weights(s, 81)
     moment = pb.ols_moment(s.variable_names, "y", ("x",))
-    theta, iters, _ = pb.gmm_iterated(moment, s, w)
-    assert iters == 1
+    theta, info = pb.gmm(moment, s, w, mode="iterated")
+    assert info == {"iterations": 1, "objective_trace": []}
     assert np.allclose(theta, pb.weighted_ols(s, w, "y", ("x",)), atol=1e-10)
 
 
@@ -262,11 +310,14 @@ def test_iterated_fixed_point_and_foc(iv_sample):
     moment = pb.build_moment(spec, iv_sample)
     w = rand_weights(iv_sample, 91)
     for style in ("centered", "acm"):
-        theta, iters, trace = pb.gmm_iterated(moment, iv_sample, w, weight_style=style)
+        theta, info = pb.gmm(moment, iv_sample, w, mode="iterated", weight_style=style)
+        trace = info["objective_trace"]
+        assert set(info) == {"iterations", "objective_trace"}
+        assert len(trace) == info["iterations"] >= 1
         assert np.all(np.diff(trace) <= 1e-10)  # objective non-increasing
         # re-running from the fixed point moves less than the tolerance
         settings = pb.SolverSettings(init=tuple(theta))
-        theta2, _, _ = pb.gmm_iterated(moment, iv_sample, w, settings, weight_style=style)
+        theta2, _ = pb.gmm(moment, iv_sample, w, settings, "iterated", style)
         assert np.linalg.norm(theta2 - theta) < 1e-6
         if style == "centered":
             omega = pb.centered_weight_matrix(moment, iv_sample, w, theta)
@@ -275,6 +326,15 @@ def test_iterated_fixed_point_and_foc(iv_sample):
         m = moment_mean(moment, iv_sample.variables, w.weights, theta)
         jac = pb.estimators.moment_mean_jacobian(moment, iv_sample.variables, w.weights, theta)
         assert np.max(np.abs(jac.T @ omega.matrix @ m)) <= 1e-6
+
+
+def test_gmm_rejects_unknown_mode_and_weight_style(iv_sample):
+    moment = pb.linear_iv_moment(iv_sample.variable_names, "y", ("r",), ("z1", "z2"))
+    w = pb.uniform_weights(iv_sample)
+    with pytest.raises(ParamError, match="unknown gmm mode"):
+        pb.gmm(moment, iv_sample, w, mode="three-step")
+    with pytest.raises(ParamError, match="weight style"):
+        pb.gmm(moment, iv_sample, w, mode="iterated", weight_style="identity")
 
 
 # -------------------------------------------------------------------- solve_z
@@ -319,10 +379,11 @@ def test_stacked_system_matches_two_step(iv_sample):
     stacked = pb.stacked_two_step_moment(moment)
     for b in range(3):
         w = rand_weights(iv_sample, 131, b)
-        theta1 = pb.gmm_one_step(moment, iv_sample, w)
+        theta1, info = pb.gmm(moment, iv_sample, w, mode="one-step")
+        assert info == {}
         init = pb.stacked_init(moment, iv_sample, w, theta_init=theta1)
         root, _ = pb.solve_z(stacked, iv_sample, w, init=init)
-        theta2 = pb.gmm_two_step(moment, iv_sample, w)
+        theta2, _ = pb.gmm(moment, iv_sample, w)
         assert abs(root[moment.n_params] - theta2[0]) < 1e-6
 
 

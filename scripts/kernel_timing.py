@@ -4,8 +4,9 @@ For each shape the B draws' weighted feature sums are computed two ways:
 materialized (``weights_for_block`` rows times the features, the path of
 sparse samples) and factorized (``product_sums`` on the same ``log_draws``,
 the path ``run_bootstrap`` takes here). The script prints the median wall
-time of each, the time of the per-row estimates that follow, and the
-largest difference between the two paths' draws relative to each
+time of each, the time of the estimates that follow (one batched
+``finish`` of ``estimators.linear_statistic`` over the B rows of sums),
+and the largest difference between the two paths' draws relative to each
 parameter's largest draw. The shapes are those of the benchmark's
 coverage-small (mean, n=40, B=500) and cli-large (OLS, n=300, B=1000).
 
@@ -19,7 +20,7 @@ import time
 import numpy as np
 
 from polyboot import EstimatorSpec, coverage, weights
-from polyboot.bootstrap import _linear_statistic
+from polyboot.estimators import linear_statistic
 
 MEAN = EstimatorSpec(kind="mean", column="y")
 OLS = EstimatorSpec(kind="ols", y="y", x=("x",), intercept=True)
@@ -65,14 +66,14 @@ def main(repeats=5):
           f"{'max rel diff':>13}")
     for label, dgp, spec, scheme, n_draws in SHAPES:
         sample = coverage.generate_synthetic(dgp, 1, 0)
-        features, finish = _linear_statistic(sample, spec)
+        features, finish = linear_statistic(spec, sample)
         args = (sample, features, scheme, 7, n_draws)
         ms_mat, a = timed(materialized, repeats, *args)
         ms_fac, b = timed(factorized, repeats, *args)
         ok = np.isfinite(a).all(axis=1)
         assert np.array_equal(ok, np.isfinite(b).all(axis=1))  # the same degenerate draws
-        ms_est, theta_b = timed(lambda: np.array([finish(s)[0] for s in b[ok]]), repeats)
-        theta_a = np.array([finish(s)[0] for s in a[ok]])
+        ms_est, (theta_b, _) = timed(finish, repeats, b[ok])
+        theta_a = finish(a[ok])[0]
         diff = np.max(np.abs(theta_a - theta_b) / np.max(np.abs(theta_a), axis=0))
         print(f"{label:28} {ms_mat:16.1f} {ms_fac:14.1f} {ms_est:13.1f} {diff:13.1e}")
 

@@ -51,8 +51,6 @@ from .estimators import (
     solve_z,
     stacked_init,
     stacked_two_step_moment,
-    weighted_mean,
-    weighted_ols,
     weighted_ppml,
 )
 from .variance import (

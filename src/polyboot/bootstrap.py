@@ -6,9 +6,11 @@ blocks (``weights.block_rows``: about 4 MB of working set each, a function
 of B and the sample's shape only), each from its unit and cluster
 log-draws (``weights.log_draws``).
 
-Mean and OLS are functions of weighted feature sums s = sum_k w_k f_k, with
-f = y for the mean and f = [vec(x x'), x y] for OLS (then a k x k solve per
-draw). Such a sum is a quadratic form in the unit values, v'F v / v'M v for
+Mean and OLS are functions of weighted feature sums s = sum_k w_k f_k,
+f = y for the mean and f = [vec(x x'), x y] for OLS: one kernel,
+``estimators.linear_statistic``, gives their point estimate and every
+draw, and solves a whole block's k x k normal equations in one batched
+call. Such a sum is a quadratic form in the unit values, v'F v / v'M v for
 dyads with M the observed-dyad mask, so when the dense feature tensor holds
 at most four entries per observation (n**P * T <= 4 N) the sums come from
 ``weights.product_sums`` without building the weight matrix; a draw whose
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from .errors import (
     SolverError,
     Unsupported,
 )
-from .estimators import EstimatorSpec, evaluate_estimator, regressors, solve_normal_equations
+from .estimators import EstimatorSpec, evaluate_estimator, linear_row, linear_statistic
 from .weights import (
     ObservationWeights,
     block_rows,
@@ -121,52 +124,34 @@ class DiscreteAtomSet:
             raise ParamError("masses must be nonnegative and sum to 1")
 
 
-def _linear_statistic(sample, spec):
-    """``(features, finish)`` for an estimator that is a function of the
-    weighted feature sums s = sum_k w_k f_k, finish(s) -> (theta, info);
-    None for the others."""
-    if spec.kind == "mean":
-        return sample.column(spec.column)[:, None], lambda sums: (sums, {})
-    if spec.kind != "ols":
-        return None
-    x = regressors(sample, spec.x, spec.intercept)
-    k = x.shape[1]
-    # per observation vec(x x') then x y: the sums hold the weighted Gram
-    # matrix and right-hand side
-    features = np.column_stack(
-        [(x[:, :, None] * x[:, None, :]).reshape(-1, k * k), x * sample.column(spec.y)[:, None]]
-    )
-
-    def finish(sums):
-        return solve_normal_equations(sums[: k * k].reshape(k, k), sums[k * k :]), {}
-
-    return features, finish
-
-
 def _block_estimator(sample, spec, n_draws):
     """``(draws per block, for_block)``: for_block(log_units, log_levels,
     failed) gives the row -> (theta, info) estimator of a block of draws; a
     failed row raises its draw failure, and rows without a positive weight
-    are added to ``failed``."""
-    features, finish = _linear_statistic(sample, spec) or (None, None)
-    dense = None if features is None else dense_features(sample, features)
-    if dense is not None:
+    are added to ``failed``. Mean and OLS finish a whole block at once."""
+    linear = linear_statistic(spec, sample)
+    if linear is None:
 
         def for_block(log_units, log_levels, failed):
-            sums = product_sums(sample, dense, log_units, log_levels, failed)
-            return lambda r: finish(sums[r])
+            block = product_weights(sample, log_units, log_levels, failed)
+            return lambda r: evaluate_estimator(spec, sample, ObservationWeights(block[r]))
 
-        # a block holds the (rows, n**(P-1) T (1+F)) partial contraction
-        return block_rows(n_draws, dense[0].size), for_block
+        return block_rows(n_draws, sample.n_obs), for_block
+
+    features, finish = linear
+    dense = dense_features(sample, features)
+    if dense is not None:
+        features = None  # the dense tensor holds them, fallback rows included
 
     def for_block(log_units, log_levels, failed):
-        block = product_weights(sample, log_units, log_levels, failed)
-        if features is None:
-            return lambda r: evaluate_estimator(spec, sample, ObservationWeights(block[r]))
-        sums = block @ features
-        return lambda r: finish(sums[r])
+        if dense is None:
+            sums = product_weights(sample, log_units, log_levels, failed) @ features
+        else:
+            sums = product_sums(sample, dense, log_units, log_levels, failed)
+        return partial(linear_row, *finish(sums))
 
-    return block_rows(n_draws, sample.n_obs), for_block
+    # a dense block holds the (rows, n**(P-1) T (1+F)) partial contraction
+    return block_rows(n_draws, sample.n_obs if dense is None else dense[0].size), for_block
 
 
 def _run_draws(sample, spec, scheme, n_draws, seed, alpha, threads):
@@ -247,16 +232,21 @@ def run_bootstrap(
     )
 
 
-def credible_interval(result: BootstrapResult, level: float) -> CredibleInterval:
-    """Equal-tailed interval from the empirical draw quantiles
+def equal_tailed_interval(draws, level: float) -> CredibleInterval:
+    """Equal-tailed interval from the empirical quantiles of ``draws`` (B, K)
     (linear interpolation between order statistics)."""
     if not 0 < level < 1:
         raise ParamError("level must be in (0, 1)")
-    if result.draws.shape[0] < 2:
+    if draws.shape[0] < 2:
         raise ParamError("need at least 2 successful draws for quantiles")
     tail = (1.0 - level) / 2.0
-    lo, hi = np.quantile(result.draws, [tail, 1.0 - tail], axis=0, method="linear")
+    lo, hi = np.quantile(draws, [tail, 1.0 - tail], axis=0, method="linear")
     return CredibleInterval(level, lo, hi)
+
+
+def credible_interval(result: BootstrapResult, level: float) -> CredibleInterval:
+    """The equal-tailed interval of the successful draws."""
+    return equal_tailed_interval(result.draws, level)
 
 
 def limiting_prior_atoms(sample: PolyadicSample, rho, chi) -> DiscreteAtomSet:

@@ -191,6 +191,8 @@ def _bootstrap_from_args(args) -> tuple:
 
 
 def _cmd_bootstrap(args):
+    if args.histogram_bins < 0:
+        raise ParamError("--histogram-bins must be >= 0")
     _, result = _bootstrap_from_args(args)
     payload = result.to_dict(emit_draws=args.emit_draws)
     payload["quantiles"] = {}

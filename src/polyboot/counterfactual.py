@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapResult, CredibleInterval
+from .bootstrap import BootstrapResult, CredibleInterval, equal_tailed_interval
 from .data_model import PolyadicSample
 from .errors import CounterfactualError, ParamError
 
@@ -43,35 +43,32 @@ class PredictionDraws:
 
 
 def _toy_growth(column):
+    if not column:
+        raise ParamError("toy-growth needs a column: toy-growth:<column>")
+
     def fn(sample, theta):
         return np.array([np.exp(theta[0] * float(np.mean(sample.column(column))))])
 
-    return fn
+    return CounterfactualFn(f"toy-growth:{column}", 1, fn)
 
 
-def _identity(dim):
-    def fn(sample, theta):
-        return np.asarray(theta[:dim], dtype=np.float64)
-
-    return fn
+def _identity(arg):
+    dim = int(arg or 1) if (arg or "1").isdecimal() else 0
+    if dim < 1:
+        raise ParamError(f"identity needs a positive integer dimension, got {arg!r}")
+    return CounterfactualFn("identity", dim, lambda sample, theta: np.asarray(theta[:dim], float))
 
 
 _REGISTRY: dict = {}
 
 
 def register_counterfactual(name, factory):
-    """Register a factory ``(arg) -> CounterfactualFn`` under ``name``."""
+    """Register a factory ``(arg) -> CounterfactualFn``, which raises ParamError on a bad arg."""
     _REGISTRY[name] = factory
 
 
-register_counterfactual(
-    "toy-growth",
-    lambda column: CounterfactualFn(f"toy-growth:{column}", 1, _toy_growth(column)),
-)
-register_counterfactual(
-    "identity",
-    lambda arg: CounterfactualFn("identity", int(arg) if arg else 1, _identity(int(arg) if arg else 1)),
-)
+register_counterfactual("toy-growth", _toy_growth)
+register_counterfactual("identity", _identity)
 
 
 def resolve_counterfactual(spec: str) -> CounterfactualFn:
@@ -79,7 +76,7 @@ def resolve_counterfactual(spec: str) -> CounterfactualFn:
     name, _, arg = spec.partition(":")
     if name not in _REGISTRY:
         raise ParamError(f"unknown counterfactual {name!r}")
-    return _REGISTRY[name](arg) if arg else _REGISTRY[name](None)
+    return _REGISTRY[name](arg or None)
 
 
 def propagate(sample: PolyadicSample, result: BootstrapResult, g: CounterfactualFn) -> PredictionDraws:
@@ -138,18 +135,15 @@ class CounterfactualSummary:
 
 def summarize(preds: PredictionDraws, level: float, thresholds=()) -> CounterfactualSummary:
     """Credible interval, exceedance probabilities and skewness per output."""
+    interval = equal_tailed_interval(preds.draws, level)
     b = preds.draws.shape[0]
-    if b < 2:
-        raise ParamError("need at least 2 prediction draws")
-    tail = (1.0 - level) / 2.0
-    lo, hi = np.quantile(preds.draws, [tail, 1.0 - tail], axis=0, method="linear")
     exceedance = {}
     for t in thresholds:
         p = (preds.draws > t).mean(axis=0)
         exceedance[float(t)] = (p, np.sqrt(p * (1.0 - p) / b))
     return CounterfactualSummary(
         point=preds.point,
-        interval=CredibleInterval(level, lo, hi),
+        interval=interval,
         exceedance=exceedance,
         skewness=_skewness(preds.draws),
         n_draws=b,

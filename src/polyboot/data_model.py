@@ -101,11 +101,6 @@ class PolyadicSample:
             raise DataError(f"unknown variable column {name!r}") from None
         return self.variables[:, j]
 
-    def columns(self, names) -> np.ndarray:
-        if not names:
-            return np.empty((self.n_obs, 0))
-        return np.column_stack([self.column(c) for c in names])
-
     def has_full_index_set(self) -> bool:
         """True when every P-permutation of the units is observed once."""
         if self.cluster_ids is not None:

@@ -4,11 +4,14 @@ Every builtin moment is a residual times an instrument, psi = (y - mu) z:
 the mean is y - theta (z = 1), OLS (y - x'theta) x, PPML (y - exp(x'theta)) x
 and linear-IV GMM (y - r'theta) z. Every estimator is a pure function of a
 sample and a normalized weight vector, so the same code path serves the
-uniform-weight point estimate and every resampling draw. ``gmm`` runs
-one-step (identity weight matrix), two-step (centered weight matrix
-re-estimated at the step-1 solution) and iterated modes; just-identified
-systems are solved directly as moment roots, where the weight matrix is
-irrelevant.
+uniform-weight point estimate and every resampling draw. Mean and OLS are
+closed forms in weighted feature sums, defined once in
+``linear_statistic``: the point estimate is its one-row case, and the
+bootstrap engine finishes a block of draws with one batched normal-equation
+solve. PPML runs a damped Newton loop. ``gmm`` runs one-step (identity
+weight matrix), two-step (centered weight matrix re-estimated at the step-1
+solution) and iterated modes; just-identified systems are solved directly
+as moment roots, where the weight matrix is irrelevant.
 """
 
 from __future__ import annotations
@@ -267,32 +270,49 @@ def observation_jacobian(moment, variables, theta) -> np.ndarray:
 # closed-form estimators
 
 
-def weighted_mean(sample: PolyadicSample, weights, column) -> float:
-    """Sum of weight * value over observed tuples."""
-    return float(weights.weights @ sample.column(column))
-
-
 def regressors(sample: PolyadicSample, x_columns, intercept=False) -> np.ndarray:
-    """The (N, K) regressor matrix, with a leading column of ones for an intercept."""
-    x = sample.columns(x_columns)
-    if intercept:
-        x = np.column_stack([np.ones(sample.n_obs), x])
-    return x
+    """The C-ordered (N, K) regressor matrix, with a leading column of ones for an intercept."""
+    cols = _indices(sample.variable_names, x_columns)
+    return np.ascontiguousarray(_design(sample.variables, cols, intercept))
 
 
-def solve_normal_equations(gram, rhs) -> np.ndarray:
-    """Solve gram theta = rhs, refusing a non-finite or ill-conditioned gram."""
-    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) >= COND_LIMIT:
+def solve_normal_equations(grams, rhs) -> tuple:
+    """Solve gram_r theta_r = rhs_r for a stack of R systems, grams (R, K, K)
+    and rhs (R, K): ``(theta (R, K), singular (R,))``. A row whose gram is
+    non-finite or has condition number >= COND_LIMIT is singular and NaN."""
+    singular = ~np.isfinite(grams).all(axis=(1, 2))
+    singular[~singular] = np.linalg.cond(grams[~singular]) >= COND_LIMIT
+    ok, theta = ~singular, np.full(rhs.shape, np.nan)
+    theta[ok] = np.linalg.solve(grams[ok], rhs[ok][:, :, None])[:, :, 0]
+    return theta, singular
+
+
+def linear_statistic(spec: EstimatorSpec, sample: PolyadicSample):
+    """Mean and OLS as functions of weighted feature sums s = sum_k w_k f_k,
+    f = y for the mean and f = [vec(x x'), x y] for OLS: ``(features (N, F),
+    finish)``, or None for the other estimators. ``finish(sums (R, F))``
+    gives ``(theta (R, K), singular (R,))`` for R rows at once."""
+    if spec.kind == "mean":
+        return sample.column(spec.column)[:, None], lambda sums: (sums, np.zeros(len(sums), bool))
+    if spec.kind != "ols":
+        return None
+    x = regressors(sample, spec.x, spec.intercept)
+    n, k = x.shape
+    features = np.empty((n, k * k + k))
+    np.multiply(x[:, :, None], x[:, None, :], out=features[:, : k * k].reshape(n, k, k))
+    np.multiply(x, sample.column(spec.y)[:, None], out=features[:, k * k :])
+
+    def finish(sums):
+        return solve_normal_equations(sums[:, : k * k].reshape(-1, k, k), sums[:, k * k :])
+
+    return features, finish
+
+
+def linear_row(theta, singular, r) -> tuple:
+    """Row r of a ``finish`` result as (theta, info); a singular row raises."""
+    if singular[r]:
         raise SingularDesign("weighted Gram matrix is numerically singular")
-    return np.linalg.solve(gram, rhs)
-
-
-def weighted_ols(sample: PolyadicSample, weights, y, x_columns, intercept=False) -> np.ndarray:
-    """Solve the weighted normal equations (sum w x x') theta = sum w x y."""
-    x = regressors(sample, x_columns, intercept)
-    w = weights.weights
-    gram = x.T @ (w[:, None] * x)
-    return solve_normal_equations(gram, x.T @ (w * sample.column(y)))
+    return theta[r], {}
 
 
 def weighted_ppml(
@@ -313,9 +333,10 @@ def weighted_ppml(
     w = weights.weights
 
     gram = x.T @ (w[:, None] * x)
-    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) >= COND_LIMIT:
+    start, singular = solve_normal_equations(gram[None], (x.T @ (w * np.log1p(yv)))[None])
+    if singular[0]:
         raise SingularDesign("ppml design is collinear")
-    theta = np.linalg.solve(gram, x.T @ (w * np.log1p(yv)))
+    theta = start[0]
 
     def residual(t):
         with np.errstate(over="ignore"):
@@ -629,10 +650,10 @@ def evaluate_estimator(spec: EstimatorSpec, sample: PolyadicSample, weights) -> 
 
     Returns (theta as 1-d array, info dict with solver metadata).
     """
-    if spec.kind == "mean":
-        return np.array([weighted_mean(sample, weights, spec.column)]), {}
-    if spec.kind == "ols":
-        return weighted_ols(sample, weights, spec.y, spec.x, spec.intercept), {}
+    linear = linear_statistic(spec, sample)
+    if linear is not None:
+        features, finish = linear
+        return linear_row(*finish((weights.weights @ features)[None]), 0)
     if spec.kind == "ppml":
         theta, iters = weighted_ppml(
             sample, weights, spec.y, spec.x, spec.intercept, spec.settings

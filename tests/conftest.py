@@ -74,6 +74,18 @@ def iv_sample():
     return overidentified_iv_sample()
 
 
+def weighted_mean(sample, weights, column):
+    """The weighted mean of ``column``, through ``evaluate_estimator``."""
+    spec = pb.EstimatorSpec(kind="mean", column=column)
+    return float(pb.evaluate_estimator(spec, sample, weights)[0][0])
+
+
+def weighted_ols(sample, weights, y, x_columns, intercept=False):
+    """Weighted OLS coefficients, through ``evaluate_estimator``."""
+    spec = pb.EstimatorSpec(kind="ols", y=y, x=x_columns, intercept=intercept)
+    return pb.evaluate_estimator(spec, sample, weights)[0]
+
+
 def random_dyadic_sample(rng, n, columns=("y", "x")):
     index = pb.full_index_set(n, 2)
     variables = rng.standard_normal((index.shape[0], len(columns)))

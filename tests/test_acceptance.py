@@ -18,7 +18,7 @@ from polyboot.fixtures import (
     overidentified_iv_sample,
     ratio_of_means_sample,
 )
-from conftest import random_dyadic_sample
+from conftest import random_dyadic_sample, weighted_ols
 import oracles
 
 
@@ -58,7 +58,8 @@ def test_criterion_02_ols_reweighting_identity():
         for trial in range(100):
             s = random_dyadic_sample(rng, int(rng.integers(4, 10)))
             w = pb.weights_for_draw(s, "bayes", seed=2000 + trial, b=trial)
-            theta = pb.weighted_ols(s, w, "y", ("x",), intercept=True)
+            spec = pb.EstimatorSpec(kind="ols", y="y", x=("x",), intercept=True)
+            theta, _ = pb.evaluate_estimator(spec, s, w)
             design = np.column_stack([np.ones(s.n_obs), s.column("x")])
             ref = oracles.scaled_ols(s.column("y"), design, w.weights)
             worst = max(worst, float(np.max(np.abs(theta - ref))))
@@ -97,7 +98,7 @@ def test_criterion_04_graham_sigma2_oracle():
                 theta = np.array([float(s.variables[:, 0].mean())])
             else:
                 moment = pb.ols_moment(s.variable_names, "y", ("x",), intercept=True)
-                theta = pb.weighted_ols(s, pb.uniform_weights(s), "y", ("x",), intercept=True)
+                theta = weighted_ols(s, pb.uniform_weights(s), "y", ("x",), intercept=True)
             est = pb.graham_variance(moment, s, theta)
             ref = oracles.triple_loop_sigma2(oracles.phi_tilde_matrix(moment, s, theta))
             worst = max(worst, float(np.max(np.abs(est.sigma2 - ref))))

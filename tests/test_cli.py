@@ -98,6 +98,12 @@ def _write_json(tmp_path, value):
     return str(path)
 
 
+def _draw_args(tmp_path):
+    """Data, estimator and draw flags of a small mean bootstrap."""
+    return ["--data", make_fixture("exact-line", 0, tmp_path), "--estimator", "mean",
+            "--column", "y", "--draws", "20", "--seed", "1"]
+
+
 def _not_utf8_csv(tmp_path):
     path = tmp_path / "latin.csv"
     path.write_bytes(b"u1,u2,y\n\xff\xfe,B,1\nB,\xff\xfe,2\n")
@@ -176,6 +182,27 @@ ERROR_MATRIX = [
     ("unknown-flag-value",
      lambda tmp: ["estimate", "--data", str(tmp), "--estimator", "nope"],
      4, "invalid choice"),
+    ("bootstrap-histogram-bins-negative",
+     lambda tmp: ["bootstrap", *_draw_args(tmp), "--histogram-bins", "-2"],
+     4, "--histogram-bins must be >= 0"),
+    *[
+        (f"counterfactual-level-{level}",
+         lambda tmp, level=level: ["counterfactual", *_draw_args(tmp), "--counterfactual",
+                                   "identity", "--level", level],
+         4, "level must be in (0, 1)")
+        for level in ("1.5", "0", "-0.2")
+    ],
+    *[
+        (f"counterfactual-{g}",
+         lambda tmp, g=g: ["counterfactual", *_draw_args(tmp), "--counterfactual", g],
+         4, text)
+        for g, text in (
+            ("identity:x", "identity needs a positive integer dimension"),
+            ("identity:0", "identity needs a positive integer dimension"),
+            ("identity:-1", "identity needs a positive integer dimension"),
+            ("toy-growth", "toy-growth needs a column"),
+        )
+    ],
 ]
 
 

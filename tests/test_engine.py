@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import polyboot as pb
 from polyboot import rng, weights
-from polyboot.bootstrap import _linear_statistic
 from polyboot.errors import DegenerateDraw, SingularDesign
+from polyboot.estimators import linear_statistic
 from conftest import random_dyadic_sample
+import oracles
 
 # (scheme, sample shape): the four bayes shapes, prior, and pigeonhole, which
 # ignores both unit groups and clusters
@@ -124,6 +125,7 @@ def test_rekeyed_stream_equals_substream(role, seed, index, lane, n):
 MEAN = pb.EstimatorSpec(kind="mean", column="y")
 OLS = pb.EstimatorSpec(kind="ols", y="y", x=("x",), intercept=True)
 GMM_OLS = pb.EstimatorSpec(kind="gmm", builtin_moment="ols", y="y", x=("x",), intercept=True)
+SINGULAR = "SingularDesign: weighted Gram matrix is numerically singular"
 
 
 @pytest.mark.parametrize("scheme", ["bayes", "pigeonhole", "prior"])
@@ -146,8 +148,22 @@ def test_numpy_integers_give_the_same_streams_weights_and_draws(scheme):
         rng.substream(7.0, rng.ROLE_UNIT, 0)
 
 
+def assert_ols_oracle(sample, spec, w, theta):
+    """An OLS draw equals the sqrt-weight least-squares oracle, which shares
+    no code with the engine, to within its Gram matrix's condition number
+    times rounding."""
+    if spec.kind != "ols":
+        return
+    x = np.column_stack([np.ones(sample.n_obs), sample.column("x")])
+    ref = oracles.scaled_ols(sample.column("y"), x, w)
+    cond = np.linalg.cond(x.T @ (w[:, None] * x))
+    scale = max(np.abs(ref).max(), w @ np.abs(sample.column("y")))
+    assert np.abs(theta - ref).max() <= 1e-13 * cond * scale
+
+
 def per_draw_bootstrap(sample, spec, scheme, n_draws, seed, alpha):
-    """Draws and failures from weights_for_draw + evaluate_estimator, draw by draw."""
+    """Draws and failures from weights_for_draw + evaluate_estimator, draw by
+    draw; OLS draws are checked against the least-squares oracle."""
     draws, failures = [], []
     for b in range(n_draws):
         try:
@@ -155,6 +171,8 @@ def per_draw_bootstrap(sample, spec, scheme, n_draws, seed, alpha):
             draws.append(pb.evaluate_estimator(spec, sample, w)[0])
         except (DegenerateDraw, SingularDesign) as exc:
             failures.append((b, f"{type(exc).__name__}: {exc}"))
+            continue
+        assert_ols_oracle(sample, spec, w.weights, draws[-1])
     return np.array(draws).reshape(len(draws), -1), tuple(failures)
 
 
@@ -226,7 +244,7 @@ def materialized_draws(sample, spec, scheme, n_draws, seed, alpha):
     and the kernel applied to each row, and each draw's error scale: its
     largest entry, at least its sum of w |y|, times the condition number
     of its Gram matrix (1 for the mean)."""
-    features, finish = _linear_statistic(sample, spec)
+    features, finish = linear_statistic(spec, sample)
     k = len(spec.x) + spec.intercept
     failed = {}
     block = pb.weights_for_block(sample, scheme, seed, 0, n_draws, alpha, failed=failed)
@@ -236,11 +254,12 @@ def materialized_draws(sample, spec, scheme, n_draws, seed, alpha):
             failures.append((b, f"DegenerateDraw: {failed[b]}"))
             continue
         sums = block[b] @ features
-        try:
-            theta = finish(sums)[0]
-        except SingularDesign as exc:
-            failures.append((b, f"SingularDesign: {exc}"))
+        theta, singular = finish(sums[None])
+        if singular[0]:
+            failures.append((b, SINGULAR))
             continue
+        theta = theta[0]
+        assert_ols_oracle(sample, spec, block[b], theta)
         draws.append(theta)
         cond = 1.0 if spec.kind == "mean" else np.linalg.cond(sums[: k * k].reshape(k, k))
         scales.append(max(np.abs(theta).max(), block[b] @ np.abs(sample.column("y"))) * cond)
@@ -268,7 +287,7 @@ def test_factorized_draws_match_materialized_rows(spec, shape, scheme, n, seed):
     if scheme == "prior" and "grouped" in shape:
         shape = shape.replace("grouped", "plain")  # prior does not support unit groups
     s = factorized_sample(shape, n, seed % 1019)
-    features = _linear_statistic(s, spec)[0]
+    features = linear_statistic(spec, s)[0]
     dense = weights.dense_features(s, features)
     assert dense is not None
     # the kernel: each row's sums equal the weight row times the features
@@ -316,6 +335,26 @@ def test_underflowing_rows_fall_back_to_their_weights():
     assert normalizers[376] == 0
 
 
+def test_singular_rows_fail_alone_in_their_block():
+    # x is zero off the dyads of units 0 and 1, so a pigeonhole draw that
+    # picks neither has a singular Gram matrix; seed 2 misses both in draws
+    # 1, 4, 11 and 15 of one 30-row block
+    n, seed = 8, 2
+    s = random_dyadic_sample(np.random.default_rng(0), n)
+    x = ((s.index[:, 0] < 2) | (s.index[:, 1] < 2)).astype(float)
+    variables = np.column_stack([s.column("y"), x])
+    s = pb.PolyadicSample(2, s.unit_labels, s.index, variables, ("y", "x"))
+    counts = pb.unit_draws(n, "pigeonhole", seed, 0, 30)[0]
+    assert np.flatnonzero(counts[:, :2].sum(axis=1) == 0).tolist() == [1, 4, 11, 15]
+    dense = weights.dense_features(s, linear_statistic(OLS, s)[0])
+    assert weights.block_rows(30, dense[0].size) == 30  # one block
+    res = pb.run_bootstrap(s, OLS, "pigeonhole", n_draws=30, seed=seed)
+    assert res.failures == tuple((b, SINGULAR) for b in (1, 4, 11, 15))
+    expected, failures = per_draw_bootstrap(s, OLS, "pigeonhole", 30, seed, None)
+    assert res.failures == failures and res.draws.shape == (26, 2)
+    assert np.all(np.abs(res.draws - expected) <= 1e-12 * np.max(np.abs(expected), axis=0))
+
+
 def test_sparse_sample_keeps_the_weight_matrix():
     # a ring of 12 units: N = 24 observed dyads, n**2 = 144 > 4 N
     n = 12
@@ -329,7 +368,7 @@ def test_sparse_sample_keeps_the_weight_matrix():
         variable_names=("y", "x"),
     )
     for spec in (MEAN, OLS):
-        assert weights.dense_features(s, _linear_statistic(s, spec)[0]) is None
+        assert weights.dense_features(s, linear_statistic(spec, s)[0]) is None
         for scheme in ("bayes", "pigeonhole"):
             res = pb.run_bootstrap(s, spec, scheme, n_draws=60, seed=6)
             expected, failures = per_draw_bootstrap(s, spec, scheme, 60, 6, None)

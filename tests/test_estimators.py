@@ -5,7 +5,7 @@ import polyboot as pb
 from polyboot.errors import ParamError, SingularDesign, SingularWeightMatrix, SolverError
 from polyboot.estimators import moment_mean, moment_mean_jacobian, observation_jacobian
 from polyboot.fixtures import overidentified_iv_sample
-from conftest import random_dyadic_sample
+from conftest import random_dyadic_sample, weighted_mean, weighted_ols
 import oracles
 
 
@@ -24,14 +24,14 @@ def test_weighted_mean_uniform():
         variables=np.array([[1.0], [2.0], [3.0], [4.0]]),
         variable_names=("y",),
     )
-    assert pb.weighted_mean(s, pb.uniform_weights(s), "y") == pytest.approx(2.5)
+    assert weighted_mean(s, pb.uniform_weights(s), "y") == pytest.approx(2.5)
 
 
 def test_weighted_mean_point_mass(dyad_sample):
     w = np.zeros(6)
     w[3] = 1.0
     weights = pb.ObservationWeights(w)
-    assert pb.weighted_mean(dyad_sample, weights, "y") == dyad_sample.variables[3, 0]
+    assert weighted_mean(dyad_sample, weights, "y") == dyad_sample.variables[3, 0]
 
 
 def test_weighted_mean_product_weights_hand_oracle(dyad_sample):
@@ -42,7 +42,7 @@ def test_weighted_mean_product_weights_hand_oracle(dyad_sample):
         v[i] * v[j] * dyad_sample.variables[r, 0]
         for r, (i, j) in enumerate(dyad_sample.index.tolist())
     ) / sum(v[i] * v[j] for i, j in dyad_sample.index.tolist())
-    assert pb.weighted_mean(dyad_sample, w, "y") == pytest.approx(expected, abs=1e-14)
+    assert weighted_mean(dyad_sample, w, "y") == pytest.approx(expected, abs=1e-14)
 
 
 # ---------------------------------------------------------------- weighted OLS
@@ -50,14 +50,14 @@ def test_weighted_mean_product_weights_hand_oracle(dyad_sample):
 
 def test_ols_exact_line_weight_invariant(exact_line):
     for b in range(5):
-        theta = pb.weighted_ols(exact_line, rand_weights(exact_line, 21, b), "y", ("x",))
+        theta = weighted_ols(exact_line, rand_weights(exact_line, 21, b), "y", ("x",))
         assert theta[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_ols_uniform_matches_lstsq():
     rng = np.random.default_rng(3)
     s = random_dyadic_sample(rng, 6)
-    theta = pb.weighted_ols(s, pb.uniform_weights(s), "y", ("x",), intercept=True)
+    theta = weighted_ols(s, pb.uniform_weights(s), "y", ("x",), intercept=True)
     design = np.column_stack([np.ones(s.n_obs), s.column("x")])
     ref, *_ = np.linalg.lstsq(design, s.column("y"), rcond=None)
     assert np.allclose(theta, ref, atol=1e-12)
@@ -68,7 +68,7 @@ def test_ols_matches_scaled_oracle():
     for trial in range(20):
         s = random_dyadic_sample(rng, 5 + trial % 4)
         w = rand_weights(s, 100 + trial)
-        theta = pb.weighted_ols(s, w, "y", ("x",), intercept=True)
+        theta = weighted_ols(s, w, "y", ("x",), intercept=True)
         design = np.column_stack([np.ones(s.n_obs), s.column("x")])
         ref = oracles.scaled_ols(s.column("y"), design, w.weights)
         assert np.max(np.abs(theta - ref)) < 1e-10
@@ -83,7 +83,7 @@ def test_ols_singular_design(dyad_sample):
         variable_names=("y", "c1", "c2"),
     )
     with pytest.raises(SingularDesign):
-        pb.weighted_ols(s, pb.uniform_weights(s), "y", ("c1", "c2"))
+        weighted_ols(s, pb.uniform_weights(s), "y", ("c1", "c2"))
 
 
 # --------------------------------------------------------------- weighted PPML
@@ -242,7 +242,7 @@ def test_two_step_just_identified_equals_ols():
     w = rand_weights(s, 51)
     moment = pb.ols_moment(s.variable_names, "y", ("x",), intercept=True)
     theta, info = pb.gmm(moment, s, w)
-    ref = pb.weighted_ols(s, w, "y", ("x",), intercept=True)
+    ref = weighted_ols(s, w, "y", ("x",), intercept=True)
     assert np.max(np.abs(theta - ref)) < 1e-10
     assert set(info) == {"iterations"}  # the Newton iterations of the moment root
 
@@ -262,7 +262,7 @@ def test_just_identified_nonlinear_root():
     theta, _ = pb.gmm(moment, s, w)
     m = moment_mean(moment, s.variables, w.weights, theta)
     assert np.max(np.abs(m)) <= 1e-8
-    assert theta[0] == pytest.approx(np.log(pb.weighted_mean(s, w, "x")), abs=1e-9)
+    assert theta[0] == pytest.approx(np.log(weighted_mean(s, w, "x")), abs=1e-9)
 
 
 def test_two_step_matches_grid_oracle(iv_sample):
@@ -299,7 +299,7 @@ def test_iterated_just_identified_single_iteration():
     moment = pb.ols_moment(s.variable_names, "y", ("x",))
     theta, info = pb.gmm(moment, s, w, mode="iterated")
     assert info == {"iterations": 1, "objective_trace": []}
-    assert np.allclose(theta, pb.weighted_ols(s, w, "y", ("x",)), atol=1e-10)
+    assert np.allclose(theta, weighted_ols(s, w, "y", ("x",)), atol=1e-10)
 
 
 def test_iterated_fixed_point_and_foc(iv_sample):
@@ -344,7 +344,7 @@ def test_solve_z_mean_moment(dyad_sample):
     w = rand_weights(dyad_sample, 101)
     moment = pb.mean_moment(dyad_sample.variable_names, "y")
     theta, _ = pb.solve_z(moment, dyad_sample, w)
-    assert theta[0] == pytest.approx(pb.weighted_mean(dyad_sample, w, "y"), abs=1e-10)
+    assert theta[0] == pytest.approx(weighted_mean(dyad_sample, w, "y"), abs=1e-10)
 
 
 def test_solve_z_agrees_with_ppml():

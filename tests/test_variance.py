@@ -3,7 +3,7 @@ import pytest
 
 import polyboot as pb
 from polyboot.errors import Unsupported
-from conftest import random_dyadic_sample
+from conftest import random_dyadic_sample, weighted_ols
 import oracles
 
 
@@ -39,7 +39,7 @@ def test_accumulator_matches_triple_loop_vector_moment():
     for trial in range(8):
         s = random_dyadic_sample(rng, int(rng.integers(4, 9)))
         moment = pb.ols_moment(s.variable_names, "y", ("x",), intercept=True)
-        theta = pb.weighted_ols(s, pb.uniform_weights(s), "y", ("x",), intercept=True)
+        theta = weighted_ols(s, pb.uniform_weights(s), "y", ("x",), intercept=True)
         est = pb.graham_variance(moment, s, theta)
         phi_tilde = oracles.phi_tilde_matrix(moment, s, theta)
         assert np.max(np.abs(est.sigma2 - oracles.triple_loop_sigma2(phi_tilde))) < 1e-12
@@ -110,7 +110,7 @@ def test_affine_equivariance():
     rng = np.random.default_rng(10)
     s = random_dyadic_sample(rng, 6)
     base = pb.ols_moment(s.variable_names, "y", ("x",))
-    theta = pb.weighted_ols(s, pb.uniform_weights(s), "y", ("x",))
+    theta = weighted_ols(s, pb.uniform_weights(s), "y", ("x",))
     c = 4.0
     scaled = pb.MomentFunction(
         "scaled", 1, 1, lambda v, t: c * base.fn(v, t),

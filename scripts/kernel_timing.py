@@ -10,17 +10,29 @@ and the largest difference between the two paths' draws relative to each
 parameter's largest draw. The shapes are those of the benchmark's
 coverage-small (mean, n=40, B=500) and cli-large (OLS, n=300, B=1000).
 
+For PPML (solver-mix's gravity shape, n=40, B=200) it times the damped
+Newton on the same weight rows two ways: row by row (the test suite's
+oracle, ``tests/oracles.py``) and batched over the engine's blocks
+(``ppml.ppml_newton``), and prints the largest difference between
+their draws relative to each parameter's largest draw.
+
 Usage: PYTHONPATH=src python scripts/kernel_timing.py [repeats]
 """
 
 import statistics
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from polyboot import EstimatorSpec, coverage, weights
-from polyboot.estimators import linear_statistic
+from polyboot.estimators import linear_statistic, regressors
+from polyboot.fixtures import gravity_sample
+from polyboot.ppml import PPML_ROW_FLOATS, ppml_newton
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import oracles  # noqa: E402 - the per-row PPML Newton lives with the tests
 
 MEAN = EstimatorSpec(kind="mean", column="y")
 OLS = EstimatorSpec(kind="ols", y="y", x=("x",), intercept=True)
@@ -29,6 +41,10 @@ SHAPES = [  # (label, dgp, estimator, scheme, draws)
     ("mean n=40 B=500 pigeonhole", coverage.mean_unit_effects_dgp(40), MEAN, "pigeonhole", 500),
     ("ols n=300 B=1000 bayes", coverage.ols_unit_effects_dgp(300), OLS, "bayes", 1000),
 ]
+GRAVITY = EstimatorSpec(
+    kind="ppml", y="flow", x=("size_origin", "size_destination", "log_friction"), intercept=True
+)
+PPML_SHAPES = [("ppml n=40 B=200 bayes", 40, "bayes", 200)]  # (label, units, scheme, draws)
 
 
 def materialized(sample, features, scheme, seed, n_draws):
@@ -50,6 +66,22 @@ def factorized(sample, features, scheme, seed, n_draws):
         log_draws = weights.log_draws(sample, scheme, seed, b0, b1, None, failed)
         sums[b0:b1] = weights.product_sums(sample, dense, *log_draws, failed)
     return sums  # a degenerate draw's row is NaN
+
+
+def per_row(sample, rows):
+    x, y = regressors(sample, GRAVITY.x, GRAVITY.intercept), sample.column(GRAVITY.y)
+    return np.array([oracles.newton_ppml(y, x, w)[0] for w in rows])  # no row fails here
+
+
+def batched(sample, rows):
+    solve = ppml_newton(GRAVITY, sample)
+    step = weights.block_rows(len(rows), PPML_ROW_FLOATS * sample.n_obs)
+    draws = []
+    for b0 in range(0, len(rows), step):
+        block = rows[b0 : b0 + step]
+        row = solve(block)
+        draws += [row(r)[0] for r in range(len(block))]
+    return np.array(draws)
 
 
 def timed(fn, repeats, *args):
@@ -76,6 +108,14 @@ def main(repeats=5):
         theta_a = finish(a[ok])[0]
         diff = np.max(np.abs(theta_a - theta_b) / np.max(np.abs(theta_a), axis=0))
         print(f"{label:28} {ms_mat:16.1f} {ms_fac:14.1f} {ms_est:13.1f} {diff:13.1e}")
+    print(f"{'shape':28} {'per-row ms':>16} {'batched ms':>14} {'max rel diff':>13}")
+    for label, n, scheme, n_draws in PPML_SHAPES:
+        sample = gravity_sample(n=n)
+        rows = weights.weights_for_block(sample, scheme, 7, 0, n_draws)
+        ms_row, a = timed(per_row, repeats, sample, rows)
+        ms_batch, b = timed(batched, repeats, sample, rows)
+        diff = np.max(np.abs(a - b) / np.max(np.abs(a), axis=0))
+        print(f"{label:28} {ms_row:16.1f} {ms_batch:14.1f} {diff:13.1e}")
 
 
 if __name__ == "__main__":

@@ -51,7 +51,6 @@ from .estimators import (
     solve_z,
     stacked_init,
     stacked_two_step_moment,
-    weighted_ppml,
 )
 from .variance import (
     VarianceEstimate,

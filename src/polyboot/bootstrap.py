@@ -16,7 +16,9 @@ at most four entries per observation (n**P * T <= 4 N) the sums come from
 ``weights.product_sums`` without building the weight matrix; a draw whose
 normalizer v'M v is not finite or below e**-600 has its weight row built
 from the same draws instead. Sparser samples multiply each block of the
-weight matrix by the features. PPML, GMM and user moments evaluate the
+weight matrix by the features. PPML solves a block of weight rows with one
+damped Newton (``ppml.ppml_newton``), in blocks of ``ppml.PPML_ROW_FLOATS``
+values per draw and observation; GMM and user moments evaluate the
 estimator on each weight row.
 
 Blocks run serially unless ``threads`` > 1 maps them over a thread pool;
@@ -50,6 +52,7 @@ from .errors import (
     Unsupported,
 )
 from .estimators import EstimatorSpec, evaluate_estimator, linear_row, linear_statistic
+from .ppml import PPML_ROW_FLOATS, ppml_newton
 from .weights import (
     ObservationWeights,
     block_rows,
@@ -129,6 +132,15 @@ def _block_estimator(sample, spec, n_draws):
     failed) gives the row -> (theta, info) estimator of a block of draws; a
     failed row raises its draw failure, and rows without a positive weight
     are added to ``failed``. Mean and OLS finish a whole block at once."""
+    if spec.kind == "ppml":
+        solve = ppml_newton(spec, sample)
+
+        def for_block(log_units, log_levels, failed):
+            # a failed row is NaN, so its start is singular and it never iterates
+            return solve(product_weights(sample, log_units, log_levels, failed))
+
+        return block_rows(n_draws, PPML_ROW_FLOATS * sample.n_obs), for_block
+
     linear = linear_statistic(spec, sample)
     if linear is None:
 
@@ -232,11 +244,16 @@ def run_bootstrap(
     )
 
 
+def check_level(level: float) -> None:
+    """An interval level must lie in (0, 1)."""
+    if not 0 < level < 1:
+        raise ParamError("level must be in (0, 1)")
+
+
 def equal_tailed_interval(draws, level: float) -> CredibleInterval:
     """Equal-tailed interval from the empirical quantiles of ``draws`` (B, K)
     (linear interpolation between order statistics)."""
-    if not 0 < level < 1:
-        raise ParamError("level must be in (0, 1)")
+    check_level(level)
     if draws.shape[0] < 2:
         raise ParamError("need at least 2 successful draws for quantiles")
     tail = (1.0 - level) / 2.0

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .bootstrap import credible_interval, limiting_prior_atoms, run_bootstrap
+from .bootstrap import check_level, credible_interval, limiting_prior_atoms, run_bootstrap
 from .counterfactual import propagate, resolve_counterfactual, summarize
 from .coverage import (
     CoverageConfig,
@@ -170,30 +170,27 @@ def _add_draw_args(p):
     p.add_argument("--out")
 
 
-def _bootstrap_from_args(args) -> tuple:
-    """(sample, BootstrapResult) for the data, estimator and draw flags."""
+def _draw_inputs(args, levels) -> tuple:
+    """(sample, EstimatorSpec) for the data and estimator flags, once the
+    draw flags and the interval ``levels`` are checked."""
     sample = load_csv(args.data, order=args.order)
     spec = _spec_from_args(args)
     if args.method == "prior" and args.alpha is None:
         raise ParamError("--method prior requires --alpha")
     if args.method != "prior" and args.alpha is not None:
         raise ParamError("--alpha only applies to --method prior")
-    result = run_bootstrap(
-        sample,
-        spec,
-        scheme=args.method,
-        n_draws=args.draws,
-        seed=args.seed,
-        alpha=args.alpha,
-        threads=args.threads,
-    )
-    return sample, result
+    for level in levels:
+        check_level(level)
+    return sample, spec
 
 
 def _cmd_bootstrap(args):
     if args.histogram_bins < 0:
         raise ParamError("--histogram-bins must be >= 0")
-    _, result = _bootstrap_from_args(args)
+    sample, spec = _draw_inputs(args, args.level)
+    result = run_bootstrap(
+        sample, spec, args.method, args.draws, args.seed, args.alpha, args.threads
+    )
     payload = result.to_dict(emit_draws=args.emit_draws)
     payload["quantiles"] = {}
     for level in args.level:
@@ -225,12 +222,16 @@ def _cmd_variance(args):
 
 
 def _cmd_counterfactual(args):
-    sample, result = _bootstrap_from_args(args)
+    # a bad level or counterfactual fails before the draws are made
+    sample, spec = _draw_inputs(args, args.level[:1])
     name, _, arg = args.counterfactual.partition(":")
     if name == "identity" and not arg:
-        g = resolve_counterfactual(f"identity:{result.point_estimate.shape[0]}")
+        g = resolve_counterfactual(f"identity:{len(spec.param_names())}")
     else:
         g = resolve_counterfactual(args.counterfactual)
+    result = run_bootstrap(
+        sample, spec, args.method, args.draws, args.seed, args.alpha, args.threads
+    )
     preds = propagate(sample, result, g)
     summary = summarize(preds, args.level[0], thresholds=args.threshold)
     payload = summary.to_dict()

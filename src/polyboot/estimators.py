@@ -8,8 +8,10 @@ uniform-weight point estimate and every resampling draw. Mean and OLS are
 closed forms in weighted feature sums, defined once in
 ``linear_statistic``: the point estimate is its one-row case, and the
 bootstrap engine finishes a block of draws with one batched normal-equation
-solve. PPML runs a damped Newton loop. ``gmm`` runs one-step (identity
-weight matrix), two-step (centered weight matrix re-estimated at the step-1
+solve. PPML is one damped Newton over a block of weight rows,
+``ppml.ppml_newton``, each row taking the steps it would take alone; the
+point estimate is its one-row case. ``gmm`` runs one-step (identity weight
+matrix), two-step (centered weight matrix re-estimated at the step-1
 solution) and iterated modes; just-identified systems are solved directly
 as moment roots, where the weight matrix is irrelevant.
 """
@@ -168,9 +170,20 @@ def _residual_instrument_moment(
     if n_mom < k:
         raise ParamError("need at least as many instruments as regressors")
 
+    # solvers call the moment many times on one sample's read-only variables:
+    # (variables, (r, z)) of the latest, replaced by one assignment so that
+    # threads can share it
+    last = (None, None)
+
     def design(variables):
-        r = _design(variables, jr, intercept)
-        return r, r if jz is None else _design(variables, jz, intercept)
+        nonlocal last
+        seen, rz = last
+        if seen is not variables:
+            r = _design(variables, jr, intercept)
+            rz = r, r if jz is None else _design(variables, jz, intercept)
+            if not variables.flags.writeable:
+                last = variables, rz
+        return rz
 
     def parts(variables, theta):
         r, z = design(variables)
@@ -287,20 +300,14 @@ def solve_normal_equations(grams, rhs) -> tuple:
     return theta, singular
 
 
-def linear_statistic(spec: EstimatorSpec, sample: PolyadicSample):
-    """Mean and OLS as functions of weighted feature sums s = sum_k w_k f_k,
-    f = y for the mean and f = [vec(x x'), x y] for OLS: ``(features (N, F),
-    finish)``, or None for the other estimators. ``finish(sums (R, F))``
+def normal_equations(x, y):
+    """Weighted OLS of y on x (N, K) as weighted feature sums: ``(features
+    [vec(x x'), x y] (N, K*K + K), finish)``, where ``finish(sums (R, F))``
     gives ``(theta (R, K), singular (R,))`` for R rows at once."""
-    if spec.kind == "mean":
-        return sample.column(spec.column)[:, None], lambda sums: (sums, np.zeros(len(sums), bool))
-    if spec.kind != "ols":
-        return None
-    x = regressors(sample, spec.x, spec.intercept)
     n, k = x.shape
     features = np.empty((n, k * k + k))
     np.multiply(x[:, :, None], x[:, None, :], out=features[:, : k * k].reshape(n, k, k))
-    np.multiply(x, sample.column(spec.y)[:, None], out=features[:, k * k :])
+    np.multiply(x, y[:, None], out=features[:, k * k :])
 
     def finish(sums):
         return solve_normal_equations(sums[:, : k * k].reshape(-1, k, k), sums[:, k * k :])
@@ -308,67 +315,22 @@ def linear_statistic(spec: EstimatorSpec, sample: PolyadicSample):
     return features, finish
 
 
+def linear_statistic(spec: EstimatorSpec, sample: PolyadicSample):
+    """Mean and OLS as functions of weighted feature sums s = sum_k w_k f_k,
+    f = y for the mean and ``normal_equations`` for OLS: ``(features (N, F),
+    finish)`` as there, or None for the other estimators."""
+    if spec.kind == "mean":
+        return sample.column(spec.column)[:, None], lambda sums: (sums, np.zeros(len(sums), bool))
+    if spec.kind != "ols":
+        return None
+    return normal_equations(regressors(sample, spec.x, spec.intercept), sample.column(spec.y))
+
+
 def linear_row(theta, singular, r) -> tuple:
     """Row r of a ``finish`` result as (theta, info); a singular row raises."""
     if singular[r]:
         raise SingularDesign("weighted Gram matrix is numerically singular")
     return theta[r], {}
-
-
-def weighted_ppml(
-    sample: PolyadicSample, weights, y, x_columns, intercept=False, settings=None
-) -> tuple:
-    """Damped Newton on the weighted PPML moment; returns (theta, iterations).
-
-    Initialized at the weighted OLS of log(y + 1) on the regressors; declares
-    convergence when the moment residual's max norm is at or below 1e-8.
-    """
-    settings = settings or SolverSettings()
-    yv = sample.column(y)
-    if np.any(yv < 0):
-        raise DataError("ppml requires a nonnegative dependent variable")
-    if not np.any(yv > 0):
-        raise SolverError("ppml is undefined for an all-zero dependent variable")
-    x = regressors(sample, x_columns, intercept)
-    w = weights.weights
-
-    gram = x.T @ (w[:, None] * x)
-    start, singular = solve_normal_equations(gram[None], (x.T @ (w * np.log1p(yv)))[None])
-    if singular[0]:
-        raise SingularDesign("ppml design is collinear")
-    theta = start[0]
-
-    def residual(t):
-        with np.errstate(over="ignore"):
-            mu = np.exp(x @ t)
-        return (w * (yv - mu)) @ x, mu
-
-    m, mu = residual(theta)
-    tol = 1e-8
-    for it in range(settings.max_iter):
-        norm = np.max(np.abs(m)) if np.all(np.isfinite(m)) else np.inf
-        if norm <= tol:
-            return theta, it
-        jac = -(x.T @ ((w * mu)[:, None] * x))
-        try:
-            step = np.linalg.solve(jac, -m)
-        except np.linalg.LinAlgError:
-            raise SolverError("singular ppml Jacobian", residual=norm) from None
-        t = 1.0
-        for _ in range(40):
-            cand = theta + t * step
-            m_new, mu_new = residual(cand)
-            new_norm = np.max(np.abs(m_new)) if np.all(np.isfinite(m_new)) else np.inf
-            if new_norm < norm:
-                theta, m, mu = cand, m_new, mu_new
-                break
-            t *= 0.5
-        else:
-            raise SolverError("ppml line search stalled", residual=norm)
-    norm = float(np.max(np.abs(m)))
-    if norm <= tol:
-        return theta, settings.max_iter
-    raise SolverError(f"ppml did not converge (residual {norm:.3e})", residual=norm)
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +617,9 @@ def evaluate_estimator(spec: EstimatorSpec, sample: PolyadicSample, weights) -> 
         features, finish = linear
         return linear_row(*finish((weights.weights @ features)[None]), 0)
     if spec.kind == "ppml":
-        theta, iters = weighted_ppml(
-            sample, weights, spec.y, spec.x, spec.intercept, spec.settings
-        )
-        return theta, {"iterations": iters}
+        from .ppml import ppml_newton  # ppml builds on this module
+
+        return ppml_newton(spec, sample)(weights.weights[None])(0)
     return gmm(
         build_moment(spec, sample), sample, weights, spec.settings, spec.gmm_mode, spec.weight_style
     )

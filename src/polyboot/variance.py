@@ -13,6 +13,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .bootstrap import check_level
 from .data_model import PolyadicSample
 from .errors import ParamError, SingularJacobian, Unsupported
 from .estimators import COND_LIMIT, moment_mean_jacobian
@@ -126,8 +127,7 @@ def delta_method_interval(gamma_hat, gradient, sigma_hat, level) -> tuple:
     ``sigma_hat`` may be a VarianceEstimate or a covariance matrix already on
     the estimator scale (no extra 1/n factor is applied here).
     """
-    if not 0 < level < 1:
-        raise ParamError("level must be in (0, 1)")
+    check_level(level)
     cov = sigma_hat.covariance if isinstance(sigma_hat, VarianceEstimate) else np.asarray(sigma_hat)
     g = np.atleast_1d(np.asarray(gradient, dtype=np.float64))
     if not np.all(np.isfinite(g)):

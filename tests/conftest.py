@@ -86,6 +86,14 @@ def weighted_ols(sample, weights, y, x_columns, intercept=False):
     return pb.evaluate_estimator(spec, sample, weights)[0]
 
 
+def weighted_ppml(sample, weights, y, x_columns, intercept=False):
+    """Weighted PPML coefficients and Newton iterations, through
+    ``evaluate_estimator``."""
+    spec = pb.EstimatorSpec(kind="ppml", y=y, x=x_columns, intercept=intercept)
+    theta, info = pb.evaluate_estimator(spec, sample, weights)
+    return theta, info["iterations"]
+
+
 def random_dyadic_sample(rng, n, columns=("y", "x")):
     index = pb.full_index_set(n, 2)
     variables = rng.standard_normal((index.shape[0], len(columns)))

@@ -1,9 +1,10 @@
 """Independent oracle implementations used only by the test suite.
 
 These deliberately avoid the package's own code paths: the scaled OLS runs
-a least-squares fit on rescaled data, the PPML oracle is a from-scratch
-IRLS loop, the shared-unit cross term is a literal triple loop, and the GMM
-oracle minimizes by grid search plus golden-section refinement.
+a least-squares fit on rescaled data, the PPML oracles are a from-scratch
+IRLS loop and a damped Newton on one weight row, the shared-unit cross term
+is a literal triple loop, and the GMM oracle minimizes by grid search plus
+golden-section refinement.
 """
 
 import math
@@ -35,6 +36,51 @@ def irls_ppml(y, x, w, max_iter=200, tol=1e-12):
             return beta
         theta, eta = beta, eta_new
     return theta
+
+
+def newton_ppml(y, x, w, max_iter=100):
+    """Damped Newton PPML on one weight row, written out on its own:
+    ``(theta, iterations, failure reason or None)``.
+
+    Starts at the weighted OLS of log(y + 1) (collinear when its Gram matrix
+    is not finite or has condition number >= 1e12), stops at a residual max
+    norm <= 1e-8 and halves a step up to 40 times until the norm falls.
+    """
+    gram = x.T @ (w[:, None] * x)
+    if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) >= 1e12:
+        return None, 0, "SingularDesign: ppml design is collinear"
+    theta = np.linalg.solve(gram, x.T @ (w * np.log1p(y)))
+
+    def residual(t):
+        with np.errstate(over="ignore"):
+            mu = np.exp(x @ t)
+        return (w * (y - mu)) @ x, mu
+
+    m, mu = residual(theta)
+    for it in range(max_iter):
+        norm = np.max(np.abs(m)) if np.all(np.isfinite(m)) else np.inf
+        if norm <= 1e-8:
+            return theta, it, None
+        jac = -(x.T @ ((w * mu)[:, None] * x))
+        try:
+            step = np.linalg.solve(jac, -m)
+        except np.linalg.LinAlgError:
+            return None, it, "SolverError: singular ppml Jacobian"
+        t = 1.0
+        for _ in range(40):
+            cand = theta + t * step
+            m_new, mu_new = residual(cand)
+            new_norm = np.max(np.abs(m_new)) if np.all(np.isfinite(m_new)) else np.inf
+            if new_norm < norm:
+                theta, m, mu = cand, m_new, mu_new
+                break
+            t *= 0.5
+        else:
+            return None, it, "SolverError: ppml line search stalled"
+    norm = float(np.max(np.abs(m)))
+    if norm <= 1e-8:
+        return theta, max_iter, None
+    return None, max_iter, f"SolverError: ppml did not converge (residual {norm:.3e})"
 
 
 def phi_tilde_matrix(moment, sample, theta):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import polyboot as pb
+from polyboot import cli
 from polyboot.cli import main
 from polyboot.fixtures import make_fixture
 
@@ -214,6 +215,26 @@ def test_error_matrix_exit_codes(capsys, tmp_path, build, expected, text):
     assert code == expected
     assert text in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("bootstrap", ["--level", "1.5"]),
+        ("bootstrap", ["--level", "0.9", "--level", "0"]),
+        ("counterfactual", ["--counterfactual", "identity", "--level", "1.5"]),
+        ("counterfactual", ["--counterfactual", "identity:x"]),
+    ],
+)
+def test_bad_level_or_counterfactual_exits_before_the_draws(
+    monkeypatch, capsys, tmp_path, command, flags
+):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("run_bootstrap was called")
+
+    monkeypatch.setattr(cli, "run_bootstrap", no_draws)
+    code, _, err = run(capsys, command, *_draw_args(tmp_path), *flags)
+    assert code == 4 and "configuration error" in err
 
 
 def unit_effects_csv(tmp_path):

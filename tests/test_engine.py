@@ -1,6 +1,7 @@
 """The block draw engine: weight blocks, re-keyed streams, matrix kernels,
 thread invariance and per-draw failure handling."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 
 import polyboot as pb
 from polyboot import rng, weights
-from polyboot.errors import DegenerateDraw, SingularDesign
+from polyboot.errors import DegenerateDraw, SingularDesign, SolverError
 from polyboot.estimators import linear_statistic
+from polyboot.fixtures import gravity_sample
+from polyboot.ppml import PPML_ROW_FLOATS, ppml_newton
 from conftest import random_dyadic_sample
 import oracles
 
@@ -125,6 +128,7 @@ def test_rekeyed_stream_equals_substream(role, seed, index, lane, n):
 MEAN = pb.EstimatorSpec(kind="mean", column="y")
 OLS = pb.EstimatorSpec(kind="ols", y="y", x=("x",), intercept=True)
 GMM_OLS = pb.EstimatorSpec(kind="gmm", builtin_moment="ols", y="y", x=("x",), intercept=True)
+PPML = pb.EstimatorSpec(kind="ppml", y="y", x=("x",), intercept=True)
 SINGULAR = "SingularDesign: weighted Gram matrix is numerically singular"
 
 
@@ -199,18 +203,21 @@ def test_matrix_kernels_match_per_draw_estimates(spec, scheme, seed, n_draws, ro
 
 @settings(max_examples=10, deadline=None)
 @given(
-    st.sampled_from([MEAN, OLS, GMM_OLS]),
+    st.sampled_from([MEAN, OLS, GMM_OLS, PPML]),
     st.sampled_from(COMBOS),
     st.integers(0, 2**63),
 )
 def test_draws_byte_identical_for_any_threads(spec, combo, seed):
     scheme, shape = combo
     s = shaped_sample(shape, 6, seed % 1013, keep=1.0)
+    if spec is PPML:  # PPML needs a nonnegative y
+        s = dataclasses.replace(s, variables=np.abs(s.variables))
     alpha = 3.0 if scheme == "prior" else None
     outputs = set()
     with pytest.MonkeyPatch.context() as mp:
-        # 30 draws in 3 (mean), 8 (GMM) or 15 (OLS) blocks
-        mp.setattr(weights, "BLOCK_BYTES", 8 * s.n_obs * 4)
+        # 30 draws in 3 (mean), 8 (GMM and PPML) or 15 (OLS) blocks
+        rows = PPML_ROW_FLOATS if spec is PPML else 1
+        mp.setattr(weights, "BLOCK_BYTES", 8 * s.n_obs * 4 * rows)
         for threads in (None, 1, 2, 4):
             res = pb.run_bootstrap(
                 s, spec, scheme, n_draws=30, seed=seed, alpha=alpha, threads=threads
@@ -353,6 +360,134 @@ def test_singular_rows_fail_alone_in_their_block():
     expected, failures = per_draw_bootstrap(s, OLS, "pigeonhole", 30, seed, None)
     assert res.failures == failures and res.draws.shape == (26, 2)
     assert np.all(np.abs(res.draws - expected) <= 1e-12 * np.max(np.abs(expected), axis=0))
+
+
+# ------------------------------------------------------------- batched PPML
+
+
+GRAVITY_PPML = pb.EstimatorSpec(
+    kind="ppml", y="flow", x=("size_origin", "size_destination", "log_friction"), intercept=True
+)
+
+
+def ppml_design(sample, spec):
+    return np.column_stack([np.ones(sample.n_obs), *(sample.column(c) for c in spec.x)])
+
+
+def assert_newton_oracle(res, sample, spec, scheme, n_draws, seed, alpha):
+    """Each draw equals the per-row Newton oracle on that draw's weights, to
+    1e-12 of each parameter's largest draw, with the same iterations, and
+    the failures are the oracle's."""
+    x, y = ppml_design(sample, spec), sample.column(spec.y)
+    draws, iterations, failures = [], [], []
+    for b in range(n_draws):
+        w = per_draw_weights(sample, scheme, seed, b, alpha)
+        if isinstance(w, str):
+            failures.append((b, f"DegenerateDraw: {w}"))
+            continue
+        theta, it, reason = oracles.newton_ppml(y, x, w, spec.settings.max_iter)
+        if reason is None:
+            draws.append(theta)
+            iterations.append(it)
+        else:
+            failures.append((b, reason))
+    assert res.failures == tuple(failures)
+    assert [info["iterations"] for info in res.draw_metadata] == iterations
+    draws = np.array(draws)
+    assert np.all(np.abs(res.draws - draws) <= 1e-12 * np.max(np.abs(draws), axis=0))
+
+
+@pytest.mark.parametrize("scheme", ["bayes", "prior", "pigeonhole"])
+def test_batched_ppml_equals_per_row_newton(scheme):
+    s = gravity_sample(seed=4, n=12)
+    alpha = s.n_units / 2 if scheme == "prior" else None
+    with pytest.MonkeyPatch.context() as mp:
+        # 40 draws in blocks of 7
+        mp.setattr(weights, "BLOCK_BYTES", 8 * s.n_obs * PPML_ROW_FLOATS * 7)
+        res = pb.run_bootstrap(s, GRAVITY_PPML, scheme, n_draws=40, seed=9, alpha=alpha)
+    assert_newton_oracle(res, s, GRAVITY_PPML, scheme, 40, 9, alpha)
+
+
+def test_collinear_ppml_rows_fail_alone_in_their_block():
+    # the singular-rows sample with counts for y: pigeonhole draws 1, 4, 11
+    # and 15 put no weight where x is nonzero, so their start is collinear
+    n, seed = 8, 2
+    s = random_dyadic_sample(np.random.default_rng(0), n)
+    x = ((s.index[:, 0] < 2) | (s.index[:, 1] < 2)).astype(float)
+    y = np.random.default_rng(1).poisson(np.exp(0.3 + 0.5 * x)).astype(float)
+    s = pb.PolyadicSample(2, s.unit_labels, s.index, np.column_stack([y, x]), ("y", "x"))
+    spec = pb.EstimatorSpec(kind="ppml", y="y", x=("x",), intercept=True)
+    res = pb.run_bootstrap(s, spec, "pigeonhole", n_draws=30, seed=seed)
+    collinear = "SingularDesign: ppml design is collinear"
+    assert res.failures == tuple((b, collinear) for b in (1, 4, 11, 15))
+    assert_newton_oracle(res, s, spec, "pigeonhole", 30, seed, None)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("max_iter", [100, 1])
+def test_ppml_rows_fail_as_they_would_alone(max_iter):
+    # x = 1 where y = 1e20 and 0 where y = 0: with weight on those dyads only,
+    # rounding absorbs the x = 0 dyad in the Jacobian, which is then exactly
+    # singular though the start's Gram matrix is regular (row 0); row 4 gets
+    # there after one step. Rows 2 and 3 (NaN) are collinear. Row 6 weighs
+    # flows near 1e8, whose residual rounds above 1e-8, so its line search
+    # stalls. With max_iter=1 the other rows that take a step do not converge.
+    y = np.array([1e20, 0, 2, 3, 1, 4, 3e8, 1e8, 5e8, 2e8, 0, 4e8])
+    x = np.array([1, 0, 0, 1, 0.5, 0.5, -1, 0.3, 1.2, -0.4, 0.8, 2])
+    s = pb.PolyadicSample(
+        2, ("a", "b", "c", "d"), pb.full_index_set(4, 2), np.column_stack([y, x]), ("y", "x")
+    )
+    rows = np.zeros((7, 12))
+    rows[0, :2] = rows[2, 1:3] = 0.5
+    rows[1, 2:6] = 0.25
+    rows[3] = np.nan
+    rows[4, :6] = rows[6, 6:] = 1 / 6
+    rows[5, 3:6] = 0.3, 0.3, 0.4
+    spec = pb.EstimatorSpec(
+        kind="ppml", y="y", x=("x",), intercept=True, settings=pb.SolverSettings(max_iter=max_iter)
+    )
+    row = ppml_newton(spec, s)(rows)
+    reasons, iterations = {}, {}
+    for r, w in enumerate(rows):
+        expected, it, reason = oracles.newton_ppml(y, ppml_design(s, spec), w, max_iter)
+        try:
+            theta, info = row(r)
+        except (SingularDesign, SolverError) as exc:
+            reasons[r] = f"{type(exc).__name__}: {exc}"
+            assert reasons[r] == reason
+            continue
+        assert reason is None and info["iterations"] == it
+        iterations[r] = it
+        assert np.all(np.abs(theta - expected) <= 1e-12 * np.max(np.abs(expected)))
+    jacobian = "SolverError: singular ppml Jacobian"
+    collinear = "SingularDesign: ppml design is collinear"
+    assert [reasons.get(r) for r in (0, 2, 3)] == [jacobian, collinear, collinear]
+    if max_iter == 1:
+        stepped = [reasons[r] for r in (1, 4, 5)]
+        assert all(reason.startswith("SolverError: ppml did not converge") for reason in stepped)
+    else:
+        assert reasons[4] == jacobian and iterations == {1: 4, 5: 4}
+        assert reasons[6] == "SolverError: ppml line search stalled"
+
+
+def test_halved_ppml_steps_equal_per_row_newton():
+    # zero-inflated counts: from the log(y + 1) start the full Newton step
+    # raises the residual norm, so it is halved, alone (the point estimate)
+    # and with every row of a block halving at once
+    y = np.array([0, 0, 0, 0, 43, 0, 0, 58, 54, 0, 60, 0])
+    x = np.array([2.04, -2.56, 0.42, -0.57, -0.45, -0.22, -2.02, -0.23, -0.87, 3.32, 0.23, -0.35])
+    s = pb.PolyadicSample(
+        2, ("a", "b", "c", "d"), pb.full_index_set(4, 2), np.column_stack([y, x]), ("y", "x")
+    )
+    spec = pb.EstimatorSpec(kind="ppml", y="y", x=("x",), intercept=True)
+    expected, it, reason = oracles.newton_ppml(y, ppml_design(s, spec), np.full(12, 1 / 12))
+    assert reason is None
+    row = ppml_newton(spec, s)(np.full((3, 12), 1 / 12))
+    for theta, info in [pb.evaluate_estimator(spec, s, pb.uniform_weights(s))] + [
+        row(r) for r in range(3)
+    ]:
+        assert np.all(np.abs(theta - expected) <= 1e-12 * np.max(np.abs(expected)))
+        assert info == {"iterations": it}
 
 
 def test_sparse_sample_keeps_the_weight_matrix():

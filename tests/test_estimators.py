@@ -5,7 +5,7 @@ import polyboot as pb
 from polyboot.errors import ParamError, SingularDesign, SingularWeightMatrix, SolverError
 from polyboot.estimators import moment_mean, moment_mean_jacobian, observation_jacobian
 from polyboot.fixtures import overidentified_iv_sample
-from conftest import random_dyadic_sample, weighted_mean, weighted_ols
+from conftest import random_dyadic_sample, weighted_mean, weighted_ols, weighted_ppml
 import oracles
 
 
@@ -112,7 +112,7 @@ def test_ppml_exact_exponential_fit():
         variables=np.column_stack([y, s.column("x")]), variable_names=("y", "x"),
     )
     for b in range(3):
-        theta, _ = pb.weighted_ppml(s2, rand_weights(s2, 31, b), "y", ("x",))
+        theta, _ = weighted_ppml(s2, rand_weights(s2, 31, b), "y", ("x",))
         assert theta[0] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -122,14 +122,14 @@ def test_ppml_intercept_only_log_mean(dyad_sample):
         order=2, unit_labels=dyad_sample.unit_labels, index=dyad_sample.index,
         variables=np.full((6, 2), c), variable_names=("y", "one"),
     )
-    theta, _ = pb.weighted_ppml(s, pb.uniform_weights(s), "y", (), intercept=True)
+    theta, _ = weighted_ppml(s, pb.uniform_weights(s), "y", (), intercept=True)
     assert theta[0] == pytest.approx(np.log(c), abs=1e-10)
 
 
 def test_ppml_matches_irls_oracle():
     s = poisson_sample()
     w = rand_weights(s, 41)
-    theta, _ = pb.weighted_ppml(s, w, "y", ("x",), intercept=True)
+    theta, _ = weighted_ppml(s, w, "y", ("x",), intercept=True)
     design = np.column_stack([np.ones(s.n_obs), s.column("x")])
     ref = oracles.irls_ppml(s.column("y"), design, w.weights)
     assert np.max(np.abs(theta - ref)) < 1e-6
@@ -145,7 +145,7 @@ def test_ppml_all_zero_y(dyad_sample):
         variable_names=("y", "x"),
     )
     with pytest.raises(SolverError):
-        pb.weighted_ppml(s, pb.uniform_weights(s), "y", ("x",), intercept=True)
+        weighted_ppml(s, pb.uniform_weights(s), "y", ("x",), intercept=True)
 
 
 # ------------------------------------------------------------ moment rule
@@ -351,7 +351,7 @@ def test_solve_z_agrees_with_ppml():
     s = poisson_sample(seed=12)
     w = rand_weights(s, 111)
     moment = pb.ppml_moment(s.variable_names, "y", ("x",), intercept=True)
-    direct, _ = pb.weighted_ppml(s, w, "y", ("x",), intercept=True)
+    direct, _ = weighted_ppml(s, w, "y", ("x",), intercept=True)
     via_z, _ = pb.solve_z(moment, s, w, init=np.zeros(2), settings=pb.SolverSettings(root_tol=1e-11))
     assert np.max(np.abs(direct - via_z)) < 1e-8
 

@@ -27,6 +27,8 @@ def test_kernel_timing_runs(monkeypatch, capsys):
     timing = load(next(p for p in SCRIPTS if p.stem == "kernel_timing"))
     dgp = pb.coverage.ols_unit_effects_dgp(6)
     monkeypatch.setattr(timing, "SHAPES", [("ols n=6 B=20 bayes", dgp, timing.OLS, "bayes", 20)])
+    monkeypatch.setattr(timing, "PPML_SHAPES", [("ppml n=8 B=20 bayes", 8, "bayes", 20)])
     timing.main(repeats=1)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2 and lines[1].startswith("ols n=6 B=20 bayes")
+    assert len(lines) == 4 and lines[1].startswith("ols n=6 B=20 bayes")
+    assert lines[3].startswith("ppml n=8 B=20 bayes") and float(lines[3].split()[-1]) < 1e-12

@@ -14,7 +14,13 @@ For PPML (solver-mix's gravity shape, n=40, B=200) it times the damped
 Newton on the same weight rows two ways: row by row (the test suite's
 oracle, ``tests/oracles.py``) and batched over the engine's blocks
 (``ppml.ppml_newton``), and prints the largest difference between
-their draws relative to each parameter's largest draw.
+their draws relative to each parameter's largest draw. A last table
+times linear-IV GMM on ``overidentified_iv_sample(n=30)``: per-row
+``estimators.gmm`` against the batched ``linear_iv.linear_iv_gmm``, on
+solver-mix's jobs (L = 3 instruments) and on wider ones, with the size of
+the kernel's features. A shape whose features pass
+``linear_iv.FEATURE_BYTES`` (marked ``*``) runs per row in the bootstrap;
+the kernel is timed on it anyway.
 
 Usage: PYTHONPATH=src python scripts/kernel_timing.py [repeats]
 """
@@ -26,9 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from polyboot import EstimatorSpec, coverage, weights
+from polyboot import EstimatorSpec, ObservationWeights, build_moment, coverage, gmm, linear_iv, weights
 from polyboot.estimators import linear_statistic, regressors
-from polyboot.fixtures import gravity_sample
+from polyboot.fixtures import gravity_sample, overidentified_iv_sample
 from polyboot.ppml import PPML_ROW_FLOATS, ppml_newton
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -45,6 +51,13 @@ GRAVITY = EstimatorSpec(
     kind="ppml", y="flow", x=("size_origin", "size_destination", "log_friction"), intercept=True
 )
 PPML_SHAPES = [("ppml n=40 B=200 bayes", 40, "bayes", 200)]  # (label, units, scheme, draws)
+IV_SHAPES = [  # (label, units, instruments, GMM mode, weight style, scheme, draws)
+    ("iv 2-step n=30 L=3 B=200 pigeon", 30, 3, "two-step", "centered", "pigeonhole", 200),
+    ("iv iterated n=30 L=3 B=100 bayes", 30, 3, "iterated", "centered", "bayes", 100),
+    ("iv iter-acm n=30 L=3 B=100 bayes", 30, 3, "iterated", "acm", "bayes", 100),
+    ("iv 2-step n=30 L=12 B=50 bayes", 30, 12, "two-step", "centered", "bayes", 50),
+    ("iv 2-step n=30 L=20 B=50 bayes", 30, 20, "two-step", "centered", "bayes", 50),
+]
 
 
 def materialized(sample, features, scheme, seed, n_draws):
@@ -68,14 +81,21 @@ def factorized(sample, features, scheme, seed, n_draws):
     return sums  # a degenerate draw's row is NaN
 
 
-def per_row(sample, rows):
+def ppml_per_row(sample, rows):
     x, y = regressors(sample, GRAVITY.x, GRAVITY.intercept), sample.column(GRAVITY.y)
     return np.array([oracles.newton_ppml(y, x, w)[0] for w in rows])  # no row fails here
 
 
-def batched(sample, rows):
-    solve = ppml_newton(GRAVITY, sample)
-    step = weights.block_rows(len(rows), PPML_ROW_FLOATS * sample.n_obs)
+def gmm_per_row(spec, sample, rows):
+    moment = build_moment(spec, sample)
+    return np.array([
+        gmm(moment, sample, ObservationWeights(w), spec.settings, spec.gmm_mode,
+            spec.weight_style)[0]
+        for w in rows
+    ])  # no row fails here
+
+
+def batched(solve, rows, step):
     draws = []
     for b0 in range(0, len(rows), step):
         block = rows[b0 : b0 + step]
@@ -93,8 +113,13 @@ def timed(fn, repeats, *args):
     return statistics.median(times), out
 
 
+def print_pair(label, ms_row, ms_batch, a, b, extra=""):
+    diff = np.max(np.abs(a - b) / np.max(np.abs(a), axis=0))
+    print(f"{label:32} {ms_row:16.1f} {ms_batch:14.1f} {extra}{diff:13.1e}")
+
+
 def main(repeats=5):
-    print(f"{'shape':28} {'materialized ms':>16} {'factorized ms':>14} {'estimates ms':>13} "
+    print(f"{'shape':32} {'materialized ms':>16} {'factorized ms':>14} {'estimates ms':>13} "
           f"{'max rel diff':>13}")
     for label, dgp, spec, scheme, n_draws in SHAPES:
         sample = coverage.generate_synthetic(dgp, 1, 0)
@@ -107,15 +132,35 @@ def main(repeats=5):
         ms_est, (theta_b, _) = timed(finish, repeats, b[ok])
         theta_a = finish(a[ok])[0]
         diff = np.max(np.abs(theta_a - theta_b) / np.max(np.abs(theta_a), axis=0))
-        print(f"{label:28} {ms_mat:16.1f} {ms_fac:14.1f} {ms_est:13.1f} {diff:13.1e}")
-    print(f"{'shape':28} {'per-row ms':>16} {'batched ms':>14} {'max rel diff':>13}")
+        print(f"{label:32} {ms_mat:16.1f} {ms_fac:14.1f} {ms_est:13.1f} {diff:13.1e}")
+    print(f"{'shape':32} {'per-row ms':>16} {'batched ms':>14} {'max rel diff':>13}")
     for label, n, scheme, n_draws in PPML_SHAPES:
         sample = gravity_sample(n=n)
         rows = weights.weights_for_block(sample, scheme, 7, 0, n_draws)
-        ms_row, a = timed(per_row, repeats, sample, rows)
-        ms_batch, b = timed(batched, repeats, sample, rows)
-        diff = np.max(np.abs(a - b) / np.max(np.abs(a), axis=0))
-        print(f"{label:28} {ms_row:16.1f} {ms_batch:14.1f} {diff:13.1e}")
+        ms_row, a = timed(ppml_per_row, repeats, sample, rows)
+        solve = ppml_newton(GRAVITY, sample)
+        step = weights.block_rows(n_draws, PPML_ROW_FLOATS * sample.n_obs)
+        ms_batch, b = timed(batched, repeats, solve, rows, step)
+        print_pair(label, ms_row, ms_batch, a, b)
+    print(f"{'shape':32} {'per-row ms':>16} {'batched ms':>14} {'features MB':>12} "
+          f"{'max rel diff':>13}")
+    for label, n, n_instruments, mode, style, scheme, n_draws in IV_SHAPES:
+        sample = overidentified_iv_sample(n=n, extra=n_instruments - 3)
+        spec = EstimatorSpec(
+            kind="gmm", builtin_moment="linear-iv", y="y", x=("r",),
+            instruments=sample.variable_names[2:], gmm_mode=mode, weight_style=style,
+        )
+        rows = weights.weights_for_block(sample, scheme, 7, 0, n_draws)
+        ms_row, a = timed(gmm_per_row, repeats, spec, sample, rows)
+        bound, linear_iv.FEATURE_BYTES = linear_iv.FEATURE_BYTES, np.inf
+        features, finish = linear_iv.linear_iv_gmm(spec, sample)
+        linear_iv.FEATURE_BYTES = bound
+        step = weights.block_rows(
+            n_draws, linear_iv.IV_ROW_FLOATS * (sample.n_obs + features.shape[1])
+        )
+        ms_batch, b = timed(batched, repeats, lambda w: finish(w @ features), rows, step)
+        mark = "*" if features.nbytes > bound else " "
+        print_pair(label, ms_row, ms_batch, a, b, f"{features.nbytes / 2**20:11.2f}{mark} ")
 
 
 if __name__ == "__main__":

@@ -36,12 +36,9 @@ from .data_model import (
 )
 from .estimators import (
     EstimatorSpec,
-    GmmWeightMatrix,
     MomentFunction,
     SolverSettings,
-    acm_weight_matrix,
     build_moment,
-    centered_weight_matrix,
     evaluate_estimator,
     gmm,
     linear_iv_moment,
@@ -52,6 +49,7 @@ from .estimators import (
     stacked_init,
     stacked_two_step_moment,
 )
+from .gmm_weights import GmmWeightMatrix, acm_weight_matrix, centered_weight_matrix
 from .variance import (
     VarianceEstimate,
     delta_method_interval,

@@ -18,8 +18,11 @@ normalizer v'M v is not finite or below e**-600 has its weight row built
 from the same draws instead. Sparser samples multiply each block of the
 weight matrix by the features. PPML solves a block of weight rows with one
 damped Newton (``ppml.ppml_newton``), in blocks of ``ppml.PPML_ROW_FLOATS``
-values per draw and observation; GMM and user moments evaluate the
-estimator on each weight row.
+values per draw and observation. Overidentified linear-IV GMM is one
+Gauss-Newton on a block's weighted feature sums (``linear_iv.linear_iv_gmm``),
+in blocks of ``linear_iv.IV_ROW_FLOATS`` values per draw and per
+observation or feature; other GMM moments evaluate the estimator on each
+weight row.
 
 Blocks run serially unless ``threads`` > 1 maps them over a thread pool;
 since each block owns its random streams and the partition never depends
@@ -52,6 +55,7 @@ from .errors import (
     Unsupported,
 )
 from .estimators import EstimatorSpec, evaluate_estimator, linear_row, linear_statistic
+from .linear_iv import IV_ROW_FLOATS, linear_iv_gmm
 from .ppml import PPML_ROW_FLOATS, ppml_newton
 from .weights import (
     ObservationWeights,
@@ -131,7 +135,8 @@ def _block_estimator(sample, spec, n_draws):
     """``(draws per block, for_block)``: for_block(log_units, log_levels,
     failed) gives the row -> (theta, info) estimator of a block of draws; a
     failed row raises its draw failure, and rows without a positive weight
-    are added to ``failed``. Mean and OLS finish a whole block at once."""
+    are added to ``failed``. Mean, OLS, PPML and linear-IV GMM solve a whole
+    block at once."""
     if spec.kind == "ppml":
         solve = ppml_newton(spec, sample)
 
@@ -140,6 +145,17 @@ def _block_estimator(sample, spec, n_draws):
             return solve(product_weights(sample, log_units, log_levels, failed))
 
         return block_rows(n_draws, PPML_ROW_FLOATS * sample.n_obs), for_block
+
+    iv = linear_iv_gmm(spec, sample)
+    if iv is not None:
+        features, finish = iv
+
+        def for_block(log_units, log_levels, failed):
+            # a failed row is NaN: it never iterates
+            return finish(product_weights(sample, log_units, log_levels, failed) @ features)
+
+        row_floats = IV_ROW_FLOATS * (sample.n_obs + features.shape[1])
+        return block_rows(n_draws, row_floats), for_block
 
     linear = linear_statistic(spec, sample)
     if linear is None:

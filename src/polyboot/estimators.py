@@ -8,12 +8,13 @@ uniform-weight point estimate and every resampling draw. Mean and OLS are
 closed forms in weighted feature sums, defined once in
 ``linear_statistic``: the point estimate is its one-row case, and the
 bootstrap engine finishes a block of draws with one batched normal-equation
-solve. PPML is one damped Newton over a block of weight rows,
-``ppml.ppml_newton``, each row taking the steps it would take alone; the
-point estimate is its one-row case. ``gmm`` runs one-step (identity weight
-matrix), two-step (centered weight matrix re-estimated at the step-1
-solution) and iterated modes; just-identified systems are solved directly
-as moment roots, where the weight matrix is irrelevant.
+solve. PPML (``ppml.ppml_newton``) and overidentified linear-IV GMM
+(``linear_iv.linear_iv_gmm``) solve a block of weight rows at once, each
+row taking the steps it would take alone; the point estimate is the
+one-row case. ``gmm`` is the per-row GMM of the other moments, one-step,
+two-step (centered weight matrix re-estimated at the step-1 solution) or
+iterated, with the weight matrices of ``gmm_weights``; just-identified
+systems are solved as moment roots.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from .errors import (
     DataError,
     ParamError,
     SingularDesign,
-    SingularWeightMatrix,
     SolverError,
 )
+from .gmm_weights import acm_weight_matrix, centered_weight_matrix
 
 COND_LIMIT = 1e12
-RIDGE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,15 +62,6 @@ class MomentFunction:
     @property
     def just_identified(self) -> bool:
         return self.n_moments == self.n_params
-
-
-@dataclass(frozen=True)
-class GmmWeightMatrix:
-    """L x L symmetric PSD weight matrix with provenance."""
-
-    matrix: np.ndarray
-    style: str
-    ridged: bool = False
 
 
 @dataclass(frozen=True)
@@ -334,46 +325,6 @@ def linear_row(theta, singular, r) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# GMM weight matrices
-
-
-def _invert_psd(cov, style) -> GmmWeightMatrix:
-    cov = 0.5 * (cov + cov.T)
-    if not np.all(np.isfinite(cov)):
-        raise SingularWeightMatrix("non-finite moment covariance")
-    eigval, eigvec = np.linalg.eigh(cov)
-    lam_max = eigval[-1]
-    if not lam_max > 0:
-        raise SingularWeightMatrix("moment covariance has no positive eigenvalue")
-    floor = RIDGE_FLOOR * lam_max
-    ridged = bool(np.any(eigval < floor))
-    clipped = np.maximum(eigval, floor)
-    matrix = (eigvec / clipped) @ eigvec.T
-    return GmmWeightMatrix(0.5 * (matrix + matrix.T), style, ridged)
-
-
-def centered_weight_matrix(moment, sample, weights, theta) -> GmmWeightMatrix:
-    """Inverse of the moment covariance centered at the weighted moment mean."""
-    theta = np.asarray(theta, dtype=np.float64)
-    psi = moment.fn(sample.variables, theta)
-    psibar = weights.weights @ psi
-    centered = psi - psibar
-    cov = centered.T @ (weights.weights[:, None] * centered)
-    return _invert_psd(np.atleast_2d(cov), "centered")
-
-
-def acm_weight_matrix(moment, sample, weights, theta) -> GmmWeightMatrix:
-    """Inverse of (weighted mean squared residual) times (weighted Z Z')."""
-    if moment.residual_instrument is None:
-        raise ParamError("acm-style weight matrix needs a residual x instrument moment")
-    theta = np.asarray(theta, dtype=np.float64)
-    e, z = moment.residual_instrument(sample.variables, theta)
-    s2 = float(weights.weights @ (e * e))
-    zz = z.T @ (weights.weights[:, None] * z)
-    return _invert_psd(s2 * np.atleast_2d(zz), "acm")
-
-
-# ---------------------------------------------------------------------------
 # solvers
 
 
@@ -616,10 +567,14 @@ def evaluate_estimator(spec: EstimatorSpec, sample: PolyadicSample, weights) -> 
     if linear is not None:
         features, finish = linear
         return linear_row(*finish((weights.weights @ features)[None]), 0)
-    if spec.kind == "ppml":
-        from .ppml import ppml_newton  # ppml builds on this module
+    from .linear_iv import linear_iv_gmm  # these kernels build on this module
+    from .ppml import ppml_newton
 
+    if spec.kind == "ppml":
         return ppml_newton(spec, sample)(weights.weights[None])(0)
+    iv = linear_iv_gmm(spec, sample)
+    if iv is not None:
+        return iv[1](weights.weights[None] @ iv[0])(0)
     return gmm(
         build_moment(spec, sample), sample, weights, spec.settings, spec.gmm_mode, spec.weight_style
     )

@@ -36,9 +36,10 @@ def unit_effects_sample(seed=7, n=40, sigma_c=1.0, sigma_eps=0.3) -> PolyadicSam
     return generate_synthetic(mean_unit_effects_dgp(n, sigma_c, sigma_eps), seed, 0)
 
 
-def overidentified_iv_sample(seed=11, n=12, theta=1.5) -> PolyadicSample:
+def overidentified_iv_sample(seed=11, n=12, theta=1.5, extra=0) -> PolyadicSample:
     """K = 1, L = 3 linear IV data: one endogenous-style regressor, three
-    instruments correlated with it, unit-effect errors."""
+    instruments correlated with it, unit-effect errors; ``extra`` more
+    instruments z4, z5, ... are z1 plus noise."""
     gen = rng.substream(seed, rng.ROLE_SYNTHETIC_DGP, 1)
     a = gen.standard_normal(n)
     b = 0.7 * gen.standard_normal(n)
@@ -50,12 +51,13 @@ def overidentified_iv_sample(seed=11, n=12, theta=1.5) -> PolyadicSample:
     z3 = 0.5 * (a[i] + a[j]) + 0.6 * gen.standard_normal(n_obs)
     r = z1 + 0.5 * z2 + 0.3 * gen.standard_normal(n_obs)
     y = theta * r + b[i] + b[j] + 0.3 * gen.standard_normal(n_obs)
+    more = z1[:, None] + gen.standard_normal((n_obs, extra))
     return PolyadicSample(
         order=2,
         unit_labels=tuple(f"u{k}" for k in range(n)),
         index=index,
-        variables=np.column_stack([y, r, z1, z2, z3]),
-        variable_names=("y", "r", "z1", "z2", "z3"),
+        variables=np.column_stack([y, r, z1, z2, z3, more]),
+        variable_names=("y", "r", "z1", "z2", "z3") + tuple(f"z{4 + k}" for k in range(extra)),
     )
 
 

@@ -3,8 +3,9 @@
 These deliberately avoid the package's own code paths: the scaled OLS runs
 a least-squares fit on rescaled data, the PPML oracles are a from-scratch
 IRLS loop and a damped Newton on one weight row, the shared-unit cross term
-is a literal triple loop, and the GMM oracle minimizes by grid search plus
-golden-section refinement.
+is a literal triple loop, and the GMM oracles are a grid search plus
+golden-section refinement and a closed-form linear-IV GMM built from direct
+weighted sums over the observations.
 """
 
 import math
@@ -81,6 +82,40 @@ def newton_ppml(y, x, w, max_iter=100):
     if norm <= 1e-8:
         return theta, max_iter, None
     return None, max_iter, f"SolverError: ppml did not converge (residual {norm:.3e})"
+
+
+def linear_gmm(y, r, z, w, mode="two-step", style="centered", iter_tol=1e-8, iter_max=50):
+    """Linear-IV GMM on one weight row in closed form: ``(theta, rounds)``.
+
+    Each minimization is theta = (A' Omega A)^{-1} A' Omega b with
+    A = sum w z r' and b = sum w z y. The weight matrix is rebuilt from the
+    observations at the latest theta: the inverse of sum w (psi - psibar)
+    (psi - psibar)', or for iterated acm of (sum w e^2) sum w z z'. Iterated
+    rounds stop once theta moves by at most iter_tol; None when they never do.
+    """
+    a, b = z.T @ (w[:, None] * r), z.T @ (w * y)
+
+    def argmin(omega):
+        return np.linalg.solve(a.T @ omega @ a, a.T @ omega @ b)
+
+    def omega_at(theta):
+        e = y - r @ theta
+        if mode == "iterated" and style == "acm":
+            return np.linalg.inv((w @ (e * e)) * (z.T @ (w[:, None] * z)))
+        psi = e[:, None] * z
+        centered = psi - w @ psi
+        return np.linalg.inv(centered.T @ (w[:, None] * centered))
+
+    theta = argmin(np.eye(z.shape[1]))
+    if mode == "one-step":
+        return theta, 0
+    for rounds in range(1, (iter_max if mode == "iterated" else 1) + 1):
+        new = argmin(omega_at(theta))
+        moved = np.linalg.norm(new - theta)
+        theta = new
+        if mode == "two-step" or moved <= iter_tol:
+            return theta, rounds
+    return None, iter_max
 
 
 def phi_tilde_matrix(moment, sample, theta):

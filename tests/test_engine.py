@@ -6,11 +6,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polyboot as pb
-from polyboot import rng, weights
+from polyboot import linear_iv, rng, weights
 from polyboot.errors import DegenerateDraw, SingularDesign, SolverError
 from polyboot.estimators import linear_statistic
 from polyboot.fixtures import gravity_sample
@@ -30,7 +30,7 @@ COMBOS = [
 ]
 
 
-def shaped_sample(shape, n, seed, keep=0.7):
+def shaped_sample(shape, n, seed, keep=0.7, columns=("y", "x")):
     """Dyadic sample with about ``keep`` of the dyads observed, optionally
     with two unit groups and/or two cluster levels."""
     gen = np.random.default_rng(seed)
@@ -45,8 +45,8 @@ def shaped_sample(shape, n, seed, keep=0.7):
         order=2,
         unit_labels=tuple(f"u{i}" for i in range(n)),
         index=index,
-        variables=gen.standard_normal((len(index), 2)),
-        variable_names=("y", "x"),
+        variables=gen.standard_normal((len(index), len(columns))),
+        variable_names=columns,
         group_of_unit=tuple(i % 2 for i in range(n)) if "grouped" in shape else None,
         cluster_ids=clusters,
         cluster_labels=labels,
@@ -129,6 +129,13 @@ MEAN = pb.EstimatorSpec(kind="mean", column="y")
 OLS = pb.EstimatorSpec(kind="ols", y="y", x=("x",), intercept=True)
 GMM_OLS = pb.EstimatorSpec(kind="gmm", builtin_moment="ols", y="y", x=("x",), intercept=True)
 PPML = pb.EstimatorSpec(kind="ppml", y="y", x=("x",), intercept=True)
+IV_TWO_STEP, IV_ITERATED = (
+    pb.EstimatorSpec(
+        kind="gmm", builtin_moment="linear-iv", y="y", x=("x",), instruments=("z1", "z2", "z3"),
+        gmm_mode=mode,
+    )
+    for mode in ("two-step", "iterated")
+)
 SINGULAR = "SingularDesign: weighted Gram matrix is numerically singular"
 
 
@@ -201,23 +208,37 @@ def test_matrix_kernels_match_per_draw_estimates(spec, scheme, seed, n_draws, ro
     assert np.all(np.abs(res.draws - expected) <= 1e-12 * scale)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=15, deadline=None)
 @given(
-    st.sampled_from([MEAN, OLS, GMM_OLS, PPML]),
+    st.sampled_from([MEAN, OLS, GMM_OLS, PPML, IV_TWO_STEP, IV_ITERATED]),
     st.sampled_from(COMBOS),
     st.integers(0, 2**63),
 )
 def test_draws_byte_identical_for_any_threads(spec, combo, seed):
     scheme, shape = combo
-    s = shaped_sample(shape, 6, seed % 1013, keep=1.0)
+    if spec.builtin_moment == "linear-iv":  # instruments that move the regressor
+        s = shaped_sample(shape, 6, seed % 1013, keep=1.0, columns=("y", "x", "z1", "z2", "z3"))
+        v = s.variables.copy()
+        v[:, 1] += v[:, 2] + v[:, 3]
+        s = dataclasses.replace(s, variables=v)
+        try:  # about 1 sample in 1,000 does not iterate to a fixed point even at
+            # the point estimate, per row and batched alike
+            pb.evaluate_estimator(spec, s, pb.uniform_weights(s))
+        except SolverError:
+            assume(False)
+    else:
+        s = shaped_sample(shape, 6, seed % 1013, keep=1.0)
     if spec is PPML:  # PPML needs a nonnegative y
         s = dataclasses.replace(s, variables=np.abs(s.variables))
     alpha = 3.0 if scheme == "prior" else None
     outputs = set()
     with pytest.MonkeyPatch.context() as mp:
-        # 30 draws in 3 (mean), 8 (GMM and PPML) or 15 (OLS) blocks
-        rows = PPML_ROW_FLOATS if spec is PPML else 1
-        mp.setattr(weights, "BLOCK_BYTES", 8 * s.n_obs * 4 * rows)
+        # 30 draws in 3 (mean), 8 (GMM, PPML and linear IV) or 15 (OLS) blocks
+        row_floats = s.n_obs * (PPML_ROW_FLOATS if spec is PPML else 1)
+        if spec.builtin_moment == "linear-iv":  # a draw's weights and feature sums
+            features, _ = linear_iv.linear_iv_gmm(spec, s)
+            row_floats = linear_iv.IV_ROW_FLOATS * (s.n_obs + features.shape[1])
+        mp.setattr(weights, "BLOCK_BYTES", 8 * 4 * row_floats)
         for threads in (None, 1, 2, 4):
             res = pb.run_bootstrap(
                 s, spec, scheme, n_draws=30, seed=seed, alpha=alpha, threads=threads
@@ -488,6 +509,32 @@ def test_halved_ppml_steps_equal_per_row_newton():
     ]:
         assert np.all(np.abs(theta - expected) <= 1e-12 * np.max(np.abs(expected)))
         assert info == {"iterations": it}
+
+
+def test_ppml_takes_the_fortieth_step_halving():
+    # intercept only, y = (0, Y), equal weights: from the log(y + 1) start the
+    # Newton step is about sqrt(Y) / 2, and at Y = 1e27 only its 40th length,
+    # 2**-39, lowers the residual. The row moves on from there and stalls
+    # later in rounding (the residual tolerance is absolute); with 39
+    # halvings it would stall at the start
+    big = 1e27
+    y, x, w = np.array([0.0, big]), np.ones((2, 1)), np.full(2, 0.5)
+    s = pb.PolyadicSample(2, ("a", "b"), pb.full_index_set(2, 2), y[:, None], ("y",))
+    spec = pb.EstimatorSpec(kind="ppml", y="y", intercept=True)
+
+    def norm(theta):
+        with np.errstate(over="ignore"):  # the full step overflows
+            mu = np.exp(theta)
+        return abs(0.5 * (0 - mu) + 0.5 * (big - mu))
+
+    start = 0.5 * np.log1p(big)
+    step = (0.5 * big - np.exp(start)) / np.exp(start)
+    tries = [norm(start + 0.5**k * step) < norm(start) for k in range(41)]
+    assert tries.index(True) == 39
+    assert oracles.newton_ppml(y, x, w)[2] == "SolverError: ppml line search stalled"
+    with pytest.raises(SolverError, match="ppml line search stalled") as stalled:
+        pb.evaluate_estimator(spec, s, pb.uniform_weights(s))
+    assert stalled.value.residual < 1e-6 * norm(start)
 
 
 def test_sparse_sample_keeps_the_weight_matrix():

@@ -28,7 +28,13 @@ def test_kernel_timing_runs(monkeypatch, capsys):
     dgp = pb.coverage.ols_unit_effects_dgp(6)
     monkeypatch.setattr(timing, "SHAPES", [("ols n=6 B=20 bayes", dgp, timing.OLS, "bayes", 20)])
     monkeypatch.setattr(timing, "PPML_SHAPES", [("ppml n=8 B=20 bayes", 8, "bayes", 20)])
+    monkeypatch.setattr(timing, "IV_SHAPES", [
+        ("iv two-step n=8 L=3 B=20 bayes", 8, 3, "two-step", "centered", "bayes", 20),
+        ("iv iter-acm n=8 L=5 B=20 bayes", 8, 5, "iterated", "acm", "bayes", 20),
+    ])
     timing.main(repeats=1)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 4 and lines[1].startswith("ols n=6 B=20 bayes")
+    assert len(lines) == 7 and lines[1].startswith("ols n=6 B=20 bayes")
     assert lines[3].startswith("ppml n=8 B=20 bayes") and float(lines[3].split()[-1]) < 1e-12
+    assert lines[5].startswith("iv two-step n=8 L=3") and lines[6].startswith("iv iter-acm n=8 L=5")
+    assert all(float(line.split()[-1]) < 1e-12 for line in lines[5:])

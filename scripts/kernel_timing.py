@@ -15,12 +15,10 @@ Newton on the same weight rows two ways: row by row (the test suite's
 oracle, ``tests/oracles.py``) and batched over the engine's blocks
 (``ppml.ppml_newton``), and prints the largest difference between
 their draws relative to each parameter's largest draw. A last table
-times linear-IV GMM on ``overidentified_iv_sample(n=30)``: per-row
-``estimators.gmm`` against the batched ``linear_iv.linear_iv_gmm``, on
-solver-mix's jobs (L = 3 instruments) and on wider ones, with the size of
-the kernel's features. A shape whose features pass
-``linear_iv.FEATURE_BYTES`` (marked ``*``) runs per row in the bootstrap;
-the kernel is timed on it anyway.
+times linear-IV GMM: per-row ``estimators.gmm`` against the closed form
+of ``linear_iv.linear_iv_gmm`` over the engine's blocks, on solver-mix's
+jobs (``overidentified_iv_sample(n=30)``, L = 3 instruments) and on six
+instruments over the 89,700 dyads of n=300, the size of cli-large's CSV.
 
 Usage: PYTHONPATH=src python scripts/kernel_timing.py [repeats]
 """
@@ -55,8 +53,7 @@ IV_SHAPES = [  # (label, units, instruments, GMM mode, weight style, scheme, dra
     ("iv 2-step n=30 L=3 B=200 pigeon", 30, 3, "two-step", "centered", "pigeonhole", 200),
     ("iv iterated n=30 L=3 B=100 bayes", 30, 3, "iterated", "centered", "bayes", 100),
     ("iv iter-acm n=30 L=3 B=100 bayes", 30, 3, "iterated", "acm", "bayes", 100),
-    ("iv 2-step n=30 L=12 B=50 bayes", 30, 12, "two-step", "centered", "bayes", 50),
-    ("iv 2-step n=30 L=20 B=50 bayes", 30, 20, "two-step", "centered", "bayes", 50),
+    ("iv 2-step n=300 L=6 B=20 bayes", 300, 6, "two-step", "centered", "bayes", 20),
 ]
 
 
@@ -113,9 +110,9 @@ def timed(fn, repeats, *args):
     return statistics.median(times), out
 
 
-def print_pair(label, ms_row, ms_batch, a, b, extra=""):
+def print_pair(label, ms_row, ms_batch, a, b):
     diff = np.max(np.abs(a - b) / np.max(np.abs(a), axis=0))
-    print(f"{label:32} {ms_row:16.1f} {ms_batch:14.1f} {extra}{diff:13.1e}")
+    print(f"{label:32} {ms_row:16.1f} {ms_batch:14.1f} {diff:13.1e}")
 
 
 def main(repeats=5):
@@ -142,8 +139,7 @@ def main(repeats=5):
         step = weights.block_rows(n_draws, PPML_ROW_FLOATS * sample.n_obs)
         ms_batch, b = timed(batched, repeats, solve, rows, step)
         print_pair(label, ms_row, ms_batch, a, b)
-    print(f"{'shape':32} {'per-row ms':>16} {'batched ms':>14} {'features MB':>12} "
-          f"{'max rel diff':>13}")
+    print(f"{'shape':32} {'per-row ms':>16} {'batched ms':>14} {'max rel diff':>13}")
     for label, n, n_instruments, mode, style, scheme, n_draws in IV_SHAPES:
         sample = overidentified_iv_sample(n=n, extra=n_instruments - 3)
         spec = EstimatorSpec(
@@ -152,15 +148,10 @@ def main(repeats=5):
         )
         rows = weights.weights_for_block(sample, scheme, 7, 0, n_draws)
         ms_row, a = timed(gmm_per_row, repeats, spec, sample, rows)
-        bound, linear_iv.FEATURE_BYTES = linear_iv.FEATURE_BYTES, np.inf
-        features, finish = linear_iv.linear_iv_gmm(spec, sample)
-        linear_iv.FEATURE_BYTES = bound
-        step = weights.block_rows(
-            n_draws, linear_iv.IV_ROW_FLOATS * (sample.n_obs + features.shape[1])
-        )
-        ms_batch, b = timed(batched, repeats, lambda w: finish(w @ features), rows, step)
-        mark = "*" if features.nbytes > bound else " "
-        print_pair(label, ms_row, ms_batch, a, b, f"{features.nbytes / 2**20:11.2f}{mark} ")
+        step = weights.block_rows(n_draws, linear_iv.IV_ROW_FLOATS * sample.n_obs)
+        solve = linear_iv.linear_iv_gmm(spec, sample)
+        ms_batch, b = timed(batched, repeats, solve, rows, step)
+        print_pair(label, ms_row, ms_batch, a, b)
 
 
 if __name__ == "__main__":

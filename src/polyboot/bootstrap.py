@@ -17,11 +17,10 @@ at most four entries per observation (n**P * T <= 4 N) the sums come from
 normalizer v'M v is not finite or below e**-600 has its weight row built
 from the same draws instead. Sparser samples multiply each block of the
 weight matrix by the features. PPML solves a block of weight rows with one
-damped Newton (``ppml.ppml_newton``), in blocks of ``ppml.PPML_ROW_FLOATS``
-values per draw and observation. Overidentified linear-IV GMM is one
-Gauss-Newton on a block's weighted feature sums (``linear_iv.linear_iv_gmm``),
-in blocks of ``linear_iv.IV_ROW_FLOATS`` values per draw and per
-observation or feature; other GMM moments evaluate the estimator on each
+damped Newton (``ppml.ppml_newton``) and linear-IV GMM with one exact
+weighted solve per re-weighting round (``linear_iv.linear_iv_gmm``), in
+blocks of ``ppml.PPML_ROW_FLOATS`` or ``linear_iv.IV_ROW_FLOATS`` values per
+draw and observation; other GMM moments evaluate the estimator on each
 weight row.
 
 Blocks run serially unless ``threads`` > 1 maps them over a thread pool;
@@ -137,25 +136,15 @@ def _block_estimator(sample, spec, n_draws):
     failed row raises its draw failure, and rows without a positive weight
     are added to ``failed``. Mean, OLS, PPML and linear-IV GMM solve a whole
     block at once."""
-    if spec.kind == "ppml":
-        solve = ppml_newton(spec, sample)
+    solve = ppml_newton(spec, sample) if spec.kind == "ppml" else linear_iv_gmm(spec, sample)
+    if solve is not None:
 
         def for_block(log_units, log_levels, failed):
             # a failed row is NaN, so its start is singular and it never iterates
             return solve(product_weights(sample, log_units, log_levels, failed))
 
-        return block_rows(n_draws, PPML_ROW_FLOATS * sample.n_obs), for_block
-
-    iv = linear_iv_gmm(spec, sample)
-    if iv is not None:
-        features, finish = iv
-
-        def for_block(log_units, log_levels, failed):
-            # a failed row is NaN: it never iterates
-            return finish(product_weights(sample, log_units, log_levels, failed) @ features)
-
-        row_floats = IV_ROW_FLOATS * (sample.n_obs + features.shape[1])
-        return block_rows(n_draws, row_floats), for_block
+        row_floats = PPML_ROW_FLOATS if spec.kind == "ppml" else IV_ROW_FLOATS
+        return block_rows(n_draws, row_floats * sample.n_obs), for_block
 
     linear = linear_statistic(spec, sample)
     if linear is None:

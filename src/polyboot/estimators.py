@@ -8,13 +8,14 @@ uniform-weight point estimate and every resampling draw. Mean and OLS are
 closed forms in weighted feature sums, defined once in
 ``linear_statistic``: the point estimate is its one-row case, and the
 bootstrap engine finishes a block of draws with one batched normal-equation
-solve. PPML (``ppml.ppml_newton``) and overidentified linear-IV GMM
-(``linear_iv.linear_iv_gmm``) solve a block of weight rows at once, each
-row taking the steps it would take alone; the point estimate is the
-one-row case. ``gmm`` is the per-row GMM of the other moments, one-step,
-two-step (centered weight matrix re-estimated at the step-1 solution) or
-iterated, with the weight matrices of ``gmm_weights``; just-identified
-systems are solved as moment roots.
+solve. PPML (``ppml.ppml_newton``, a damped Newton in which each row takes
+the steps it would take alone) and linear-IV GMM (``linear_iv.linear_iv_gmm``,
+one exact weighted solve per re-weighting round) solve a block of weight
+rows at once; the point estimate is the one-row case. ``gmm`` is the
+per-row GMM of user moments and the other builtins, one-step, two-step
+(centered weight matrix re-estimated at the step-1 solution) or iterated,
+with the weight matrices of ``gmm_weights``; just-identified systems are
+solved as moment roots.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ class MomentFunction:
 
 @dataclass(frozen=True)
 class SolverSettings:
+    """Tolerances and limits of the per-row solvers. Builtin linear-IV GMM
+    minimizes in closed form, so ``init``, ``foc_tol`` and ``max_iter`` do
+    not affect it; ``iter_tol`` and ``iter_max`` bound its iterated rounds."""
+
     foc_tol: float = 1e-8
     root_tol: float = 1e-10
     max_iter: int = 100
@@ -449,7 +454,9 @@ def gmm(moment, sample, weights, settings=None, mode="two-step", weight_style="c
     ``weight_style`` (centered or acm) matrix until theta moves by at most
     iter_tol (info: ``iterations``, ``objective_trace``). Just-identified
     systems are solved directly as moment roots, where the weight matrix is
-    irrelevant.
+    irrelevant. ``evaluate_estimator`` and the bootstrap solve the builtin
+    linear-IV moment with ``linear_iv.linear_iv_gmm`` instead, where
+    ``settings.init``, ``foc_tol`` and ``max_iter`` play no part.
     """
     if mode not in ("one-step", "two-step", "iterated") or weight_style not in ("centered", "acm"):
         raise ParamError(f"unknown gmm mode {mode!r} or weight style {weight_style!r}")
@@ -574,7 +581,7 @@ def evaluate_estimator(spec: EstimatorSpec, sample: PolyadicSample, weights) -> 
         return ppml_newton(spec, sample)(weights.weights[None])(0)
     iv = linear_iv_gmm(spec, sample)
     if iv is not None:
-        return iv[1](weights.weights[None] @ iv[0])(0)
+        return iv(weights.weights[None])(0)
     return gmm(
         build_moment(spec, sample), sample, weights, spec.settings, spec.gmm_mode, spec.weight_style
     )

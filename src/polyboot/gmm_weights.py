@@ -2,7 +2,7 @@
 floored at RIDGE_FLOOR times the largest. ``invert_psd`` is the one rule,
 over a stack of covariances; the per-row ``centered_weight_matrix`` and
 ``acm_weight_matrix`` are its one-row case, and ``linear_iv`` applies it to
-a block of draws at once.
+the covariances that each closed-form round builds for a block of draws.
 """
 
 from __future__ import annotations

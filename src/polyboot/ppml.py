@@ -23,7 +23,7 @@ def _max_norm(m):
     return np.where(np.isfinite(m).all(axis=1), np.abs(m).max(axis=1), np.inf)
 
 
-def solve_rows(jac, rhs):
+def _solve_rows(jac, rhs):
     """Solve jac_r step_r = rhs_r for each row: ``(steps (R, K), singular
     (R,))``. When the stacked solve raises, each row is solved alone and a row
     that raises is singular."""
@@ -90,7 +90,7 @@ def ppml_newton(spec: EstimatorSpec, sample: PolyadicSample):
                     message = f"ppml did not converge (residual {residual_norm:.3e})"
                     errors[int(r)] = SolverError(message, residual=float(residual_norm))
                 break
-            step, failed = solve_rows(-((w * mu) @ xx).reshape(-1, k, k), -m)
+            step, failed = _solve_rows(-((w * mu) @ xx).reshape(-1, k, k), -m)
             t, search = np.ones(len(live)), np.flatnonzero(~failed)
             for tries in range(40):
                 if not search.size:

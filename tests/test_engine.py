@@ -10,10 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polyboot as pb
-from polyboot import linear_iv, rng, weights
+from polyboot import rng, weights
 from polyboot.errors import DegenerateDraw, SingularDesign, SolverError
 from polyboot.estimators import linear_statistic
 from polyboot.fixtures import gravity_sample
+from polyboot.linear_iv import IV_ROW_FLOATS
 from polyboot.ppml import PPML_ROW_FLOATS, ppml_newton
 from conftest import random_dyadic_sample
 import oracles
@@ -221,8 +222,9 @@ def test_draws_byte_identical_for_any_threads(spec, combo, seed):
         v = s.variables.copy()
         v[:, 1] += v[:, 2] + v[:, 3]
         s = dataclasses.replace(s, variables=v)
-        try:  # about 1 sample in 1,000 does not iterate to a fixed point even at
-            # the point estimate, per row and batched alike
+        try:  # about 1 sample in 2,000 does not reach iterated GMM's fixed point
+            # within iter_max rounds even at the point estimate: the re-weighting
+            # converges that slowly however exactly each round is solved
             pb.evaluate_estimator(spec, s, pb.uniform_weights(s))
         except SolverError:
             assume(False)
@@ -234,11 +236,10 @@ def test_draws_byte_identical_for_any_threads(spec, combo, seed):
     outputs = set()
     with pytest.MonkeyPatch.context() as mp:
         # 30 draws in 3 (mean), 8 (GMM, PPML and linear IV) or 15 (OLS) blocks
-        row_floats = s.n_obs * (PPML_ROW_FLOATS if spec is PPML else 1)
-        if spec.builtin_moment == "linear-iv":  # a draw's weights and feature sums
-            features, _ = linear_iv.linear_iv_gmm(spec, s)
-            row_floats = linear_iv.IV_ROW_FLOATS * (s.n_obs + features.shape[1])
-        mp.setattr(weights, "BLOCK_BYTES", 8 * 4 * row_floats)
+        row_floats = PPML_ROW_FLOATS if spec is PPML else 1
+        if spec.builtin_moment == "linear-iv":
+            row_floats = IV_ROW_FLOATS
+        mp.setattr(weights, "BLOCK_BYTES", 8 * 4 * s.n_obs * row_floats)
         for threads in (None, 1, 2, 4):
             res = pb.run_bootstrap(
                 s, spec, scheme, n_draws=30, seed=seed, alpha=alpha, threads=threads

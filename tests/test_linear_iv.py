@@ -1,6 +1,6 @@
-"""The batched linear-IV GMM kernel (``linear_iv.linear_iv_gmm``): its draws
-against per-row ``gmm`` and a closed-form oracle, and its failure paths, each
-crafted row alone and inside a block."""
+"""The closed-form linear-IV GMM kernel (``linear_iv.linear_iv_gmm``): its
+draws against the closed-form oracle and per-row ``gmm``, and its failure
+paths, each crafted row alone and inside a block."""
 
 import dataclasses
 
@@ -8,20 +8,22 @@ import numpy as np
 import pytest
 
 import polyboot as pb
-from polyboot import bootstrap, linear_iv, weights
-from polyboot.errors import DegenerateDraw, SingularWeightMatrix, SolverError
+from polyboot import bootstrap, estimators, linear_iv, weights
+from polyboot.errors import DegenerateDraw, SingularDesign, SingularWeightMatrix, SolverError
 from polyboot.fixtures import overidentified_iv_sample
 import oracles
 
 IV = dict(kind="gmm", builtin_moment="linear-iv", y="y", x=("r",), instruments=("z1", "z2", "z3"))
-NOT_MINIMIZED = "SolverError: GMM minimization did not reach the first-order conditions"
+SINGULAR = "SingularDesign: linear-IV GMM normal equations are numerically singular"
+MODES = [("one-step", "centered"), ("two-step", "centered"), ("iterated", "acm"),
+         ("iterated", "centered")]
 
 
 def outcome(evaluate):
     """``(theta, info)``, or the reason a failed draw records."""
     try:
         return evaluate()
-    except (SolverError, SingularWeightMatrix) as exc:
+    except (SolverError, SingularWeightMatrix, SingularDesign) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -37,14 +39,15 @@ def per_row(spec, sample, w):
 
 def kernel(spec, sample, rows):
     """The kernel's ``row`` function for the weight rows (R, N)."""
-    features, finish = linear_iv.linear_iv_gmm(spec, sample)
-    return finish(rows @ features)
+    return linear_iv.linear_iv_gmm(spec, sample)(rows)
 
 
-def block_bytes(spec, sample, rows):
-    """A BLOCK_BYTES that puts ``rows`` draws in each of the engine's IV blocks."""
-    features, _ = linear_iv.linear_iv_gmm(spec, sample)
-    return 8 * rows * linear_iv.IV_ROW_FLOATS * (sample.n_obs + features.shape[1])
+def no_per_row_gmm(monkeypatch):
+    """Make ``evaluate_estimator`` fail if it reaches the per-row ``gmm``."""
+    def per_row_gmm(*args, **kwargs):
+        raise AssertionError("the per-row gmm was called")
+
+    monkeypatch.setattr(estimators, "gmm", per_row_gmm)
 
 
 def assert_same_outcome(got, expected, tol):
@@ -64,41 +67,42 @@ def assert_same_outcome(got, expected, tol):
             assert value == info_ref[key]
 
 
+def assert_oracle(spec, sample, w, theta, info):
+    """The draw is within 1e-12 of ``oracles.linear_gmm`` with as many rounds."""
+    y, r = sample.column("y"), estimators.regressors(sample, spec.x, spec.intercept)
+    z = estimators.regressors(sample, spec.instruments, spec.intercept)
+    expected, rounds = oracles.linear_gmm(y, r, z, w, spec.gmm_mode, spec.weight_style)
+    assert np.all(np.abs(theta - expected) <= 1e-12 * np.abs(expected))
+    if spec.gmm_mode == "iterated":
+        assert info["iterations"] == rounds
+
+
 @pytest.mark.parametrize("scheme", ["bayes", "pigeonhole", "prior"])
-@pytest.mark.parametrize(
-    "mode, style",
-    [("one-step", "centered"), ("two-step", "centered"), ("iterated", "acm"),
-     ("iterated", "centered")],
-)
+@pytest.mark.parametrize("mode, style", MODES)
 def test_batched_linear_iv_equals_per_row_gmm_and_oracle(scheme, mode, style):
-    s = overidentified_iv_sample(n=12)
     spec = pb.EstimatorSpec(**IV, gmm_mode=mode, weight_style=style)
-    alpha = s.n_units / 2 if scheme == "prior" else None
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weights, "BLOCK_BYTES", block_bytes(spec, s, 7))
-        assert bootstrap._block_estimator(s, spec, 40)[0] == 7  # 40 draws in blocks of 7
-        res = pb.run_bootstrap(s, spec, scheme, n_draws=40, seed=9, alpha=alpha)
-    # iterated centered rounds may end on either of two starts whose
-    # objectives tie to rounding, so those draws agree to the solver's tolerance
+    # per-row iterated centered rounds may end on either of two starts whose
+    # objectives tie to rounding, so per-row draws agree to its tolerance
     tol = 1e-8 if (mode, style) == ("iterated", "centered") else 1e-12
-    y, r, z = s.column("y"), s.variables[:, 1:2], s.variables[:, 2:]
-    draws, failures = [], []
-    for b in range(40):
-        try:
-            w = pb.weights_for_draw(s, scheme, 9, b, alpha=alpha).weights
-        except DegenerateDraw as exc:
-            failures.append((b, f"DegenerateDraw: {exc}"))
-            continue
-        expected = per_row(spec, s, w)
-        assert not isinstance(expected, str)
-        draws.append(expected)
-        theta, rounds = oracles.linear_gmm(y, r, z, w, mode, style)
-        assert np.all(np.abs(theta - expected[0]) <= tol * np.abs(theta))
-        if mode == "iterated":
-            assert expected[1]["iterations"] == rounds
-    assert res.failures == tuple(failures) and len(res.draws) == len(draws)
-    for theta, info, expected in zip(res.draws, res.draw_metadata, draws):
-        assert_same_outcome((theta, info), expected, tol)
+    for n, n_draws in ((12, 40), (30, 16)):
+        s = overidentified_iv_sample(n=n)
+        alpha = s.n_units / 2 if scheme == "prior" else None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weights, "BLOCK_BYTES", 8 * 7 * linear_iv.IV_ROW_FLOATS * s.n_obs)
+            assert bootstrap._block_estimator(s, spec, n_draws)[0] == 7  # blocks of 7 draws
+            res = pb.run_bootstrap(s, spec, scheme, n_draws=n_draws, seed=9, alpha=alpha)
+        draws, failures = [], []
+        for b in range(n_draws):
+            try:
+                w = pb.weights_for_draw(s, scheme, 9, b, alpha=alpha).weights
+            except DegenerateDraw as exc:
+                failures.append((b, f"DegenerateDraw: {exc}"))
+                continue
+            draws.append((w, per_row(spec, s, w)))
+        assert res.failures == tuple(failures) and len(res.draws) == len(draws)
+        for theta, info, (w, expected) in zip(res.draws, res.draw_metadata, draws):
+            assert_oracle(spec, s, w, theta, info)
+            assert_same_outcome((theta, info), expected, tol)
 
 
 def test_degenerate_rows_keep_their_place_in_a_block(iv_sample):
@@ -117,10 +121,11 @@ def test_degenerate_rows_keep_their_place_in_a_block(iv_sample):
 def crafted_sample():
     """``overidentified_iv_sample(n=4)`` whose first two dyads have y = 0,
     r = 1 and -1, and the same instruments: with half the weight on each,
-    the moment is zero at every theta."""
+    A = sum w z r' is zero. On its third dyad r = 1 and z = (1, 0, 0): with
+    all the weight there, theta fits it exactly."""
     s = overidentified_iv_sample(n=4)
     v = s.variables.copy()
-    v[0], v[1] = [0, 1, 1, 2, 3], [0, -1, 1, 2, 3]
+    v[0], v[1], v[2] = [0, 1, 1, 2, 3], [0, -1, 1, 2, 3], [0.5, 1, 1, 0, 0]
     return dataclasses.replace(s, variables=v)
 
 
@@ -128,17 +133,24 @@ def failure_case(name):
     """(sample, spec, weight rows, expected reason per row or None)."""
     s = crafted_sample()
     n = s.n_obs
-    uniform, tilted, pair = np.full(n, 1 / n), np.arange(n) / (n * (n - 1) / 2), np.zeros(n)
-    pair[:2] = 0.5
+    uniform, tilted = np.full(n, 1 / n), np.arange(n) / (n * (n - 1) / 2)
+    pair, one = np.zeros((2, n))
+    pair[:2], one[2] = 0.5, 1.0
+    if name == "singular normal equations":
+        return s, pb.EstimatorSpec(**IV), [pair, uniform], [SINGULAR, None]
     if name == "non-finite covariance":
-        # from the start 1e160 the zero moment keeps theta there, and the
-        # residuals -+1e160 overflow the covariance
-        spec = pb.EstimatorSpec(**IV, settings=pb.SolverSettings(init=(1e160,)))
-        return s, spec, [pair], ["SingularWeightMatrix: non-finite moment covariance"]
+        # y near 1e160: the squared residuals overflow
+        s = overidentified_iv_sample(n=5)
+        v = s.variables.copy()
+        v[:, 0] *= 1e160
+        s = dataclasses.replace(s, variables=v)
+        rows = list(pb.weights_for_block(s, "bayes", 3, 0, 3))
+        reason = "SingularWeightMatrix: non-finite moment covariance"
+        return s, pb.EstimatorSpec(**IV), rows, [reason] * 3
     if name == "no positive eigenvalue":
         spec = pb.EstimatorSpec(**IV)
         reason = "SingularWeightMatrix: moment covariance has no positive eigenvalue"
-        return s, spec, [np.zeros(n), uniform], [reason, None]
+        return s, spec, [one, uniform], [reason, None]
     if name == "ridged":
         # an instrument that is zero everywhere: its covariance row is zero
         s = overidentified_iv_sample(n=5)
@@ -147,93 +159,97 @@ def failure_case(name):
         s = dataclasses.replace(s, variables=v)
         rows = list(pb.weights_for_block(s, "bayes", 3, 0, 4))
         return s, pb.EstimatorSpec(**IV), rows, [None] * 4
-    if name == "first-order conditions":
-        spec = pb.EstimatorSpec(**IV, settings=pb.SolverSettings(max_iter=0))
-        return s, spec, [uniform, tilted], [NOT_MINIMIZED] * 2
-    if name == "stalled line search":
-        # y and r near 1e7: the gradient's rounding stays far above foc_tol
-        s = overidentified_iv_sample(n=5)
-        v = s.variables.copy()
-        v[:, :2] *= 1e7
-        s = dataclasses.replace(s, variables=v)
-        rows = list(pb.weights_for_block(s, "bayes", 3, 0, 3))
-        return s, pb.EstimatorSpec(**IV), rows, [NOT_MINIMIZED] * 3
     assert name == "iter_max"
     spec = pb.EstimatorSpec(**IV, gmm_mode="iterated", settings=pb.SolverSettings(iter_max=1))
     reason = "SolverError: iterated GMM did not reach a fixed point"
     return s, spec, [uniform, tilted], [reason] * 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the per-row path on NaN and 1e160
 @pytest.mark.parametrize(
     "name",
-    ["non-finite covariance", "no positive eigenvalue", "ridged", "first-order conditions",
-     "stalled line search", "iter_max"],
+    ["singular normal equations", "non-finite covariance", "no positive eigenvalue", "ridged",
+     "iter_max"],
 )
-def test_crafted_rows_fail_as_they_would_alone(monkeypatch, name):
+def test_crafted_rows_fail_as_they_would_alone(name):
     s, spec, rows, reasons = failure_case(name)
     rows = np.array(rows + [np.full(s.n_obs, np.nan)])  # a degenerate draw's row
-    reasons = reasons + [NOT_MINIMIZED]
-    solved = []
-    gauss_newton = linear_iv._gauss_newton
-
-    def finite_only(b, a, *args):
-        solved.append(np.isfinite(b).all() and np.isfinite(a).all())
-        return gauss_newton(b, a, *args)
-
-    monkeypatch.setattr(linear_iv, "_gauss_newton", finite_only)
+    reasons = reasons + [SINGULAR]
     block = kernel(spec, s, rows)
     for i, (w, reason) in enumerate(zip(rows, reasons)):
-        expected = per_row(spec, s, w)
-        assert (expected if isinstance(expected, str) else None) == reason
         alone = kernel(spec, s, rows[i : i + 1])
         for got in (outcome(lambda: block(i)), outcome(lambda: alone(0))):
-            assert_same_outcome(got, expected, 1e-12)
-            if name == "ridged" and reason is None:
+            if reason is not None:
+                assert got == reason
+                continue
+            assert_same_outcome(got, per_row(spec, s, w), 1e-12)
+            if name == "ridged":
                 assert got[1] == {"weight_matrix_ridged": True}
-    assert solved and all(solved)  # the NaN row never iterates
+    if name in ("no positive eigenvalue", "iter_max"):  # per-row gmm fails alike
+        for w, reason in zip(rows[:-1], reasons):
+            assert reason is None or per_row(spec, s, w) == reason
+
+
+def test_duplicated_instruments_solve_alike_alone_and_in_a_block():
+    # z3 = z2: the centered covariance is singular and the weight matrix
+    # ridged, which left Gauss-Newton's outcome to rounding
+    s = overidentified_iv_sample(n=5)
+    v = s.variables.copy()
+    v[:, 4] = v[:, 3]
+    s = dataclasses.replace(s, variables=v)
+    spec = pb.EstimatorSpec(**IV)
+    rows = pb.weights_for_block(s, "bayes", 3, 0, 4)
+    block = kernel(spec, s, rows)
+    for i in range(len(rows)):
+        got, alone = outcome(lambda: block(i)), outcome(lambda: kernel(spec, s, rows[i : i + 1])(0))
+        assert not isinstance(got, str) and not isinstance(alone, str), (got, alone)
+        assert got[1] == alone[1] == {"weight_matrix_ridged": True}
+        # the ridged direction carries up to 1e12 times the others' weight, and
+        # the products with the weight matrix cancel to about 1e-6 relative
+        assert np.abs(got[0] - alone[0]) <= 1e-4 * np.abs(alone[0])
 
 
 def test_point_estimate_is_the_kernels_one_row_case(iv_sample):
-    for mode, style in [("two-step", "centered"), ("iterated", "centered"), ("iterated", "acm")]:
+    for mode, style in MODES:
         spec = pb.EstimatorSpec(**IV, gmm_mode=mode, weight_style=style)
         w = pb.uniform_weights(iv_sample)
         theta, info = pb.evaluate_estimator(spec, iv_sample, w)
         row = kernel(spec, iv_sample, w.weights[None])
         assert np.array_equal(theta, row(0)[0]) and info == row(0)[1]
+        assert_oracle(spec, iv_sample, w.weights, theta, info)
         tol = 1e-8 if style == "centered" and mode == "iterated" else 1e-12
         assert_same_outcome((theta, info), per_row(spec, iv_sample, w.weights), tol)
 
 
-def test_user_moments_and_just_identified_systems_run_per_row(iv_sample):
-    just = pb.EstimatorSpec(**{**IV, "instruments": ("z1",)})
+@pytest.mark.parametrize("mode, style", MODES)
+def test_just_identified_iv_takes_the_kernel_and_user_moments_run_per_row(
+    monkeypatch, iv_sample, mode, style
+):
+    just = pb.EstimatorSpec(**{**IV, "instruments": ("z1",)}, gmm_mode=mode, weight_style=style)
+    rows = pb.weights_for_block(iv_sample, "bayes", 5, 0, 12)
+    expected = [per_row(just, iv_sample, w) for w in rows]
+    no_per_row_gmm(monkeypatch)
+    res = pb.run_bootstrap(iv_sample, just, "bayes", n_draws=12, seed=5)
+    assert not res.failures
+    for theta, info, (theta_ref, info_ref) in zip(res.draws, res.draw_metadata, expected):
+        assert np.all(np.abs(theta - theta_ref) <= 1e-10 * np.abs(theta_ref))
+        assert info == info_ref
     moment = pb.build_moment(pb.EstimatorSpec(**IV), iv_sample)
     user = pb.EstimatorSpec(kind="gmm", moment=moment)
     ols = pb.EstimatorSpec(kind="gmm", builtin_moment="ols", y="y", x=("r",))
-    for spec in (just, user, ols):
+    for spec in (user, ols):
         assert linear_iv.linear_iv_gmm(spec, iv_sample) is None
 
 
-def test_specs_whose_features_pass_the_bound_run_per_row(monkeypatch):
-    # one regressor and 13 instruments, each with an intercept: p l = 3 * 14,
-    # and the two-step features u z and their pair products take
-    # 8 * 870 * (42 + 42 * 43 / 2) bytes, 6.6 MB; the acm features
-    # u z, z z' and u u' stay near 1 MB
+def test_wide_specs_take_the_kernel(monkeypatch):
+    # one regressor and 13 instruments, each with an intercept: p l = 3 * 14
+    # on 870 rows, past the 4 MB of quartic features that kept such a spec
+    # on the per-row path
     s = overidentified_iv_sample(n=30, extra=10)
     spec = pb.EstimatorSpec(**{**IV, "instruments": s.variable_names[2:]}, intercept=True)
-    assert linear_iv.linear_iv_gmm(spec, s) is None
-    acm = dataclasses.replace(spec, gmm_mode="iterated", weight_style="acm")
-    assert linear_iv.linear_iv_gmm(acm, s)[0].nbytes < 1.1 * 2**20
+    no_per_row_gmm(monkeypatch)
     res = pb.run_bootstrap(s, spec, "bayes", n_draws=3, seed=4)
+    assert not res.failures
     for b, info in enumerate(res.draw_metadata):
         w = pb.weights_for_draw(s, "bayes", 4, b).weights
+        assert_oracle(spec, s, w, res.draws[b], info)
         assert_same_outcome((res.draws[b], info), per_row(spec, s, w), 1e-12)
-    # the bound is on the features' bytes, checked before they are built
-    small = overidentified_iv_sample(n=6)
-    two_step = pb.EstimatorSpec(**IV)
-    nbytes = linear_iv.linear_iv_gmm(two_step, small)[0].nbytes
-    monkeypatch.setattr(linear_iv, "FEATURE_BYTES", nbytes)
-    assert linear_iv.linear_iv_gmm(two_step, small) is not None
-    monkeypatch.setattr(linear_iv, "FEATURE_BYTES", nbytes - 1)
-    monkeypatch.setattr(linear_iv, "_outer", None)  # never called
-    assert linear_iv.linear_iv_gmm(two_step, small) is None

@@ -36,5 +36,7 @@ def test_kernel_timing_runs(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 7 and lines[1].startswith("ols n=6 B=20 bayes")
     assert lines[3].startswith("ppml n=8 B=20 bayes") and float(lines[3].split()[-1]) < 1e-12
+    assert lines[4].split()[1:] == ["per-row", "ms", "batched", "ms", "max", "rel", "diff"]
     assert lines[5].startswith("iv two-step n=8 L=3") and lines[6].startswith("iv iter-acm n=8 L=5")
+    assert all(len(line.split()) == 9 for line in lines[5:])  # label, two times, the difference
     assert all(float(line.split()[-1]) < 1e-12 for line in lines[5:])

@@ -26,11 +26,11 @@ class GmmWeightMatrix:
 
 
 def invert_psd(cov) -> tuple:
-    """Weight matrices from a stack of moment covariances (R, L, L), each
-    symmetrized and inverted with its eigenvalues floored at RIDGE_FLOOR
-    times the largest: ``(matrices, ridged (R,), errors)``, where ``errors``
-    maps a row whose covariance is not finite or has no positive eigenvalue
-    to its SingularWeightMatrix (that row's matrix is meaningless)."""
+    """Weight matrices S S' from a stack of moment covariances (R, L, L), each
+    symmetrized, its eigenvalues floored at RIDGE_FLOOR times the largest:
+    ``(factors S = V diag(max(eigval, floor))^(-1/2), ridged (R,), errors)``,
+    where ``errors`` maps a row whose covariance is not finite or has no
+    positive eigenvalue to its SingularWeightMatrix (its factor is meaningless)."""
     cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
     finite = np.isfinite(cov).all(axis=(1, 2))
     eigval, eigvec = np.linalg.eigh(np.where(finite[:, None, None], cov, 0.0))
@@ -43,16 +43,16 @@ def invert_psd(cov) -> tuple:
     }
     floor = RIDGE_FLOOR * eigval[:, -1:]
     with np.errstate(divide="ignore", invalid="ignore"):  # only rows in errors divide by 0
-        matrix = (eigvec / np.maximum(eigval, floor)[:, None, :]) @ np.swapaxes(eigvec, 1, 2)
-    return 0.5 * (matrix + np.swapaxes(matrix, 1, 2)), (eigval < floor).any(axis=1), errors
+        factor = eigvec / np.sqrt(np.maximum(eigval, floor))[:, None, :]
+    return factor, (eigval < floor).any(axis=1), errors
 
 
 def _weight_matrix(cov, style) -> GmmWeightMatrix:
     """``invert_psd`` of one covariance, raising its SingularWeightMatrix."""
-    matrix, ridged, errors = invert_psd(np.atleast_2d(cov)[None])
+    factor, ridged, errors = invert_psd(np.atleast_2d(cov)[None])
     if errors:
         raise errors[0]
-    return GmmWeightMatrix(matrix[0], style, bool(ridged[0]))
+    return GmmWeightMatrix(factor[0] @ factor[0].T, style, bool(ridged[0]))  # exactly symmetric
 
 
 def centered_weight_matrix(moment, sample, weights, theta) -> GmmWeightMatrix:

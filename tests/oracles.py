@@ -5,10 +5,12 @@ a least-squares fit on rescaled data, the PPML oracles are a from-scratch
 IRLS loop and a damped Newton on one weight row, the shared-unit cross term
 is a literal triple loop, and the GMM oracles are a grid search plus
 golden-section refinement and a closed-form linear-IV GMM built from direct
-weighted sums over the observations.
+weighted sums over the observations, in floats and, for one and two steps,
+in exact rational arithmetic.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -116,6 +118,48 @@ def linear_gmm(y, r, z, w, mode="two-step", style="centered", iter_tol=1e-8, ite
         if mode == "two-step" or moved <= iter_tol:
             return theta, rounds
     return None, iter_max
+
+
+def _exact_solve(m, v):
+    """Solve m x = v in exact rational arithmetic, by Gauss-Jordan."""
+    rows = [list(row) + [rhs] for row, rhs in zip(m, v)]
+    for c in range(len(rows)):
+        p = next(i for i in range(c, len(rows)) if rows[i][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        for i in range(len(rows)):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c] / rows[c][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return [row[-1] / row[i] for i, row in enumerate(rows)]
+
+
+def exact_linear_gmm(y, r, z, w, mode="two-step"):
+    """One-step or two-step ``linear_gmm`` (centered weight matrix) on the
+    float inputs taken as exact rationals, rounded to float once at the end:
+    the answer to the rounding, however ill-conditioned A is."""
+    y, w = [Fraction(v) for v in y.tolist()], [Fraction(v) for v in w.tolist()]
+    r = [[Fraction(v) for v in row] for row in r.tolist()]
+    z = [[Fraction(v) for v in row] for row in z.tolist()]
+    cols = range(len(z[0]))
+    a = [[sum(wi * zi[p] * ri[q] for wi, zi, ri in zip(w, z, r)) for q in range(len(r[0]))]
+         for p in cols]
+    b = [sum(wi * zi[p] * yi for wi, zi, yi in zip(w, z, y)) for p in cols]
+
+    def argmin(cov):
+        # (Omega A)' A d = (Omega A)' b, with Omega A solved from cov
+        oa = a if cov is None else list(zip(*[_exact_solve(cov, col) for col in zip(*a)]))
+        gram = [[sum(oa[p][i] * a[p][j] for p in cols) for j in range(len(a[0]))]
+                for i in range(len(a[0]))]
+        return _exact_solve(gram, [sum(oa[p][i] * b[p] for p in cols) for i in range(len(a[0]))])
+
+    theta = argmin(None)
+    if mode == "two-step":
+        psi = [[(yi - sum(x * t for x, t in zip(ri, theta))) * zp for zp in zi]
+               for yi, ri, zi in zip(y, r, z)]
+        mean = [sum(wi * p[j] for wi, p in zip(w, psi)) for j in cols]
+        theta = argmin([[sum(wi * (p[i] - mean[i]) * (p[j] - mean[j]) for wi, p in zip(w, psi))
+                         for j in cols] for i in cols])
+    return np.array([float(t) for t in theta])
 
 
 def phi_tilde_matrix(moment, sample, theta):

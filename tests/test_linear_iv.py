@@ -14,7 +14,11 @@ from polyboot.fixtures import overidentified_iv_sample
 import oracles
 
 IV = dict(kind="gmm", builtin_moment="linear-iv", y="y", x=("r",), instruments=("z1", "z2", "z3"))
-SINGULAR = "SingularDesign: linear-IV GMM normal equations are numerically singular"
+SINGULAR = "SingularDesign: linear-IV GMM least-squares system is numerically singular"
+NOT_MINIMIZED = "SolverError: GMM minimization did not reach the first-order conditions"
+# per-row Gauss-Newton fails these crafted rows short of its first-order
+# conditions: with max_iter = 0 steps, and with its line search stalled
+GAUSS_NEWTON = ("first-order conditions", "stalled line search")
 MODES = [("one-step", "centered"), ("two-step", "centered"), ("iterated", "acm"),
          ("iterated", "centered")]
 
@@ -35,6 +39,12 @@ def per_row(spec, sample, w):
             spec.weight_style,
         )
     )
+
+
+def user_moment(spec, sample):
+    """``spec`` with its builtin moment passed as a user moment, which runs
+    per-row ``gmm``."""
+    return dataclasses.replace(spec, builtin_moment=None, moment=pb.build_moment(spec, sample))
 
 
 def kernel(spec, sample, rows):
@@ -136,8 +146,19 @@ def failure_case(name):
     uniform, tilted = np.full(n, 1 / n), np.arange(n) / (n * (n - 1) / 2)
     pair, one = np.zeros((2, n))
     pair[:2], one[2] = 0.5, 1.0
-    if name == "singular normal equations":
+    if name == "singular least squares":
         return s, pb.EstimatorSpec(**IV), [pair, uniform], [SINGULAR, None]
+    if name == "first-order conditions":
+        spec = pb.EstimatorSpec(**IV, settings=pb.SolverSettings(max_iter=0))
+        return s, spec, [uniform, tilted], [None] * 2
+    if name == "stalled line search":
+        # y and r near 1e7: the gradient's rounding stays far above foc_tol
+        s = overidentified_iv_sample(n=5)
+        v = s.variables.copy()
+        v[:, :2] *= 1e7
+        s = dataclasses.replace(s, variables=v)
+        rows = list(pb.weights_for_block(s, "bayes", 3, 0, 3))
+        return s, pb.EstimatorSpec(**IV), rows, [None] * 3
     if name == "non-finite covariance":
         # y near 1e160: the squared residuals overflow
         s = overidentified_iv_sample(n=5)
@@ -165,10 +186,11 @@ def failure_case(name):
     return s, spec, [uniform, tilted], [reason] * 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # per-row gmm on y near 1e160 and 1e7
 @pytest.mark.parametrize(
     "name",
-    ["singular normal equations", "non-finite covariance", "no positive eigenvalue", "ridged",
-     "iter_max"],
+    ["singular least squares", "non-finite covariance", "no positive eigenvalue", "ridged",
+     "first-order conditions", "stalled line search", "iter_max"],
 )
 def test_crafted_rows_fail_as_they_would_alone(name):
     s, spec, rows, reasons = failure_case(name)
@@ -180,13 +202,22 @@ def test_crafted_rows_fail_as_they_would_alone(name):
         for got in (outcome(lambda: block(i)), outcome(lambda: alone(0))):
             if reason is not None:
                 assert got == reason
-                continue
-            assert_same_outcome(got, per_row(spec, s, w), 1e-12)
-            if name == "ridged":
-                assert got[1] == {"weight_matrix_ridged": True}
+            elif name in GAUSS_NEWTON:
+                assert_oracle(spec, s, w, *got)
+            else:
+                assert_same_outcome(got, per_row(spec, s, w), 1e-12)
+                assert name != "ridged" or got[1] == {"weight_matrix_ridged": True}
     if name in ("no positive eigenvalue", "iter_max"):  # per-row gmm fails alike
         for w, reason in zip(rows[:-1], reasons):
             assert reason is None or per_row(spec, s, w) == reason
+    if name == "non-finite covariance":  # per-row Gauss-Newton's objective overflows first
+        for w in rows[:-1]:
+            assert per_row(spec, s, w) == NOT_MINIMIZED
+    if name in GAUSS_NEWTON:  # user moments keep per-row Gauss-Newton, which fails these rows
+        user = user_moment(spec, s)
+        for w in rows[:-1]:
+            got = outcome(lambda: pb.evaluate_estimator(user, s, pb.ObservationWeights(w)))
+            assert got == NOT_MINIMIZED
 
 
 def test_duplicated_instruments_solve_alike_alone_and_in_a_block():
@@ -203,9 +234,35 @@ def test_duplicated_instruments_solve_alike_alone_and_in_a_block():
         got, alone = outcome(lambda: block(i)), outcome(lambda: kernel(spec, s, rows[i : i + 1])(0))
         assert not isinstance(got, str) and not isinstance(alone, str), (got, alone)
         assert got[1] == alone[1] == {"weight_matrix_ridged": True}
-        # the ridged direction carries up to 1e12 times the others' weight, and
-        # the products with the weight matrix cancel to about 1e-6 relative
-        assert np.abs(got[0] - alone[0]) <= 1e-4 * np.abs(alone[0])
+        # the ridged direction carries up to 1e12 times the others' weight;
+        # through the factor S'A its near-zero components stay near zero
+        assert np.abs(got[0] - alone[0]) <= 1e-12 * np.abs(alone[0])
+
+
+@pytest.mark.parametrize("mode", ["one-step", "two-step"])
+def test_uncentered_columns_with_an_intercept_solve_to_their_conditioning(mode):
+    # with an intercept, a regressor and instruments 60 standard deviations
+    # from zero give A = sum w z r' a condition number above 1e6, so A'A's
+    # passes COND_LIMIT; the kernel solves S'A d = S'b and never forms A'A
+    s = overidentified_iv_sample(n=6)
+    v = s.variables.copy()
+    v[:, 1:] += 60 * v[:, 1:].std(axis=0)
+    s = dataclasses.replace(s, variables=v)
+    spec = pb.EstimatorSpec(**IV, intercept=True, gmm_mode=mode)
+    y, r = s.column("y"), estimators.regressors(s, spec.x, True)
+    z = estimators.regressors(s, spec.instruments, True)
+    assert np.linalg.cond(z.T @ r) > 1e6
+    rows = pb.weights_for_block(s, "bayes", 3, 0, 3)
+    block, reached = kernel(spec, s, rows), 0
+    for i, w in enumerate(rows):
+        theta, _ = block(i)
+        expected = oracles.exact_linear_gmm(y, r, z, w, mode)
+        assert np.all(np.abs(theta - expected) <= 1e-8 * np.abs(expected))
+        got = per_row(spec, s, w)
+        if got != NOT_MINIMIZED:  # Gauss-Newton's stop is on the gradient, not on theta
+            reached += 1
+            assert np.all(np.abs(theta - got[0]) <= 1e-6 * np.abs(got[0]))
+    assert reached
 
 
 def test_point_estimate_is_the_kernels_one_row_case(iv_sample):
@@ -233,8 +290,7 @@ def test_just_identified_iv_takes_the_kernel_and_user_moments_run_per_row(
     for theta, info, (theta_ref, info_ref) in zip(res.draws, res.draw_metadata, expected):
         assert np.all(np.abs(theta - theta_ref) <= 1e-10 * np.abs(theta_ref))
         assert info == info_ref
-    moment = pb.build_moment(pb.EstimatorSpec(**IV), iv_sample)
-    user = pb.EstimatorSpec(kind="gmm", moment=moment)
+    user = user_moment(pb.EstimatorSpec(**IV), iv_sample)
     ols = pb.EstimatorSpec(kind="gmm", builtin_moment="ols", y="y", x=("r",))
     for spec in (user, ols):
         assert linear_iv.linear_iv_gmm(spec, iv_sample) is None

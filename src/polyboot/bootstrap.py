@@ -6,69 +6,55 @@ blocks (``weights.block_rows``: about 4 MB of working set each, a function
 of B and the sample's shape only), each from its unit and cluster
 log-draws (``weights.log_draws``).
 
-Mean and OLS are functions of weighted feature sums s = sum_k w_k f_k,
-f = y for the mean and f = [vec(x x'), x y] for OLS: one kernel,
-``estimators.linear_statistic``, gives their point estimate and every
-draw, and solves a whole block's k x k normal equations in one batched
-call. Such a sum is a quadratic form in the unit values, v'F v / v'M v for
-dyads with M the observed-dyad mask, so when the dense feature tensor holds
-at most four entries per observation (n**P * T <= 4 N) the sums come from
-``weights.product_sums`` without building the weight matrix; a draw whose
-normalizer v'M v is not finite or below e**-600 has its weight row built
-from the same draws instead. Sparser samples multiply each block of the
-weight matrix by the features. PPML solves a block of weight rows with one
-damped Newton (``ppml.ppml_newton``) and linear-IV GMM with one exact
-weighted solve per re-weighting round (``linear_iv.linear_iv_gmm``), in
-blocks of ``ppml.PPML_ROW_FLOATS`` or ``linear_iv.IV_ROW_FLOATS`` values per
-draw and observation; other GMM moments evaluate the estimator on each
-weight row.
+Every estimator has one block kernel, ``estimators.block_kernel``:
+``solve(weights (R, N))`` gives ``(theta (R, K), errors, infos)``, the
+rows' estimates, their draw failures and their solver metadata, and the
+point estimate is its one-row case. Mean and OLS are functions of weighted
+feature sums s = sum_k w_k f_k, f = y for the mean and f = [vec(x x'), x y]
+for OLS (``estimators.linear_statistic``), whose k x k normal equations a
+block solves in one batched call. Such a sum is a quadratic form in the
+unit values, v'F v / v'M v for dyads with M the observed-dyad mask, so
+when the dense feature tensor holds at most four entries per observation
+(n**P * T <= 4 N) the sums come from ``weights.product_sums`` without
+building the weight matrix; a draw whose normalizer v'M v is not finite or
+below e**-600 has its weight row built from the same draws instead. Every
+other block applies its kernel to the block of the weight matrix: PPML is
+one damped Newton (``ppml.ppml_newton``), linear-IV GMM one exact weighted
+solve per re-weighting round (``linear_iv.linear_iv_gmm``), other GMM
+moments ``gmm`` on each row.
 
 Blocks run serially unless ``threads`` > 1 maps them over a thread pool;
 since each block owns its random streams and the partition never depends
 on the thread count, the draws are the same bit for bit for any
 ``threads``.
 
-Failed draws (degenerate weights, solver failures, singular designs or
-weight matrices, non-finite estimates) are recorded and excluded from
-quantiles rather than aborting the run, unless they exceed a 20%
-systematic-failure cap.
+Failed draws (degenerate weights, the kernels' ``errors.DRAW_FAILURES``,
+non-finite estimates) are recorded and excluded from quantiles rather than
+aborting the run, unless they exceed a 20% systematic-failure cap.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .data_model import PolyadicSample
-from .errors import (
-    BootstrapError,
-    DegenerateDraw,
-    EvalError,
-    ParamError,
-    SingularDesign,
-    SingularWeightMatrix,
-    SolverError,
-    Unsupported,
-)
-from .estimators import EstimatorSpec, evaluate_estimator, linear_row, linear_statistic
-from .linear_iv import IV_ROW_FLOATS, linear_iv_gmm
-from .ppml import PPML_ROW_FLOATS, ppml_newton
+from .errors import BootstrapError, DegenerateDraw, EvalError, ParamError, Unsupported
+from .estimators import EstimatorSpec, block_kernel, evaluate_estimator, linear_statistic
 from .weights import (
-    ObservationWeights,
     block_rows,
     dense_features,
     log_draws,
     product_sums,
     product_weights,
     uniform_weights,
-    weights_for_draw,  # noqa: F401 - importable here for per-draw callers
+    weights_for_draw,  # noqa: F401 - perfbench's tracer wraps it at this name
 )
 
-_DRAW_FAILURES = (DegenerateDraw, SolverError, SingularWeightMatrix, SingularDesign)
 MAX_FAILURE_SHARE = 0.20
+NON_FINITE = "NonFiniteDraw: the estimate is not finite"
 
 
 @dataclass(frozen=True)
@@ -132,47 +118,33 @@ class DiscreteAtomSet:
 
 def _block_estimator(sample, spec, n_draws):
     """``(draws per block, for_block)``: for_block(log_units, log_levels,
-    failed) gives the row -> (theta, info) estimator of a block of draws; a
-    failed row raises its draw failure, and rows without a positive weight
-    are added to ``failed``. Mean, OLS, PPML and linear-IV GMM solve a whole
-    block at once."""
-    solve = ppml_newton(spec, sample) if spec.kind == "ppml" else linear_iv_gmm(spec, sample)
-    if solve is not None:
+    failed) gives the block result ``(theta, errors, infos)`` of
+    ``estimators.block_kernel`` for a block of draws, and adds the rows
+    without a positive weight to ``failed``."""
+    linear = linear_statistic(spec, sample)
+    dense = None if linear is None else dense_features(sample, linear[0])
+    if dense is None:
+        row_floats, solve = block_kernel(spec, sample)
 
         def for_block(log_units, log_levels, failed):
-            # a failed row is NaN, so its start is singular and it never iterates
+            # a failed row is NaN; its reason is failed's, whatever the kernel makes of it
             return solve(product_weights(sample, log_units, log_levels, failed))
 
-        row_floats = PPML_ROW_FLOATS if spec.kind == "ppml" else IV_ROW_FLOATS
         return block_rows(n_draws, row_floats * sample.n_obs), for_block
 
-    linear = linear_statistic(spec, sample)
-    if linear is None:
-
-        def for_block(log_units, log_levels, failed):
-            block = product_weights(sample, log_units, log_levels, failed)
-            return lambda r: evaluate_estimator(spec, sample, ObservationWeights(block[r]))
-
-        return block_rows(n_draws, sample.n_obs), for_block
-
-    features, finish = linear
-    dense = dense_features(sample, features)
-    if dense is not None:
-        features = None  # the dense tensor holds them, fallback rows included
+    finish = linear[1]  # the dense tensor holds the features, fallback rows included
 
     def for_block(log_units, log_levels, failed):
-        if dense is None:
-            sums = product_weights(sample, log_units, log_levels, failed) @ features
-        else:
-            sums = product_sums(sample, dense, log_units, log_levels, failed)
-        return partial(linear_row, *finish(sums))
+        return finish(product_sums(sample, dense, log_units, log_levels, failed))
 
     # a dense block holds the (rows, n**(P-1) T (1+F)) partial contraction
-    return block_rows(n_draws, sample.n_obs if dense is None else dense[0].size), for_block
+    return block_rows(n_draws, dense[0].size), for_block
 
 
 def _run_draws(sample, spec, scheme, n_draws, seed, alpha, threads):
-    """(b, theta, info, failure reason or None) per draw, in draw order."""
+    """``(theta (B, K), errors, infos)`` in draw order: errors maps a failed
+    draw index to its draw failure, infos a draw index to its solver
+    metadata."""
     step, for_block = _block_estimator(sample, spec, n_draws)
 
     def run_block(b0):
@@ -180,17 +152,9 @@ def _run_draws(sample, spec, scheme, n_draws, seed, alpha, threads):
         failed = {}
         b1 = min(b0 + step, n_draws)
         log_units, log_levels = log_draws(sample, scheme, seed, b0, b1, alpha, failed)
-        estimate = for_block(log_units, log_levels, failed)
-        out = []
-        for r, b in enumerate(range(b0, b1)):
-            if r in failed:
-                out.append((b, None, None, f"DegenerateDraw: {failed[r]}"))
-                continue
-            try:
-                out.append((b, *estimate(r), None))
-            except _DRAW_FAILURES as exc:
-                out.append((b, None, None, f"{type(exc).__name__}: {exc}"))
-        return out
+        theta, errors, infos = for_block(log_units, log_levels, failed)
+        errors.update((r, DegenerateDraw(reason)) for r, reason in failed.items())
+        return theta, {b0 + r: e for r, e in errors.items()}, {b0 + r: i for r, i in infos.items()}
 
     starts = range(0, n_draws, step)
     if threads is None or threads <= 1:
@@ -198,7 +162,11 @@ def _run_draws(sample, spec, scheme, n_draws, seed, alpha, threads):
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(run_block, starts))
-    return [draw for block in blocks for draw in block]
+    errors, infos = {}, {}
+    for _, block_errors, block_infos in blocks:
+        errors.update(block_errors)
+        infos.update(block_infos)
+    return np.concatenate([theta for theta, _, _ in blocks]), errors, infos
 
 
 def run_bootstrap(
@@ -221,16 +189,13 @@ def run_bootstrap(
     if n_draws < 1:
         raise ParamError("need at least one draw")
     point, _ = evaluate_estimator(spec, sample, uniform_weights(sample))
-    results = _run_draws(sample, spec, scheme, n_draws, seed, alpha, threads)
+    theta, errors, infos = _run_draws(sample, spec, scheme, n_draws, seed, alpha, threads)
 
-    solved = [r for r in results if r[3] is None]
-    thetas = np.array([r[1] for r in solved], dtype=np.float64).reshape(len(solved), len(point))
-    finite = np.isfinite(thetas).all(axis=1)
-    non_finite = {r[0] for r, ok in zip(solved, finite) if not ok}
+    ok = np.isfinite(theta).all(axis=1)
+    ok[list(errors)] = False
     failures = [
-        (b, "NonFiniteDraw: the estimate is not finite" if err is None else err)
-        for b, _, _, err in results
-        if err is not None or b in non_finite
+        (b, f"{type(errors[b]).__name__}: {errors[b]}" if b in errors else NON_FINITE)
+        for b in np.flatnonzero(~ok).tolist()
     ]
     if len(failures) > MAX_FAILURE_SHARE * n_draws:
         raise BootstrapError(
@@ -239,13 +204,13 @@ def run_bootstrap(
     method = f"prior({alpha:g})" if scheme == "prior" else scheme
     return BootstrapResult(
         point_estimate=np.asarray(point, dtype=np.float64),
-        draws=thetas[finite],
+        draws=theta[ok],
         method=method,
         seed=int(seed),  # a NumPy integer seed would not serialize in to_dict
         n_draws_requested=n_draws,
         param_names=spec.param_names(),
         failures=tuple(failures),
-        draw_metadata=tuple(r[2] for r, ok in zip(solved, finite) if ok),
+        draw_metadata=tuple(infos.get(b, {}) for b in np.flatnonzero(ok).tolist()),
     )
 
 

@@ -60,3 +60,7 @@ class EvalError(PolybootError):
 
 class DgpError(PolybootError):
     """Synthetic data generation failed."""
+
+
+# the failures that end one resampling draw, recorded rather than raised
+DRAW_FAILURES = (DegenerateDraw, SolverError, SingularWeightMatrix, SingularDesign)

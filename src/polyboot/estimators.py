@@ -3,19 +3,20 @@
 Every builtin moment is a residual times an instrument, psi = (y - mu) z:
 the mean is y - theta (z = 1), OLS (y - x'theta) x, PPML (y - exp(x'theta)) x
 and linear-IV GMM (y - r'theta) z. Every estimator is a pure function of a
-sample and a normalized weight vector, so the same code path serves the
-uniform-weight point estimate and every resampling draw. Mean and OLS are
-closed forms in weighted feature sums, defined once in
-``linear_statistic``: the point estimate is its one-row case, and the
-bootstrap engine finishes a block of draws with one batched normal-equation
-solve. PPML (``ppml.ppml_newton``, a damped Newton in which each row takes
-the steps it would take alone) and linear-IV GMM (``linear_iv.linear_iv_gmm``,
-one exact weighted solve per re-weighting round) solve a block of weight
-rows at once; the point estimate is the one-row case. ``gmm`` is the
+sample and a normalized weight vector, and it has one block form,
+``block_kernel``: ``solve(weights (R, N))`` gives ``(theta (R, K), errors,
+infos)`` for R weight rows at once, each row's result the one it would
+have alone. The bootstrap engine applies it to a block of draws and
+``evaluate_estimator`` to one row. Mean and OLS are closed forms in
+weighted feature sums, defined once in ``linear_statistic``, whose block
+is one batched normal-equation solve. PPML (``ppml.ppml_newton``, a damped
+Newton in which each row takes the steps it would take alone) and
+linear-IV GMM (``linear_iv.linear_iv_gmm``, one exact weighted solve per
+re-weighting round) solve the block's rows together. ``gmm`` is the
 per-row GMM of user moments and the other builtins, one-step, two-step
 (centered weight matrix re-estimated at the step-1 solution) or iterated,
 with the weight matrices of ``gmm_weights``; just-identified systems are
-solved as moment roots.
+solved as moment roots. Its block kernel solves each row in turn.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ import numpy as np
 
 from .data_model import PolyadicSample
 from .errors import (
+    DRAW_FAILURES,
     DataError,
     ParamError,
     SingularDesign,
     SolverError,
 )
 from .gmm_weights import acm_weight_matrix, centered_weight_matrix
+from .weights import ObservationWeights
 
 COND_LIMIT = 1e12
 
@@ -166,20 +169,9 @@ def _residual_instrument_moment(
     if n_mom < k:
         raise ParamError("need at least as many instruments as regressors")
 
-    # solvers call the moment many times on one sample's read-only variables:
-    # (variables, (r, z)) of the latest, replaced by one assignment so that
-    # threads can share it
-    last = (None, None)
-
     def design(variables):
-        nonlocal last
-        seen, rz = last
-        if seen is not variables:
-            r = _design(variables, jr, intercept)
-            rz = r, r if jz is None else _design(variables, jz, intercept)
-            if not variables.flags.writeable:
-                last = variables, rz
-        return rz
+        r = _design(variables, jr, intercept)
+        return r, r if jz is None else _design(variables, jz, intercept)
 
     def parts(variables, theta):
         r, z = design(variables)
@@ -314,19 +306,21 @@ def normal_equations(x, y):
 def linear_statistic(spec: EstimatorSpec, sample: PolyadicSample):
     """Mean and OLS as functions of weighted feature sums s = sum_k w_k f_k,
     f = y for the mean and ``normal_equations`` for OLS: ``(features (N, F),
-    finish)`` as there, or None for the other estimators."""
+    finish)``, where ``finish(sums (R, F))`` gives the block result of
+    ``block_kernel``; None for the other estimators."""
     if spec.kind == "mean":
-        return sample.column(spec.column)[:, None], lambda sums: (sums, np.zeros(len(sums), bool))
+        return sample.column(spec.column)[:, None], lambda sums: (sums, {}, {})
     if spec.kind != "ols":
         return None
-    return normal_equations(regressors(sample, spec.x, spec.intercept), sample.column(spec.y))
+    x, y = regressors(sample, spec.x, spec.intercept), sample.column(spec.y)
+    features, solve = normal_equations(x, y)
 
+    def finish(sums):
+        theta, singular = solve(sums)
+        reason = "weighted Gram matrix is numerically singular"
+        return theta, {int(r): SingularDesign(reason) for r in np.flatnonzero(singular)}, {}
 
-def linear_row(theta, singular, r) -> tuple:
-    """Row r of a ``finish`` result as (theta, info); a singular row raises."""
-    if singular[r]:
-        raise SingularDesign("weighted Gram matrix is numerically singular")
-    return theta[r], {}
+    return features, finish
 
 
 # ---------------------------------------------------------------------------
@@ -565,23 +559,57 @@ def stacked_init(moment, sample, weights, theta_init=None) -> np.ndarray:
 # dispatch
 
 
-def evaluate_estimator(spec: EstimatorSpec, sample: PolyadicSample, weights) -> tuple:
-    """Apply the estimator functional to a weighted empirical distribution.
+def _per_row_gmm(spec, sample):
+    """``gmm`` on each weight row alone, the block kernel of user moments and
+    the ``ols`` and ``ppml`` builtin moments."""
+    moment = build_moment(spec, sample)
 
-    Returns (theta as 1-d array, info dict with solver metadata).
+    def solve(weights):
+        theta, errors, infos = np.full((len(weights), moment.n_params), np.nan), {}, {}
+        for r, w in enumerate(weights):
+            try:
+                theta[r], infos[r] = gmm(
+                    moment, sample, ObservationWeights(w), spec.settings, spec.gmm_mode,
+                    spec.weight_style,
+                )
+            except DRAW_FAILURES as exc:
+                errors[r] = exc
+        return theta, errors, infos
+
+    return solve
+
+
+def block_kernel(spec: EstimatorSpec, sample: PolyadicSample) -> tuple:
+    """The estimator over a block of weight rows: ``(row_floats, solve)``,
+    where ``solve(weights (R, N))`` gives ``(theta (R, K), errors, infos)``.
+    errors maps each failed row to its draw failure, and only the other
+    rows' theta and info are estimates; infos maps a row to its solver
+    metadata, {} when absent. Each row's result is the one it would have
+    alone. ``row_floats`` is the float64 values a block budgets per row and
+    observation.
     """
+    from .linear_iv import IV_ROW_FLOATS, linear_iv_gmm  # these kernels build on this module
+    from .ppml import PPML_ROW_FLOATS, ppml_newton
+
     linear = linear_statistic(spec, sample)
     if linear is not None:
         features, finish = linear
-        return linear_row(*finish((weights.weights @ features)[None]), 0)
-    from .linear_iv import linear_iv_gmm  # these kernels build on this module
-    from .ppml import ppml_newton
-
+        return 1, lambda weights: finish(weights @ features)
     if spec.kind == "ppml":
-        return ppml_newton(spec, sample)(weights.weights[None])(0)
+        return PPML_ROW_FLOATS, ppml_newton(spec, sample)
     iv = linear_iv_gmm(spec, sample)
     if iv is not None:
-        return iv(weights.weights[None])(0)
-    return gmm(
-        build_moment(spec, sample), sample, weights, spec.settings, spec.gmm_mode, spec.weight_style
-    )
+        return IV_ROW_FLOATS, iv
+    return 1, _per_row_gmm(spec, sample)
+
+
+def evaluate_estimator(spec: EstimatorSpec, sample: PolyadicSample, weights) -> tuple:
+    """Apply the estimator functional to a weighted empirical distribution:
+    the one-row case of ``block_kernel``, which raises a failed row's error.
+
+    Returns (theta as 1-d array, info dict with solver metadata).
+    """
+    theta, errors, infos = block_kernel(spec, sample)[1](weights.weights[None])
+    if errors:
+        raise errors[0]
+    return theta[0], infos.get(0, {})

@@ -8,6 +8,9 @@ one-step estimate, keeps e = (y - r'c) - r'd free of cancellation. One
 product of a block's weight rows gives every row's A and b; each round
 builds the rows' covariances from the block and solves all the S'A d = S'b
 by least squares, never squaring S'A's condition number in A' Omega A.
+``linear_iv_gmm`` is the moment's block kernel (``estimators.block_kernel``):
+it returns the rows' thetas, errors and infos, and the point estimate is
+the one-row case.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ def _argmin(a, b, factor=None):
 
 def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
     """Linear-IV GMM over a block of weight rows: ``solve(weights (R, N))``
-    gives ``row(r) -> (theta, info)`` for its rows, which raises a failed
-    row's error. None unless ``spec`` is the builtin linear-IV moment.
+    gives the block result ``(theta, errors, infos)`` of
+    ``estimators.block_kernel``. None unless ``spec`` is the builtin
+    linear-IV moment.
 
     The rounds, the iter_tol stop, iter_max, the ``info`` keys and the
     weight matrices are those of ``estimators.gmm``, and a just-identified
@@ -118,12 +122,6 @@ def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
         if mode == "iterated" and l > k:
             unfixed = "iterated GMM did not reach a fixed point"
             errors.update((int(i), SolverError(unfixed, trace=traces[i])) for i in live)
-
-        def row(i):
-            if i in errors:
-                raise errors[i]
-            return center + d[i], infos.get(i, {})
-
-        return row
+        return center + d, errors, infos
 
     return solve

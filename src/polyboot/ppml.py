@@ -1,9 +1,10 @@
 """PPML as one damped Newton over a block of weight rows.
 
-The bootstrap engine solves a block of draws at once (``ppml_newton``), and
-the point estimate is the one-row case. Each row takes the decisions it
-would take solved alone: the same start, stopping rule, step halvings and
-failure reasons.
+``ppml_newton`` is PPML's block kernel (``estimators.block_kernel``): it
+solves a block of weight rows at once and returns their thetas, errors and
+infos; the point estimate is the one-row case. Each row takes the
+decisions it would take solved alone: the same start, stopping rule, step
+halvings and failure reasons.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ def _solve_rows(jac, rhs):
 
 def ppml_newton(spec: EstimatorSpec, sample: PolyadicSample):
     """PPML as one damped Newton over a block of weight rows: ``solve(weights
-    (R, N))`` gives ``row(r) -> (theta, info)`` for its rows, which raises a
-    failed row's error.
+    (R, N))`` gives the block result ``(theta, errors, infos)`` of
+    ``estimators.block_kernel``, info ``iterations``.
 
     A row starts at the weighted OLS of log(y + 1) on the regressors, stops
     once its moment residual's max norm is at most 1e-8, and halves a Newton
@@ -111,12 +112,6 @@ def ppml_newton(spec: EstimatorSpec, sample: PolyadicSample):
             for r in search:
                 errors[int(live[r])] = SolverError("ppml line search stalled", residual=norm[r])
             failed[search] = True
-
-        def row(r):
-            if r in errors:
-                raise errors[r]
-            return theta[r], {"iterations": int(iterations[r])}
-
-        return row
+        return theta, errors, {r: {"iterations": it} for r, it in enumerate(iterations.tolist())}
 
     return solve

@@ -74,6 +74,19 @@ def iv_sample():
     return overidentified_iv_sample()
 
 
+def row_of(block):
+    """A block kernel's ``(theta, errors, infos)`` as ``row(r) -> (theta,
+    info)``, which raises a failed row's error."""
+    theta, errors, infos = block
+
+    def row(r):
+        if r in errors:
+            raise errors[r]
+        return theta[r], infos.get(r, {})
+
+    return row
+
+
 def weighted_mean(sample, weights, column):
     """The weighted mean of ``column``, through ``evaluate_estimator``."""
     spec = pb.EstimatorSpec(kind="mean", column=column)

@@ -2,7 +2,9 @@
 thread invariance and per-draw failure handling."""
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -10,13 +12,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polyboot as pb
-from polyboot import rng, weights
+from polyboot import bootstrap, rng, weights
 from polyboot.errors import DegenerateDraw, SingularDesign, SolverError
 from polyboot.estimators import linear_statistic
 from polyboot.fixtures import gravity_sample
 from polyboot.linear_iv import IV_ROW_FLOATS
 from polyboot.ppml import PPML_ROW_FLOATS, ppml_newton
-from conftest import random_dyadic_sample
+from conftest import random_dyadic_sample, row_of
 import oracles
 
 # (scheme, sample shape): the four bayes shapes, prior, and pigeonhole, which
@@ -181,7 +183,7 @@ def per_draw_bootstrap(sample, spec, scheme, n_draws, seed, alpha):
         try:
             w = pb.weights_for_draw(sample, scheme, seed, b, alpha=alpha)
             draws.append(pb.evaluate_estimator(spec, sample, w)[0])
-        except (DegenerateDraw, SingularDesign) as exc:
+        except (DegenerateDraw, SingularDesign, SolverError) as exc:
             failures.append((b, f"{type(exc).__name__}: {exc}"))
             continue
         assert_ols_oracle(sample, spec, w.weights, draws[-1])
@@ -190,7 +192,7 @@ def per_draw_bootstrap(sample, spec, scheme, n_draws, seed, alpha):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    st.sampled_from([MEAN, OLS]),
+    st.sampled_from([MEAN, OLS, GMM_OLS]),
     st.sampled_from(["bayes", "pigeonhole", "prior"]),
     st.integers(0, 2**63),
     st.integers(2, 40),
@@ -283,8 +285,8 @@ def materialized_draws(sample, spec, scheme, n_draws, seed, alpha):
             failures.append((b, f"DegenerateDraw: {failed[b]}"))
             continue
         sums = block[b] @ features
-        theta, singular = finish(sums[None])
-        if singular[0]:
+        theta, errors, _ = finish(sums[None])
+        if errors:
             failures.append((b, SINGULAR))
             continue
         theta = theta[0]
@@ -468,7 +470,7 @@ def test_ppml_rows_fail_as_they_would_alone(max_iter):
     spec = pb.EstimatorSpec(
         kind="ppml", y="y", x=("x",), intercept=True, settings=pb.SolverSettings(max_iter=max_iter)
     )
-    row = ppml_newton(spec, s)(rows)
+    row = row_of(ppml_newton(spec, s)(rows))
     reasons, iterations = {}, {}
     for r, w in enumerate(rows):
         expected, it, reason = oracles.newton_ppml(y, ppml_design(s, spec), w, max_iter)
@@ -504,7 +506,7 @@ def test_halved_ppml_steps_equal_per_row_newton():
     spec = pb.EstimatorSpec(kind="ppml", y="y", x=("x",), intercept=True)
     expected, it, reason = oracles.newton_ppml(y, ppml_design(s, spec), np.full(12, 1 / 12))
     assert reason is None
-    row = ppml_newton(spec, s)(np.full((3, 12), 1 / 12))
+    row = row_of(ppml_newton(spec, s)(np.full((3, 12), 1 / 12)))
     for theta, info in [pb.evaluate_estimator(spec, s, pb.uniform_weights(s))] + [
         row(r) for r in range(3)
     ]:
@@ -586,3 +588,26 @@ def test_non_finite_estimates_are_failed_draws():
     assert len(res.draw_metadata) == res.draws.shape[0] == 200 - res.failed_draw_count
     ci = pb.credible_interval(res, 0.9)
     assert np.all(np.isfinite(ci.lower)) and np.all(np.isfinite(ci.upper))
+
+
+def test_dense_blocks_do_not_keep_the_feature_matrix(monkeypatch):
+    # the dense tensor holds the features, so a block estimator that kept
+    # the (N, F) feature matrix too would hold it for the whole run
+    s = shaped_sample("plain", 6, 0, keep=1.0)
+    features = []
+
+    def spy(spec, sample):
+        linear = linear_statistic(spec, sample)
+        features.append(weakref.ref(linear[0]))
+        return linear
+
+    monkeypatch.setattr(bootstrap, "linear_statistic", spy)
+    step, for_block = bootstrap._block_estimator(s, OLS, 30)
+    assert weights.dense_features(s, linear_statistic(OLS, s)[0]) is not None
+    gc.collect()
+    assert len(features) == 1 and features[0]() is None
+    log_units = np.zeros((step, s.n_units))  # equal unit values: uniform weights
+    theta, errors, infos = for_block(log_units, None, {})
+    expected, _ = pb.evaluate_estimator(OLS, s, pb.uniform_weights(s))
+    assert not errors and not infos
+    assert np.allclose(theta, expected, rtol=1e-12, atol=0)

@@ -11,6 +11,7 @@ import polyboot as pb
 from polyboot import bootstrap, estimators, linear_iv, weights
 from polyboot.errors import DegenerateDraw, SingularDesign, SingularWeightMatrix, SolverError
 from polyboot.fixtures import overidentified_iv_sample
+from conftest import row_of
 import oracles
 
 IV = dict(kind="gmm", builtin_moment="linear-iv", y="y", x=("r",), instruments=("z1", "z2", "z3"))
@@ -48,8 +49,8 @@ def user_moment(spec, sample):
 
 
 def kernel(spec, sample, rows):
-    """The kernel's ``row`` function for the weight rows (R, N)."""
-    return linear_iv.linear_iv_gmm(spec, sample)(rows)
+    """The kernel's result for the weight rows (R, N), row by row."""
+    return row_of(linear_iv.linear_iv_gmm(spec, sample)(rows))
 
 
 def no_per_row_gmm(monkeypatch):
@@ -121,7 +122,7 @@ def test_degenerate_rows_keep_their_place_in_a_block(iv_sample):
     log_units = np.zeros((7, iv_sample.n_units))  # equal unit values: uniform weights
     log_units[[2, 5]] = -np.inf
     failed = {2: "an earlier reason"}
-    row = for_block(log_units, None, failed)
+    row = row_of(for_block(log_units, None, failed))
     assert failed == {2: "an earlier reason", 5: "every observed tuple has zero weight"}
     expected = per_row(spec, iv_sample, pb.uniform_weights(iv_sample).weights)
     for r in (0, 1, 3, 4, 6):

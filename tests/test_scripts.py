@@ -40,3 +40,12 @@ def test_kernel_timing_runs(monkeypatch, capsys):
     assert lines[5].startswith("iv two-step n=8 L=3") and lines[6].startswith("iv iter-acm n=8 L=5")
     assert all(len(line.split()) == 9 for line in lines[5:])  # label, two times, the difference
     assert all(float(line.split()[-1]) < 1e-12 for line in lines[5:])
+
+
+def test_cli_peak_rss_runs(capsys):
+    peak = load(next(p for p in SCRIPTS if p.stem == "cli_peak_rss"))
+    peak.main(["--n", "6", "--draws", "20", "--repeats", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["call", "inherited", "MB", "pinned", "MB"]
+    assert [line.split()[0] for line in lines[1:]] == ["variance", "bootstrap", "counterfactual"]
+    assert all(float(mb) > 0 for line in lines[1:] for mb in line.split()[1:])

@@ -86,8 +86,7 @@ def ppml_per_row(sample, rows):
 def gmm_per_row(spec, sample, rows):
     moment = build_moment(spec, sample)
     return np.array([
-        gmm(moment, sample, ObservationWeights(w), spec.settings, spec.gmm_mode,
-            spec.weight_style)[0]
+        gmm(moment, sample, ObservationWeights(w), spec.gmm_mode, spec.weight_style)[0]
         for w in rows
     ])  # no row fails here
 

@@ -37,7 +37,6 @@ from .data_model import (
 from .estimators import (
     EstimatorSpec,
     MomentFunction,
-    SolverSettings,
     build_moment,
     evaluate_estimator,
     gmm,

@@ -20,7 +20,7 @@ building the weight matrix; a draw whose normalizer v'M v is not finite or
 below e**-600 has its weight row built from the same draws instead. Every
 other block applies its kernel to the block of the weight matrix: PPML is
 one damped Newton (``ppml.ppml_newton``), linear-IV GMM one exact weighted
-solve per re-weighting round (``linear_iv.linear_iv_gmm``), other GMM
+solve per re-weighting round (``linear_iv.linear_iv_gmm``), user GMM
 moments ``gmm`` on each row.
 
 Blocks run serially unless ``threads`` > 1 maps them over a thread pool;
@@ -42,7 +42,7 @@ import numpy as np
 
 from .data_model import PolyadicSample
 from .errors import BootstrapError, DegenerateDraw, EvalError, ParamError, Unsupported
-from .estimators import EstimatorSpec, block_kernel, evaluate_estimator, linear_statistic
+from .estimators import EstimatorSpec, block_kernel, evaluate_estimator
 from .weights import (
     block_rows,
     dense_features,
@@ -121,11 +121,9 @@ def _block_estimator(sample, spec, n_draws):
     failed) gives the block result ``(theta, errors, infos)`` of
     ``estimators.block_kernel`` for a block of draws, and adds the rows
     without a positive weight to ``failed``."""
-    linear = linear_statistic(spec, sample)
+    row_floats, solve, linear = block_kernel(spec, sample)
     dense = None if linear is None else dense_features(sample, linear[0])
     if dense is None:
-        row_floats, solve = block_kernel(spec, sample)
-
         def for_block(log_units, log_levels, failed):
             # a failed row is NaN; its reason is failed's, whatever the kernel makes of it
             return solve(product_weights(sample, log_units, log_levels, failed))

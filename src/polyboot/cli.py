@@ -316,7 +316,7 @@ def _cmd_coverage(args):
             n_replications=int(cfg["replications"]),
             n_bootstrap=int(cfg.get("draws", 500)),
             level=float(cfg.get("level", 0.95)),
-            truth=tuple(cfg["truth"]) if "truth" in cfg else None,
+            truth=tuple(map(float, cfg["truth"])) if "truth" in cfg else None,
             target_index=int(cfg.get("target_index", 0)),
         )
     except KeyError as exc:

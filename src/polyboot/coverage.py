@@ -15,7 +15,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import rng
-from .bootstrap import credible_interval, run_bootstrap
+from .bootstrap import check_level, credible_interval, run_bootstrap
 from .data_model import PolyadicSample, full_index_set
 from .errors import DataError, DgpError, ParamError, PolybootError, Unsupported
 from .estimators import EstimatorSpec, build_moment, evaluate_estimator
@@ -196,6 +196,14 @@ class CoverageConfig:
             raise ParamError("configure exactly one of dgp / source_sample")
         if self.n_replications < 1:
             raise ParamError("need at least one replication")
+        if self.n_bootstrap < 2:
+            raise ParamError("need at least 2 bootstrap draws for an interval")
+        check_level(self.level)
+        k = len(self.estimator.param_names())
+        if not 0 <= self.target_index < k:
+            raise ParamError(f"target_index must be in [0, {k}), got {self.target_index}")
+        if self.truth is not None and np.size(self.truth) <= self.target_index:
+            raise ParamError(f"truth has no entry at target_index {self.target_index}")
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ParamError(f"unknown method {m!r}")

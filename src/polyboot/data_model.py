@@ -183,12 +183,11 @@ def full_index_set(n: int, order: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n), order)), dtype=np.int64)
 
 
-def load_csv(path, order: int = 2, variable_columns=None) -> PolyadicSample:
+def load_csv(path, order: int = 2) -> PolyadicSample:
     """Load a polyadic sample from CSV.
 
-    Unit ids are assigned densely by first appearance. ``variable_columns``
-    restricts which columns are read as variables; by default every column
-    other than ``u1..uP``, ``group`` and ``cluster`` is used.
+    Unit ids are assigned densely by first appearance. Every column other
+    than ``u1..uP``, ``group`` and ``cluster`` is a variable.
 
     A file with no quote or NUL character, no blank line and "\\n" or
     "\\r\\n" line ends is read column by column by ``np.loadtxt``; any other
@@ -210,14 +209,7 @@ def load_csv(path, order: int = 2, variable_columns=None) -> PolyadicSample:
         for c in unit_cols:
             if c not in header:
                 raise DataError(f"missing unit column {c!r}")
-        if variable_columns is None:
-            variable_columns = [
-                c for c in header if c not in unit_cols and c not in RESERVED_COLUMNS
-            ]
-        else:
-            for c in variable_columns:
-                if c not in header:
-                    raise DataError(f"missing variable column {c!r}")
+        variable_columns = [c for c in header if c not in unit_cols and c not in RESERVED_COLUMNS]
         if not variable_columns:
             raise DataError("no variable columns")
         columns = None

@@ -13,15 +13,16 @@ is one batched normal-equation solve. PPML (``ppml.ppml_newton``, a damped
 Newton in which each row takes the steps it would take alone) and
 linear-IV GMM (``linear_iv.linear_iv_gmm``, one exact weighted solve per
 re-weighting round) solve the block's rows together. ``gmm`` is the
-per-row GMM of user moments and the other builtins, one-step, two-step
-(centered weight matrix re-estimated at the step-1 solution) or iterated,
-with the weight matrices of ``gmm_weights``; just-identified systems are
-solved as moment roots. Its block kernel solves each row in turn.
+per-row GMM of user moments, one-step, two-step (centered weight matrix
+re-estimated at the step-1 solution) or iterated, with the weight matrices
+of ``gmm_weights``; just-identified systems are solved as moment roots. Its
+block kernel solves each row in turn. The solvers' tolerances and limits
+are the module constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +38,11 @@ from .gmm_weights import acm_weight_matrix, centered_weight_matrix
 from .weights import ObservationWeights
 
 COND_LIMIT = 1e12
+FOC_TOL = 1e-8  # per-row GMM: the largest gradient entry at a minimum
+ROOT_TOL = 1e-10  # solve_z: the largest moment residual at a root
+MAX_ITER = 100  # Newton steps of solve_z and PPML, Gauss-Newton steps of per-row GMM
+ITER_TOL = 1e-8  # iterated GMM: the largest change in theta at a fixed point
+ITER_MAX = 50  # iterated GMM: re-weighting rounds
 
 
 @dataclass(frozen=True)
@@ -69,26 +75,12 @@ class MomentFunction:
 
 
 @dataclass(frozen=True)
-class SolverSettings:
-    """Tolerances and limits of the per-row solvers. Builtin linear-IV GMM
-    minimizes in closed form, so ``init``, ``foc_tol`` and ``max_iter`` do
-    not affect it; ``iter_tol`` and ``iter_max`` bound its iterated rounds."""
-
-    foc_tol: float = 1e-8
-    root_tol: float = 1e-10
-    max_iter: int = 100
-    iter_tol: float = 1e-8
-    iter_max: int = 50
-    init: tuple | None = None
-
-
-@dataclass(frozen=True)
 class EstimatorSpec:
     """Declarative description of the estimator functional.
 
     ``kind`` is one of ``mean``, ``ols``, ``ppml``, ``gmm``. For GMM either
-    pass a ready ``moment`` or name a builtin (``ols``, ``ppml``,
-    ``linear-iv``) resolved against the sample's columns.
+    pass a ready ``moment`` or name the builtin ``linear-iv``, resolved
+    against the sample's columns.
     """
 
     kind: str
@@ -101,7 +93,6 @@ class EstimatorSpec:
     instruments: tuple = ()
     gmm_mode: str = "two-step"
     weight_style: str = "centered"
-    settings: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(self.x))
@@ -115,6 +106,11 @@ class EstimatorSpec:
         elif self.kind == "gmm":
             if self.moment is None and self.builtin_moment is None:
                 raise ParamError("gmm needs a moment function")
+            b = self.builtin_moment
+            if b in ("ols", "ppml"):
+                raise ParamError(f'{b} is EstimatorSpec(kind="{b}"), not a GMM builtin moment')
+            if b not in (None, "linear-iv"):
+                raise ParamError(f"unknown builtin moment {b!r}")
             if self.gmm_mode not in ("one-step", "two-step", "iterated"):
                 raise ParamError(f"unknown gmm mode {self.gmm_mode!r}")
             if self.weight_style not in ("centered", "acm"):
@@ -127,9 +123,7 @@ class EstimatorSpec:
             return (self.column,)
         if self.kind in ("ols", "ppml"):
             return (("intercept",) if self.intercept else ()) + self.x
-        k = self.moment.n_params if self.moment is not None else None
-        if k is None:
-            k = len(self.x) + (1 if self.intercept else 0)
+        k = len(self.x) + bool(self.intercept) if self.moment is None else self.moment.n_params
         return tuple(f"theta{i}" for i in range(k))
 
 
@@ -223,19 +217,16 @@ def linear_iv_moment(variable_names, y, regressors, instruments, intercept=False
 
 def build_moment(spec: EstimatorSpec, sample: PolyadicSample) -> MomentFunction:
     """Resolve the estimator's moment equations against the sample's columns:
-    ``spec.kind``, or for GMM a ready ``spec.moment`` or ``spec.builtin_moment``."""
+    ``spec.kind``, or for GMM a ready ``spec.moment`` or the builtin linear IV."""
     if spec.kind == "gmm" and spec.moment is not None:
         return spec.moment
-    kind = spec.builtin_moment if spec.kind == "gmm" else spec.kind
     names = sample.variable_names
-    if spec.kind == "mean":  # not a GMM builtin: a mean spec names a column, not y and x
+    if spec.kind == "mean":
         return mean_moment(names, spec.column)
-    if kind in ("ols", "ppml"):
-        build = ols_moment if kind == "ols" else ppml_moment
+    if spec.kind in ("ols", "ppml"):
+        build = ols_moment if spec.kind == "ols" else ppml_moment
         return build(names, spec.y, spec.x, spec.intercept)
-    if kind == "linear-iv":
-        return linear_iv_moment(names, spec.y, spec.x, spec.instruments, spec.intercept)
-    raise ParamError(f"unknown builtin moment {kind!r}")
+    return linear_iv_moment(names, spec.y, spec.x, spec.instruments, spec.intercept)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +298,9 @@ def linear_statistic(spec: EstimatorSpec, sample: PolyadicSample):
     """Mean and OLS as functions of weighted feature sums s = sum_k w_k f_k,
     f = y for the mean and ``normal_equations`` for OLS: ``(features (N, F),
     finish)``, where ``finish(sums (R, F))`` gives the block result of
-    ``block_kernel``; None for the other estimators."""
+    ``block_kernel``."""
     if spec.kind == "mean":
         return sample.column(spec.column)[:, None], lambda sums: (sums, {}, {})
-    if spec.kind != "ols":
-        return None
     x, y = regressors(sample, spec.x, spec.intercept), sample.column(spec.y)
     features, solve = normal_equations(x, y)
 
@@ -327,14 +316,14 @@ def linear_statistic(spec: EstimatorSpec, sample: PolyadicSample):
 # solvers
 
 
-def solve_z(moment, sample, weights, init=None, settings=None) -> tuple:
+def solve_z(moment, sample, weights, init=None) -> tuple:
     """Newton root of the just-identified weighted moment; (theta, iterations).
 
     Uses the moment's Jacobian (central differences only when the moment has
     none, see ``observation_jacobian``), a halving line search on residual
-    increase, and declares convergence at max-norm <= root_tol.
+    increase, and declares convergence at max-norm <= ROOT_TOL within
+    MAX_ITER steps.
     """
-    settings = settings or SolverSettings()
     if not moment.just_identified:
         raise ParamError("solve_z requires a just-identified moment (L = K)")
     variables, w = sample.variables, weights.weights
@@ -344,8 +333,8 @@ def solve_z(moment, sample, weights, init=None, settings=None) -> tuple:
         return float(m @ m) if np.all(np.isfinite(m)) else np.inf
 
     m = moment_mean(moment, variables, w, theta)
-    for it in range(settings.max_iter):
-        if np.all(np.isfinite(m)) and np.max(np.abs(m)) <= settings.root_tol:
+    for it in range(MAX_ITER):
+        if np.all(np.isfinite(m)) and np.max(np.abs(m)) <= ROOT_TOL:
             return theta, it
         jac = moment_mean_jacobian(moment, variables, w, theta)
         grad = jac.T @ m  # gradient of the squared-residual merit (up to 2x)
@@ -374,12 +363,12 @@ def solve_z(moment, sample, weights, init=None, settings=None) -> tuple:
                 "Newton line search stalled", residual=float(np.max(np.abs(m)))
             )
     norm = float(np.max(np.abs(m)))
-    if norm <= settings.root_tol:
-        return theta, settings.max_iter
+    if norm <= ROOT_TOL:
+        return theta, MAX_ITER
     raise SolverError(f"moment root not found (residual {norm:.3e})", residual=norm)
 
 
-def _gauss_newton(moment, variables, w, weight_matrix, init, settings):
+def _gauss_newton(moment, variables, w, weight_matrix, init):
     """Minimize psibar' W psibar from one start; returns (theta, Q, converged)."""
     theta = np.asarray(init, dtype=np.float64).copy()
     wm = weight_matrix
@@ -390,10 +379,10 @@ def _gauss_newton(moment, variables, w, weight_matrix, init, settings):
     m = moment_mean(moment, variables, w, theta)
     q = q_of(m)
     converged = False
-    for _ in range(settings.max_iter):
+    for _ in range(MAX_ITER):
         jac = moment_mean_jacobian(moment, variables, w, theta)
         grad = jac.T @ (wm @ m)
-        if np.max(np.abs(grad)) <= settings.foc_tol:
+        if np.max(np.abs(grad)) <= FOC_TOL:
             converged = True
             break
         hess = jac.T @ wm @ jac
@@ -417,20 +406,19 @@ def _gauss_newton(moment, variables, w, weight_matrix, init, settings):
             break
     else:
         jac = moment_mean_jacobian(moment, variables, w, theta)
-        converged = np.max(np.abs(jac.T @ (wm @ m))) <= settings.foc_tol
+        converged = np.max(np.abs(jac.T @ (wm @ m))) <= FOC_TOL
     return theta, q, converged
 
 
-def _minimize_gmm(moment, sample, weights, weight_matrix, settings):
-    """Multi-start Gauss-Newton on the GMM quadratic form."""
+def _minimize_gmm(moment, sample, weights, weight_matrix, init=None):
+    """Multi-start Gauss-Newton on the GMM quadratic form, from ``init`` (when
+    given) and from zero."""
     starts = [np.zeros(moment.n_params)]
-    if settings.init is not None:
-        starts.insert(0, np.asarray(settings.init, dtype=np.float64))
+    if init is not None:
+        starts.insert(0, init)
     best = None
     for start in starts:
-        theta, q, ok = _gauss_newton(
-            moment, sample.variables, weights.weights, weight_matrix, start, settings
-        )
+        theta, q, ok = _gauss_newton(moment, sample.variables, weights.weights, weight_matrix, start)
         if ok and (best is None or q < best[1]):
             best = (theta, q)
     if best is None:
@@ -438,49 +426,44 @@ def _minimize_gmm(moment, sample, weights, weight_matrix, settings):
     return best[0]
 
 
-def gmm(moment, sample, weights, settings=None, mode="two-step", weight_style="centered") -> tuple:
+def gmm(moment, sample, weights, mode="two-step", weight_style="centered") -> tuple:
     """GMM in ``mode`` (one-step, two-step or iterated); returns (theta, info).
 
     One-step minimizes with the identity weight matrix. Each re-weighting round
     then re-estimates the weight matrix at the latest theta and minimizes again
     from there: two-step GMM is one centered round (info:
-    ``weight_matrix_ridged``), iterated GMM runs rounds with the
-    ``weight_style`` (centered or acm) matrix until theta moves by at most
-    iter_tol (info: ``iterations``, ``objective_trace``). Just-identified
+    ``weight_matrix_ridged``), iterated GMM runs up to ITER_MAX rounds with
+    the ``weight_style`` (centered or acm) matrix until theta moves by at
+    most ITER_TOL (info: ``iterations``, ``objective_trace``). Just-identified
     systems are solved directly as moment roots, where the weight matrix is
     irrelevant. ``evaluate_estimator`` and the bootstrap solve the builtin
-    linear-IV moment with ``linear_iv.linear_iv_gmm`` instead, where
-    ``settings.init``, ``foc_tol`` and ``max_iter`` play no part.
+    linear-IV moment in closed form with ``linear_iv.linear_iv_gmm`` instead.
     """
     if mode not in ("one-step", "two-step", "iterated") or weight_style not in ("centered", "acm"):
         raise ParamError(f"unknown gmm mode {mode!r} or weight style {weight_style!r}")
-    settings = settings or SolverSettings()
     if moment.just_identified:
-        theta, iters = solve_z(moment, sample, weights, init=settings.init, settings=settings)
+        theta, iters = solve_z(moment, sample, weights)
         if mode == "iterated":
             return theta, {"iterations": 1, "objective_trace": []}
         return theta, {"iterations": iters} if mode == "two-step" else {}
     iterated = mode == "iterated"
     if iterated and weight_style == "acm" and moment.residual_instrument is None:
         raise ParamError("acm-style iteration needs a residual x instrument moment")
-    theta = _minimize_gmm(moment, sample, weights, np.eye(moment.n_moments), settings)
+    theta = _minimize_gmm(moment, sample, weights, np.eye(moment.n_moments))
     if mode == "one-step":
         return theta, {}
     reweight = acm_weight_matrix if iterated and weight_style == "acm" else centered_weight_matrix
     trace = []
-    rounds = settings.iter_max if iterated else 1
-    for it in range(1, rounds + 1):
+    for it in range(1, (ITER_MAX if iterated else 1) + 1):
         omega = reweight(moment, sample, weights, theta)
-        theta_new = _minimize_gmm(
-            moment, sample, weights, omega.matrix, replace(settings, init=tuple(theta))
-        )
+        theta_new = _minimize_gmm(moment, sample, weights, omega.matrix, init=theta)
         if not iterated:
             return theta_new, {"weight_matrix_ridged": omega.ridged}
         m = moment_mean(moment, sample.variables, weights.weights, theta_new)
         trace.append(float(m @ omega.matrix @ m))
         delta = np.linalg.norm(theta_new - theta)
         theta = theta_new
-        if delta <= settings.iter_tol:
+        if delta <= ITER_TOL:
             return theta, {"iterations": it, "objective_trace": trace}
     raise SolverError("iterated GMM did not reach a fixed point", trace=trace)
 
@@ -560,8 +543,7 @@ def stacked_init(moment, sample, weights, theta_init=None) -> np.ndarray:
 
 
 def _per_row_gmm(spec, sample):
-    """``gmm`` on each weight row alone, the block kernel of user moments and
-    the ``ols`` and ``ppml`` builtin moments."""
+    """``gmm`` on each weight row alone, the block kernel of user moments."""
     moment = build_moment(spec, sample)
 
     def solve(weights):
@@ -569,8 +551,7 @@ def _per_row_gmm(spec, sample):
         for r, w in enumerate(weights):
             try:
                 theta[r], infos[r] = gmm(
-                    moment, sample, ObservationWeights(w), spec.settings, spec.gmm_mode,
-                    spec.weight_style,
+                    moment, sample, ObservationWeights(w), spec.gmm_mode, spec.weight_style
                 )
             except DRAW_FAILURES as exc:
                 errors[r] = exc
@@ -580,27 +561,26 @@ def _per_row_gmm(spec, sample):
 
 
 def block_kernel(spec: EstimatorSpec, sample: PolyadicSample) -> tuple:
-    """The estimator over a block of weight rows: ``(row_floats, solve)``,
-    where ``solve(weights (R, N))`` gives ``(theta (R, K), errors, infos)``.
-    errors maps each failed row to its draw failure, and only the other
-    rows' theta and info are estimates; infos maps a row to its solver
+    """The estimator over a block of weight rows: ``(row_floats, solve,
+    linear)``, where ``solve(weights (R, N))`` gives ``(theta (R, K), errors,
+    infos)``. errors maps each failed row to its draw failure, and only the
+    other rows' theta and info are estimates; infos maps a row to its solver
     metadata, {} when absent. Each row's result is the one it would have
     alone. ``row_floats`` is the float64 values a block budgets per row and
-    observation.
+    observation. ``linear`` is ``linear_statistic``'s ``(features, finish)``
+    for mean and OLS, and None for the other estimators.
     """
     from .linear_iv import IV_ROW_FLOATS, linear_iv_gmm  # these kernels build on this module
     from .ppml import PPML_ROW_FLOATS, ppml_newton
 
-    linear = linear_statistic(spec, sample)
-    if linear is not None:
-        features, finish = linear
-        return 1, lambda weights: finish(weights @ features)
+    if spec.kind in ("mean", "ols"):
+        features, finish = linear = linear_statistic(spec, sample)
+        return 1, lambda weights: finish(weights @ features), linear
     if spec.kind == "ppml":
-        return PPML_ROW_FLOATS, ppml_newton(spec, sample)
-    iv = linear_iv_gmm(spec, sample)
-    if iv is not None:
-        return IV_ROW_FLOATS, iv
-    return 1, _per_row_gmm(spec, sample)
+        return PPML_ROW_FLOATS, ppml_newton(spec, sample), None
+    if spec.moment is None:  # the builtin linear IV
+        return IV_ROW_FLOATS, linear_iv_gmm(spec, sample), None
+    return 1, _per_row_gmm(spec, sample), None
 
 
 def evaluate_estimator(spec: EstimatorSpec, sample: PolyadicSample, weights) -> tuple:

@@ -18,10 +18,9 @@ RIDGE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class GmmWeightMatrix:
-    """L x L symmetric PSD weight matrix with provenance."""
+    """L x L symmetric PSD weight matrix; ``ridged`` when an eigenvalue was floored."""
 
     matrix: np.ndarray
-    style: str
     ridged: bool = False
 
 
@@ -47,12 +46,12 @@ def invert_psd(cov) -> tuple:
     return factor, (eigval < floor).any(axis=1), errors
 
 
-def _weight_matrix(cov, style) -> GmmWeightMatrix:
+def _weight_matrix(cov) -> GmmWeightMatrix:
     """``invert_psd`` of one covariance, raising its SingularWeightMatrix."""
     factor, ridged, errors = invert_psd(np.atleast_2d(cov)[None])
     if errors:
         raise errors[0]
-    return GmmWeightMatrix(factor[0] @ factor[0].T, style, bool(ridged[0]))  # exactly symmetric
+    return GmmWeightMatrix(factor[0] @ factor[0].T, bool(ridged[0]))  # exactly symmetric
 
 
 def centered_weight_matrix(moment, sample, weights, theta) -> GmmWeightMatrix:
@@ -62,7 +61,7 @@ def centered_weight_matrix(moment, sample, weights, theta) -> GmmWeightMatrix:
     psibar = weights.weights @ psi
     centered = psi - psibar
     cov = centered.T @ (weights.weights[:, None] * centered)
-    return _weight_matrix(cov, "centered")
+    return _weight_matrix(cov)
 
 
 def acm_weight_matrix(moment, sample, weights, theta) -> GmmWeightMatrix:
@@ -73,4 +72,4 @@ def acm_weight_matrix(moment, sample, weights, theta) -> GmmWeightMatrix:
     e, z = moment.residual_instrument(sample.variables, theta)
     s2 = float(weights.weights @ (e * e))
     zz = z.T @ (weights.weights[:, None] * z)
-    return _weight_matrix(s2 * np.atleast_2d(zz), "acm")
+    return _weight_matrix(s2 * np.atleast_2d(zz))

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import estimators  # its solver limits, read when a kernel is built
 from .data_model import PolyadicSample
-from .errors import SingularDesign, SolverError
-from .estimators import COND_LIMIT, EstimatorSpec, build_moment, regressors
+from .errors import ParamError, SingularDesign, SolverError
+from .estimators import COND_LIMIT, EstimatorSpec, regressors
 from .gmm_weights import invert_psd
 
 # float64 values a linear-IV block budgets per draw and observation: the
@@ -48,32 +49,30 @@ def _argmin(a, b, factor=None):
 
 
 def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
-    """Linear-IV GMM over a block of weight rows: ``solve(weights (R, N))``
-    gives the block result ``(theta, errors, infos)`` of
-    ``estimators.block_kernel``. None unless ``spec`` is the builtin
-    linear-IV moment.
+    """The builtin linear-IV GMM over a block of weight rows: ``solve(weights
+    (R, N))`` gives the block result ``(theta, errors, infos)`` of
+    ``estimators.block_kernel``.
 
-    The rounds, the iter_tol stop, iter_max, the ``info`` keys and the
-    weight matrices are those of ``estimators.gmm``, and a just-identified
-    system solves A d = b. Each minimization is exact, so ``settings.init``,
-    ``foc_tol`` and ``max_iter`` play no part; a row whose weighted design
-    S'A is numerically singular fails with SingularDesign.
+    The rounds, the ``estimators.ITER_TOL`` stop, ``ITER_MAX``, the
+    ``info`` keys and the weight matrices are those of ``estimators.gmm``,
+    and a just-identified system solves A d = b. Each minimization is
+    exact; a row whose weighted design S'A is numerically singular fails
+    with SingularDesign.
     """
-    if spec.kind != "gmm" or spec.moment is not None or spec.builtin_moment != "linear-iv":
-        return None
-    build_moment(spec, sample)  # the per-row path's column and L >= K checks
-    mode, iter_tol = spec.gmm_mode, spec.settings.iter_tol
+    mode, iter_tol = spec.gmm_mode, estimators.ITER_TOL
     acm = mode == "iterated" and spec.weight_style == "acm"
     y, r = sample.column(spec.y), regressors(sample, spec.x, spec.intercept)
     z = regressors(sample, spec.instruments, spec.intercept)
     k, l = r.shape[1], z.shape[1]
+    if l < k:
+        raise ParamError("need at least as many instruments as regressors")
     center = np.linalg.lstsq(z.T @ r, z.T @ y, rcond=None)[0]
     yc, rt = y - r @ center, np.ascontiguousarray(r.T)
     features = np.hstack([z * yc[:, None], (z[:, :, None] * r[:, None, :]).reshape(len(z), -1)])
     lo, hi = np.triu_indices(l)  # the products z_i z_j, i <= j, and where each sits
     zz, pair = z[:, lo] * z[:, hi], np.empty((l, l), int)
     pair[lo, hi] = pair[hi, lo] = np.arange(len(lo))
-    rounds = {"one-step": 0, "two-step": 1, "iterated": spec.settings.iter_max}[mode] * (l > k)
+    rounds = {"one-step": 0, "two-step": 1, "iterated": estimators.ITER_MAX}[mode] * (l > k)
 
     def solve(weights):
         sums = weights @ features

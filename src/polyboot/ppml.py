@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import estimators  # its solver limits, read when a kernel is built
 from .data_model import PolyadicSample
 from .errors import DataError, SingularDesign, SolverError
 from .estimators import EstimatorSpec, normal_equations, regressors
@@ -47,8 +48,9 @@ def ppml_newton(spec: EstimatorSpec, sample: PolyadicSample):
 
     A row starts at the weighted OLS of log(y + 1) on the regressors, stops
     once its moment residual's max norm is at most 1e-8, and halves a Newton
-    step up to 40 times until that norm falls. Rows leave the block as they
-    converge or fail, so each takes the decisions it would take alone.
+    step up to 40 times until that norm falls; it fails after
+    ``estimators.MAX_ITER`` steps. Rows leave the block as they converge or
+    fail, so each takes the decisions it would take alone.
     """
     y = sample.column(spec.y)
     if np.any(y < 0):
@@ -59,7 +61,7 @@ def ppml_newton(spec: EstimatorSpec, sample: PolyadicSample):
     k = x.shape[1]
     features, finish = normal_equations(x, np.log1p(y))
     xx, xt = features[:, : k * k], np.ascontiguousarray(x.T)
-    max_iter, tol = spec.settings.max_iter, 1e-8
+    max_iter, tol = estimators.MAX_ITER, 1e-8
 
     def residual(w, theta):
         mu = theta @ xt

@@ -147,8 +147,8 @@ def unit_draws(n: int, scheme: str, seed: int, b0: int, b1: int, alpha: float | 
         raise ParamError(f"unknown scheme {scheme!r}")
     if alpha is None:
         raise ParamError("prior scheme requires alpha")
-    if not alpha > 0:
-        raise ParamError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ParamError(f"alpha must be > 0 and finite, got {alpha}")
     return _gamma(rng.Substreams(seed, rng.ROLE_GAMMA), b0, b1, n, alpha)
 
 

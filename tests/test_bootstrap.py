@@ -159,7 +159,7 @@ def test_prior_exact_fit_identical_for_any_alpha():
         assert res.method == f"prior({alpha:g})"
 
 
-@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), None])
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf"), None])
 def test_prior_rejects_alpha_not_positive(alpha):
     rng = np.random.default_rng(4)
     s = random_dyadic_sample(rng, 4, columns=("y",))

@@ -183,6 +183,9 @@ ERROR_MATRIX = [
     ("unknown-flag-value",
      lambda tmp: ["estimate", "--data", str(tmp), "--estimator", "nope"],
      4, "invalid choice"),
+    ("bootstrap-prior-alpha-inf",
+     lambda tmp: ["bootstrap", *_draw_args(tmp), "--method", "prior", "--alpha", "inf"],
+     4, "alpha must be > 0"),
     ("bootstrap-histogram-bins-negative",
      lambda tmp: ["bootstrap", *_draw_args(tmp), "--histogram-bins", "-2"],
      4, "--histogram-bins must be >= 0"),
@@ -214,6 +217,29 @@ def test_error_matrix_exit_codes(capsys, tmp_path, build, expected, text):
     code, _, err = run(capsys, *build(tmp_path))
     assert code == expected
     assert text in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "values, text",
+    [
+        ({"level": 1.5}, "level must be in (0, 1)"),
+        ({"target_index": 3}, "target_index must be in [0, 1), got 3"),
+        ({"target_index": -1}, "target_index must be in [0, 1), got -1"),
+        ({"draws": 0, "methods": ["bayes"]}, "need at least 2 bootstrap draws for an interval"),
+        ({"truth": []}, "truth has no entry at target_index 0"),
+        ({"truth": ["a"]}, "config value of the wrong type"),
+    ],
+    ids=["level-1.5", "target-index-past-the-end", "target-index-negative", "draws-0",
+         "truth-too-short", "truth-not-a-number"],
+)
+def test_coverage_config_values_out_of_range_exit_4(capsys, tmp_path, values, text):
+    # the mean DGP's estimator has one parameter
+    code, _, err = run(
+        capsys, "coverage-sim", "--config", _coverage_config(tmp_path, **values), "--seed", "1"
+    )
+    assert code == 4
+    assert any(line.startswith(f"configuration error: {text}") for line in err.splitlines())
     assert "Traceback" not in err
 
 

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polyboot as pb
-from polyboot import bootstrap, rng, weights
+from polyboot import bootstrap, estimators, rng, weights
 from polyboot.errors import DegenerateDraw, SingularDesign, SolverError
 from polyboot.estimators import linear_statistic
 from polyboot.fixtures import gravity_sample
@@ -130,7 +130,7 @@ def test_rekeyed_stream_equals_substream(role, seed, index, lane, n):
 
 MEAN = pb.EstimatorSpec(kind="mean", column="y")
 OLS = pb.EstimatorSpec(kind="ols", y="y", x=("x",), intercept=True)
-GMM_OLS = pb.EstimatorSpec(kind="gmm", builtin_moment="ols", y="y", x=("x",), intercept=True)
+GMM_OLS = pb.EstimatorSpec(kind="gmm", moment=pb.ols_moment(("y", "x"), "y", ("x",), True))
 PPML = pb.EstimatorSpec(kind="ppml", y="y", x=("x",), intercept=True)
 IV_TWO_STEP, IV_ITERATED = (
     pb.EstimatorSpec(
@@ -225,7 +225,7 @@ def test_draws_byte_identical_for_any_threads(spec, combo, seed):
         v[:, 1] += v[:, 2] + v[:, 3]
         s = dataclasses.replace(s, variables=v)
         try:  # about 1 sample in 2,000 does not reach iterated GMM's fixed point
-            # within iter_max rounds even at the point estimate: the re-weighting
+            # within ITER_MAX rounds even at the point estimate: the re-weighting
             # converges that slowly however exactly each round is solved
             pb.evaluate_estimator(spec, s, pb.uniform_weights(s))
         except SolverError:
@@ -409,7 +409,7 @@ def assert_newton_oracle(res, sample, spec, scheme, n_draws, seed, alpha):
         if isinstance(w, str):
             failures.append((b, f"DegenerateDraw: {w}"))
             continue
-        theta, it, reason = oracles.newton_ppml(y, x, w, spec.settings.max_iter)
+        theta, it, reason = oracles.newton_ppml(y, x, w, estimators.MAX_ITER)
         if reason is None:
             draws.append(theta)
             iterations.append(it)
@@ -449,13 +449,13 @@ def test_collinear_ppml_rows_fail_alone_in_their_block():
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("max_iter", [100, 1])
-def test_ppml_rows_fail_as_they_would_alone(max_iter):
+def test_ppml_rows_fail_as_they_would_alone(monkeypatch, max_iter):
     # x = 1 where y = 1e20 and 0 where y = 0: with weight on those dyads only,
     # rounding absorbs the x = 0 dyad in the Jacobian, which is then exactly
     # singular though the start's Gram matrix is regular (row 0); row 4 gets
     # there after one step. Rows 2 and 3 (NaN) are collinear. Row 6 weighs
     # flows near 1e8, whose residual rounds above 1e-8, so its line search
-    # stalls. With max_iter=1 the other rows that take a step do not converge.
+    # stalls. With MAX_ITER = 1 the other rows that take a step do not converge.
     y = np.array([1e20, 0, 2, 3, 1, 4, 3e8, 1e8, 5e8, 2e8, 0, 4e8])
     x = np.array([1, 0, 0, 1, 0.5, 0.5, -1, 0.3, 1.2, -0.4, 0.8, 2])
     s = pb.PolyadicSample(
@@ -467,9 +467,8 @@ def test_ppml_rows_fail_as_they_would_alone(max_iter):
     rows[3] = np.nan
     rows[4, :6] = rows[6, 6:] = 1 / 6
     rows[5, 3:6] = 0.3, 0.3, 0.4
-    spec = pb.EstimatorSpec(
-        kind="ppml", y="y", x=("x",), intercept=True, settings=pb.SolverSettings(max_iter=max_iter)
-    )
+    spec = pb.EstimatorSpec(kind="ppml", y="y", x=("x",), intercept=True)
+    monkeypatch.setattr(estimators, "MAX_ITER", max_iter)
     row = row_of(ppml_newton(spec, s)(rows))
     reasons, iterations = {}, {}
     for r, w in enumerate(rows):
@@ -601,7 +600,8 @@ def test_dense_blocks_do_not_keep_the_feature_matrix(monkeypatch):
         features.append(weakref.ref(linear[0]))
         return linear
 
-    monkeypatch.setattr(bootstrap, "linear_statistic", spy)
+    monkeypatch.setattr(estimators, "linear_statistic", spy)
+    monkeypatch.setattr(bootstrap, "linear_statistic", spy, raising=False)
     step, for_block = bootstrap._block_estimator(s, OLS, 30)
     assert weights.dense_features(s, linear_statistic(OLS, s)[0]) is not None
     gc.collect()
@@ -611,3 +611,20 @@ def test_dense_blocks_do_not_keep_the_feature_matrix(monkeypatch):
     expected, _ = pb.evaluate_estimator(OLS, s, pb.uniform_weights(s))
     assert not errors and not infos
     assert np.allclose(theta, expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("spec", [MEAN, OLS])
+def test_sparse_blocks_build_the_features_once(monkeypatch, spec):
+    s = shaped_sample("plain", 30, 0, keep=0.1)
+    assert weights.dense_features(s, linear_statistic(spec, s)[0]) is None
+    calls = []
+
+    def spy(spec, sample):
+        calls.append(spec)
+        return linear_statistic(spec, sample)
+
+    monkeypatch.setattr(estimators, "linear_statistic", spy)
+    monkeypatch.setattr(bootstrap, "linear_statistic", spy, raising=False)
+    res = pb.run_bootstrap(s, spec, "bayes", n_draws=5, seed=2)
+    assert not res.failures
+    assert len(calls) == 2  # once for the point estimate, once for the draws

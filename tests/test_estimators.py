@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import polyboot as pb
-from polyboot.errors import ParamError, SingularDesign, SingularWeightMatrix, SolverError
+from polyboot.errors import DataError, ParamError, SingularDesign, SingularWeightMatrix, SolverError
 from polyboot.estimators import moment_mean, moment_mean_jacobian, observation_jacobian
 from polyboot.fixtures import overidentified_iv_sample
 from conftest import random_dyadic_sample, weighted_mean, weighted_ols, weighted_ppml
@@ -192,6 +192,32 @@ def test_builtin_moments_are_residual_times_instrument(kind, intercept):
 def test_linear_iv_needs_as_many_instruments_as_regressors(intercept):
     with pytest.raises(ParamError, match="at least as many instruments as regressors"):
         pb.linear_iv_moment(("y", "a", "b", "c"), "y", ("a", "b"), ("c",), intercept)
+    s = random_dyadic_sample(np.random.default_rng(3), 4, columns=("y", "a", "b", "c"))
+    spec = pb.EstimatorSpec(
+        kind="gmm", builtin_moment="linear-iv", y="y", x=("a", "b"), instruments=("c",),
+        intercept=intercept,
+    )
+    with pytest.raises(ParamError, match="at least as many instruments as regressors"):
+        pb.evaluate_estimator(spec, s, pb.uniform_weights(s))
+
+
+@pytest.mark.parametrize("role", ["y", "x", "instruments"])
+def test_linear_iv_kernel_rejects_an_unknown_column(role):
+    s = random_dyadic_sample(np.random.default_rng(3), 4, columns=("y", "a", "b", "c"))
+    columns = {"y": "y", "x": ("a",), "instruments": ("b", "c")}
+    columns[role] = "nope" if role == "y" else ("nope",) + columns[role][1:]
+    spec = pb.EstimatorSpec(kind="gmm", builtin_moment="linear-iv", **columns)
+    with pytest.raises(DataError, match="unknown variable column 'nope'"):
+        pb.evaluate_estimator(spec, s, pb.uniform_weights(s))
+
+
+@pytest.mark.parametrize("kind", ["ols", "ppml"])
+def test_builtin_gmm_moment_is_only_linear_iv(kind):
+    # OLS and PPML are estimator kinds, each with its own block kernel
+    with pytest.raises(ParamError, match=f'kind="{kind}"'):
+        pb.EstimatorSpec(kind="gmm", builtin_moment=kind, y="y", x=("x",))
+    with pytest.raises(ParamError, match="unknown builtin moment 'probit'"):
+        pb.EstimatorSpec(kind="gmm", builtin_moment="probit", y="y", x=("x",))
 
 
 # ------------------------------------------------------- centered weight matrix
@@ -315,14 +341,13 @@ def test_iterated_fixed_point_and_foc(iv_sample):
         assert set(info) == {"iterations", "objective_trace"}
         assert len(trace) == info["iterations"] >= 1
         assert np.all(np.diff(trace) <= 1e-10)  # objective non-increasing
-        # re-running from the fixed point moves less than the tolerance
-        settings = pb.SolverSettings(init=tuple(theta))
-        theta2, _ = pb.gmm(moment, iv_sample, w, settings, "iterated", style)
-        assert np.linalg.norm(theta2 - theta) < 1e-6
         if style == "centered":
             omega = pb.centered_weight_matrix(moment, iv_sample, w, theta)
         else:
             omega = pb.acm_weight_matrix(moment, iv_sample, w, theta)
+        # a round restarted from the fixed point moves less than the tolerance
+        theta2 = pb.estimators._minimize_gmm(moment, iv_sample, w, omega.matrix, init=theta)
+        assert np.linalg.norm(theta2 - theta) < 1e-6
         m = moment_mean(moment, iv_sample.variables, w.weights, theta)
         jac = pb.estimators.moment_mean_jacobian(moment, iv_sample.variables, w.weights, theta)
         assert np.max(np.abs(jac.T @ omega.matrix @ m)) <= 1e-6
@@ -347,12 +372,13 @@ def test_solve_z_mean_moment(dyad_sample):
     assert theta[0] == pytest.approx(weighted_mean(dyad_sample, w, "y"), abs=1e-10)
 
 
-def test_solve_z_agrees_with_ppml():
+def test_solve_z_agrees_with_ppml(monkeypatch):
     s = poisson_sample(seed=12)
     w = rand_weights(s, 111)
     moment = pb.ppml_moment(s.variable_names, "y", ("x",), intercept=True)
     direct, _ = weighted_ppml(s, w, "y", ("x",), intercept=True)
-    via_z, _ = pb.solve_z(moment, s, w, init=np.zeros(2), settings=pb.SolverSettings(root_tol=1e-11))
+    monkeypatch.setattr(pb.estimators, "ROOT_TOL", 1e-11)
+    via_z, _ = pb.solve_z(moment, s, w, init=np.zeros(2))
     assert np.max(np.abs(direct - via_z)) < 1e-8
 
 
@@ -409,7 +435,7 @@ def test_analytic_jacobians_match_finite_differences():
 
 def test_gmm_point_estimate_converges_on_hard_iv_sample():
     # With finite-difference Jacobians Gauss-Newton stalled here at
-    # |grad| 1.3e-8 > foc_tol; the analytic Jacobian reaches the minimum.
+    # |grad| 1.3e-8 > FOC_TOL; the analytic Jacobian reaches the minimum.
     iv = overidentified_iv_sample(seed=8618596000576588736, n=30)
     for mode in ("two-step", "iterated"):
         spec = pb.EstimatorSpec(

@@ -18,7 +18,7 @@ IV = dict(kind="gmm", builtin_moment="linear-iv", y="y", x=("r",), instruments=(
 SINGULAR = "SingularDesign: linear-IV GMM least-squares system is numerically singular"
 NOT_MINIMIZED = "SolverError: GMM minimization did not reach the first-order conditions"
 # per-row Gauss-Newton fails these crafted rows short of its first-order
-# conditions: with max_iter = 0 steps, and with its line search stalled
+# conditions: with MAX_ITER = 0 steps, and with its line search stalled
 GAUSS_NEWTON = ("first-order conditions", "stalled line search")
 MODES = [("one-step", "centered"), ("two-step", "centered"), ("iterated", "acm"),
          ("iterated", "centered")]
@@ -36,8 +36,7 @@ def per_row(spec, sample, w):
     moment = pb.build_moment(spec, sample)
     return outcome(
         lambda: pb.gmm(
-            moment, sample, pb.ObservationWeights(w), spec.settings, spec.gmm_mode,
-            spec.weight_style,
+            moment, sample, pb.ObservationWeights(w), spec.gmm_mode, spec.weight_style
         )
     )
 
@@ -140,8 +139,9 @@ def crafted_sample():
     return dataclasses.replace(s, variables=v)
 
 
-def failure_case(name):
-    """(sample, spec, weight rows, expected reason per row or None)."""
+def failure_case(name, monkeypatch):
+    """(sample, spec, weight rows, expected reason per row or None), with the
+    solver limits the case needs patched in."""
     s = crafted_sample()
     n = s.n_obs
     uniform, tilted = np.full(n, 1 / n), np.arange(n) / (n * (n - 1) / 2)
@@ -150,10 +150,10 @@ def failure_case(name):
     if name == "singular least squares":
         return s, pb.EstimatorSpec(**IV), [pair, uniform], [SINGULAR, None]
     if name == "first-order conditions":
-        spec = pb.EstimatorSpec(**IV, settings=pb.SolverSettings(max_iter=0))
-        return s, spec, [uniform, tilted], [None] * 2
+        monkeypatch.setattr(estimators, "MAX_ITER", 0)
+        return s, pb.EstimatorSpec(**IV), [uniform, tilted], [None] * 2
     if name == "stalled line search":
-        # y and r near 1e7: the gradient's rounding stays far above foc_tol
+        # y and r near 1e7: the gradient's rounding stays far above FOC_TOL
         s = overidentified_iv_sample(n=5)
         v = s.variables.copy()
         v[:, :2] *= 1e7
@@ -182,7 +182,8 @@ def failure_case(name):
         rows = list(pb.weights_for_block(s, "bayes", 3, 0, 4))
         return s, pb.EstimatorSpec(**IV), rows, [None] * 4
     assert name == "iter_max"
-    spec = pb.EstimatorSpec(**IV, gmm_mode="iterated", settings=pb.SolverSettings(iter_max=1))
+    monkeypatch.setattr(estimators, "ITER_MAX", 1)
+    spec = pb.EstimatorSpec(**IV, gmm_mode="iterated")
     reason = "SolverError: iterated GMM did not reach a fixed point"
     return s, spec, [uniform, tilted], [reason] * 2
 
@@ -193,8 +194,8 @@ def failure_case(name):
     ["singular least squares", "non-finite covariance", "no positive eigenvalue", "ridged",
      "first-order conditions", "stalled line search", "iter_max"],
 )
-def test_crafted_rows_fail_as_they_would_alone(name):
-    s, spec, rows, reasons = failure_case(name)
+def test_crafted_rows_fail_as_they_would_alone(monkeypatch, name):
+    s, spec, rows, reasons = failure_case(name, monkeypatch)
     rows = np.array(rows + [np.full(s.n_obs, np.nan)])  # a degenerate draw's row
     reasons = reasons + [SINGULAR]
     block = kernel(spec, s, rows)
@@ -292,9 +293,8 @@ def test_just_identified_iv_takes_the_kernel_and_user_moments_run_per_row(
         assert np.all(np.abs(theta - theta_ref) <= 1e-10 * np.abs(theta_ref))
         assert info == info_ref
     user = user_moment(pb.EstimatorSpec(**IV), iv_sample)
-    ols = pb.EstimatorSpec(kind="gmm", builtin_moment="ols", y="y", x=("r",))
-    for spec in (user, ols):
-        assert linear_iv.linear_iv_gmm(spec, iv_sample) is None
+    with pytest.raises(AssertionError, match="the per-row gmm was called"):
+        pb.evaluate_estimator(user, iv_sample, pb.uniform_weights(iv_sample))
 
 
 def test_wide_specs_take_the_kernel(monkeypatch):

@@ -15,10 +15,16 @@ Newton on the same weight rows two ways: row by row (the test suite's
 oracle, ``tests/oracles.py``) and batched over the engine's blocks
 (``ppml.ppml_newton``), and prints the largest difference between
 their draws relative to each parameter's largest draw. A last table
-times linear-IV GMM: per-row ``estimators.gmm`` against the closed form
-of ``linear_iv.linear_iv_gmm`` over the engine's blocks, on solver-mix's
-jobs (``overidentified_iv_sample(n=30)``, L = 3 instruments) and on six
-instruments over the 89,700 dyads of n=300, the size of cli-large's CSV.
+times the two forms of linear-IV GMM (``linear_iv.linear_iv_gmm``) from
+the same draws, each over its own blocks: the weight-row kernel on
+``weights_for_block`` rows, and the factorized form on ``product_sums``
+(the path ``run_bootstrap`` takes on dense index sets), with the largest
+difference between their draws. The shapes are solver-mix's jobs
+(``overidentified_iv_sample(n=30)``, L = 3 instruments), a wide spec
+whose dense feature tensor nearly fills ``weights.BLOCK_BYTES`` (n=50,
+L = 7 with an intercept: 3.8 of 4 MB), and six instruments over the
+89,700 dyads of n=300, the size of cli-large's CSV, past that bound, where
+only the weight-row kernel runs.
 
 Usage: PYTHONPATH=src python scripts/kernel_timing.py [repeats]
 """
@@ -30,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from polyboot import EstimatorSpec, ObservationWeights, build_moment, coverage, gmm, linear_iv, weights
+from polyboot import EstimatorSpec, coverage, linear_iv, weights
 from polyboot.estimators import linear_statistic, regressors
 from polyboot.fixtures import gravity_sample, overidentified_iv_sample
 from polyboot.ppml import PPML_ROW_FLOATS, ppml_newton
@@ -49,11 +55,12 @@ GRAVITY = EstimatorSpec(
     kind="ppml", y="flow", x=("size_origin", "size_destination", "log_friction"), intercept=True
 )
 PPML_SHAPES = [("ppml n=40 B=200 bayes", 40, "bayes", 200)]  # (label, units, scheme, draws)
-IV_SHAPES = [  # (label, units, instruments, GMM mode, weight style, scheme, draws)
-    ("iv 2-step n=30 L=3 B=200 pigeon", 30, 3, "two-step", "centered", "pigeonhole", 200),
-    ("iv iterated n=30 L=3 B=100 bayes", 30, 3, "iterated", "centered", "bayes", 100),
-    ("iv iter-acm n=30 L=3 B=100 bayes", 30, 3, "iterated", "acm", "bayes", 100),
-    ("iv 2-step n=300 L=6 B=20 bayes", 300, 6, "two-step", "centered", "bayes", 20),
+IV_SHAPES = [  # (label, units, instruments, intercept, GMM mode, weight style, scheme, draws)
+    ("iv 2-step n=30 L=3 B=200 pigeon", 30, 3, False, "two-step", "centered", "pigeonhole", 200),
+    ("iv iterated n=30 L=3 B=100 bayes", 30, 3, False, "iterated", "centered", "bayes", 100),
+    ("iv iter-acm n=30 L=3 B=100 bayes", 30, 3, False, "iterated", "acm", "bayes", 100),
+    ("iv iterated n=50 L=7 B=100 bayes", 50, 6, True, "iterated", "centered", "bayes", 100),
+    ("iv 2-step n=300 L=6 B=20 bayes", 300, 6, False, "two-step", "centered", "bayes", 20),
 ]
 
 
@@ -83,17 +90,31 @@ def ppml_per_row(sample, rows):
     return np.array([oracles.newton_ppml(y, x, w)[0] for w in rows])  # no row fails here
 
 
-def gmm_per_row(spec, sample, rows):
-    moment = build_moment(spec, sample)
-    return np.array([
-        gmm(moment, sample, ObservationWeights(w), spec.gmm_mode, spec.weight_style)[0]
-        for w in rows
-    ])  # no row fails here
-
-
 def batched(solve, rows, step):
     # no row fails here, so every theta is a draw
     return np.concatenate([solve(rows[b0 : b0 + step])[0] for b0 in range(0, len(rows), step)])
+
+
+def iv_weight_rows(spec, sample, scheme, seed, n_draws):
+    solve = linear_iv.linear_iv_gmm(spec, sample)[0]
+    step = weights.block_rows(n_draws, linear_iv.IV_ROW_FLOATS * sample.n_obs)
+    return np.concatenate([
+        solve(weights.weights_for_block(sample, scheme, seed, b0, min(b0 + step, n_draws)))[0]
+        for b0 in range(0, n_draws, step)
+    ])  # no draw fails here
+
+
+def iv_factorized(spec, sample, scheme, seed, n_draws):
+    features, finish = linear_iv.linear_iv_gmm(spec, sample)[1]
+    dense = weights.dense_features(sample, features)
+    step = weights.block_rows(n_draws, dense[0].size)
+    theta = []
+    for b0 in range(0, n_draws, step):
+        b1 = min(b0 + step, n_draws)
+        log_units, _ = weights.log_draws(sample, scheme, seed, b0, b1, None, {})
+        sums = weights.product_sums(sample, dense, log_units, None, {})
+        theta.append(finish(sums, lambda rows: weights.product_weights(sample, log_units[rows]))[0])
+    return np.concatenate(theta)  # no draw fails here
 
 
 def timed(fn, repeats, *args):
@@ -134,19 +155,20 @@ def main(repeats=5):
         step = weights.block_rows(n_draws, PPML_ROW_FLOATS * sample.n_obs)
         ms_batch, b = timed(batched, repeats, solve, rows, step)
         print_pair(label, ms_row, ms_batch, a, b)
-    print(f"{'shape':32} {'per-row ms':>16} {'batched ms':>14} {'max rel diff':>13}")
-    for label, n, n_instruments, mode, style, scheme, n_draws in IV_SHAPES:
+    print(f"{'shape':32} {'weight-row ms':>16} {'factorized ms':>14} {'max rel diff':>13}")
+    for label, n, n_instruments, intercept, mode, style, scheme, n_draws in IV_SHAPES:
         sample = overidentified_iv_sample(n=n, extra=n_instruments - 3)
         spec = EstimatorSpec(
-            kind="gmm", builtin_moment="linear-iv", y="y", x=("r",),
+            kind="gmm", builtin_moment="linear-iv", y="y", x=("r",), intercept=intercept,
             instruments=sample.variable_names[2:], gmm_mode=mode, weight_style=style,
         )
-        rows = weights.weights_for_block(sample, scheme, 7, 0, n_draws)
-        ms_row, a = timed(gmm_per_row, repeats, spec, sample, rows)
-        step = weights.block_rows(n_draws, linear_iv.IV_ROW_FLOATS * sample.n_obs)
-        solve = linear_iv.linear_iv_gmm(spec, sample)
-        ms_batch, b = timed(batched, repeats, solve, rows, step)
-        print_pair(label, ms_row, ms_batch, a, b)
+        args = (spec, sample, scheme, 7, n_draws)
+        ms_row, a = timed(iv_weight_rows, repeats, *args)
+        if linear_iv.linear_iv_gmm(spec, sample)[1] is None:  # past weights.BLOCK_BYTES
+            print(f"{label:32} {ms_row:16.1f} {'-':>14} {'-':>13}")
+            continue
+        ms_fac, b = timed(iv_factorized, repeats, *args)
+        print_pair(label, ms_row, ms_fac, a, b)
 
 
 if __name__ == "__main__":

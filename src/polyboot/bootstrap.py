@@ -9,19 +9,23 @@ log-draws (``weights.log_draws``).
 Every estimator has one block kernel, ``estimators.block_kernel``:
 ``solve(weights (R, N))`` gives ``(theta (R, K), errors, infos)``, the
 rows' estimates, their draw failures and their solver metadata, and the
-point estimate is its one-row case. Mean and OLS are functions of weighted
-feature sums s = sum_k w_k f_k, f = y for the mean and f = [vec(x x'), x y]
-for OLS (``estimators.linear_statistic``), whose k x k normal equations a
-block solves in one batched call. Such a sum is a quadratic form in the
-unit values, v'F v / v'M v for dyads with M the observed-dyad mask, so
-when the dense feature tensor holds at most four entries per observation
+point estimate is its one-row case. Mean, OLS and linear-IV GMM are
+functions of weighted feature sums s = sum_k w_k f_k: f = y for the mean,
+f = [vec(x x'), x y] for OLS (``estimators.linear_statistic``), whose
+k x k normal equations a block solves in one batched call, and for linear
+IV z y, z r' and the features of the squared residual's covariance, from
+which each re-weighting round takes its exact weighted solve
+(``linear_iv.linear_iv_gmm``, while that dense tensor fits
+``weights.BLOCK_BYTES``). Such a sum is a quadratic form in the unit
+values, v'F v / v'M v for dyads with M the observed-dyad mask, so when the
+dense feature tensor holds at most four entries per observation
 (n**P * T <= 4 N) the sums come from ``weights.product_sums`` without
-building the weight matrix; a draw whose normalizer v'M v is not finite or
-below e**-600 has its weight row built from the same draws instead. Every
+building the weight matrix. A draw whose normalizer v'M v is not finite or
+below e**-600, or a linear-IV draw whose expanded covariance cancels, has
+its weight row built from the same draws instead (``weights_of``). Every
 other block applies its kernel to the block of the weight matrix: PPML is
-one damped Newton (``ppml.ppml_newton``), linear-IV GMM one exact weighted
-solve per re-weighting round (``linear_iv.linear_iv_gmm``), user GMM
-moments ``gmm`` on each row.
+one damped Newton (``ppml.ppml_newton``), linear IV the same rounds on the
+weight rows, user GMM moments ``gmm`` on each row.
 
 Blocks run serially unless ``threads`` > 1 maps them over a thread pool;
 since each block owns its random streams and the partition never depends
@@ -133,7 +137,11 @@ def _block_estimator(sample, spec, n_draws):
     finish = linear[1]  # the dense tensor holds the features, fallback rows included
 
     def for_block(log_units, log_levels, failed):
-        return finish(product_sums(sample, dense, log_units, log_levels, failed))
+        def weights_of(rows):  # the weight rows of the draws a kernel solves from their weights
+            levels = None if log_levels is None else log_levels[rows]
+            return product_weights(sample, log_units[rows], levels)
+
+        return finish(product_sums(sample, dense, log_units, log_levels, failed), weights_of)
 
     # a dense block holds the (rows, n**(P-1) T (1+F)) partial contraction
     return block_rows(n_draws, dense[0].size), for_block

@@ -245,15 +245,33 @@ def _cmd_counterfactual(args):
     return EXIT_OK
 
 
+_JSON_TYPES = {  # what a typed config value must be, and how its error names it
+    "integer": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "boolean": (lambda v: isinstance(v, bool), "true or false"),
+    "strings": (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+                "a list of strings"),
+}
+
+
+def _typed(cfg, key, kind, *default):
+    """cfg[key], or the default when one is given and the key is absent; a
+    value that is not the JSON ``kind`` raises TypeError."""
+    value = cfg.get(key, *default) if default else cfg[key]
+    check, name = _JSON_TYPES[kind]
+    if not check(value):
+        raise TypeError(f"{key!r} must be {name}, got {value!r}")
+    return tuple(value) if kind == "strings" else value
+
+
 def _dgp_from_config(cfg):
     kind = cfg.get("type")
     if kind == "unit-effects-mean":
         return mean_unit_effects_dgp(
-            int(cfg["n"]), cfg.get("sigma_c", 1.0), cfg.get("sigma_eps", 0.3)
+            _typed(cfg, "n", "integer"), cfg.get("sigma_c", 1.0), cfg.get("sigma_eps", 0.3)
         )
     if kind == "unit-effects-ols":
         return ols_unit_effects_dgp(
-            int(cfg["n"]),
+            _typed(cfg, "n", "integer"),
             cfg.get("slope", 1.0),
             cfg.get("sigma_a", 1.0),
             cfg.get("sigma_b", 1.0),
@@ -278,13 +296,14 @@ def _spec_from_config(cfg) -> EstimatorSpec:
         return EstimatorSpec(kind="mean", column=cfg["column"])
     if kind not in ("ols", "ppml", "linear-iv"):
         raise ParamError(f"unknown estimator kind {kind!r}")
-    regression = dict(y=cfg["y"], x=tuple(cfg["x"]), intercept=bool(cfg.get("intercept", False)))
+    intercept = _typed(cfg, "intercept", "boolean", False)
+    regression = dict(y=cfg["y"], x=_typed(cfg, "x", "strings"), intercept=intercept)
     if kind != "linear-iv":
         return EstimatorSpec(kind=kind, **regression)
     return EstimatorSpec(
         kind="gmm",
         builtin_moment="linear-iv",
-        instruments=tuple(cfg["instruments"]),
+        instruments=_typed(cfg, "instruments", "strings"),
         gmm_mode=cfg.get("gmm_mode", "two-step"),
         weight_style=cfg.get("weight_style", "centered"),
         **regression,
@@ -307,17 +326,17 @@ def _cmd_coverage(args):
             src = _section(cfg, "source")
             if not isinstance(src["data"], str):
                 raise TypeError(f"source.data must be a path string, got {src['data']!r}")
-            source = (src["data"], int(src.get("order", 2)))
+            source = (src["data"], _typed(src, "order", "integer", 2))
         else:
             raise ParamError("config needs a 'dgp' or 'source' section")
         settings = dict(
             estimator=_spec_from_config(_section(cfg, "estimator")),
-            methods=tuple(cfg["methods"]),
-            n_replications=int(cfg["replications"]),
-            n_bootstrap=int(cfg.get("draws", 500)),
+            methods=_typed(cfg, "methods", "strings"),
+            n_replications=_typed(cfg, "replications", "integer"),
+            n_bootstrap=_typed(cfg, "draws", "integer", 500),
             level=float(cfg.get("level", 0.95)),
             truth=tuple(map(float, cfg["truth"])) if "truth" in cfg else None,
-            target_index=int(cfg.get("target_index", 0)),
+            target_index=_typed(cfg, "target_index", "integer", 0),
         )
     except KeyError as exc:
         raise ParamError(f"config is missing the key {exc.args[0]!r}") from None

@@ -298,13 +298,13 @@ def linear_statistic(spec: EstimatorSpec, sample: PolyadicSample):
     """Mean and OLS as functions of weighted feature sums s = sum_k w_k f_k,
     f = y for the mean and ``normal_equations`` for OLS: ``(features (N, F),
     finish)``, where ``finish(sums (R, F))`` gives the block result of
-    ``block_kernel``."""
+    ``block_kernel`` (every row from its sums, so ``weights_of`` is unused)."""
     if spec.kind == "mean":
-        return sample.column(spec.column)[:, None], lambda sums: (sums, {}, {})
+        return sample.column(spec.column)[:, None], lambda sums, weights_of=None: (sums, {}, {})
     x, y = regressors(sample, spec.x, spec.intercept), sample.column(spec.y)
     features, solve = normal_equations(x, y)
 
-    def finish(sums):
+    def finish(sums, weights_of=None):
         theta, singular = solve(sums)
         reason = "weighted Gram matrix is numerically singular"
         return theta, {int(r): SingularDesign(reason) for r in np.flatnonzero(singular)}, {}
@@ -567,8 +567,12 @@ def block_kernel(spec: EstimatorSpec, sample: PolyadicSample) -> tuple:
     other rows' theta and info are estimates; infos maps a row to its solver
     metadata, {} when absent. Each row's result is the one it would have
     alone. ``row_floats`` is the float64 values a block budgets per row and
-    observation. ``linear`` is ``linear_statistic``'s ``(features, finish)``
-    for mean and OLS, and None for the other estimators.
+    observation. ``linear`` is the factorized form ``(features, finish)``:
+    ``finish(sums, weights_of)`` gives the block result from the rows'
+    weighted feature sums, and may solve some rows from their weights,
+    ``weights_of(rows)``. It is ``linear_statistic``'s for mean and OLS,
+    ``linear_iv_gmm``'s for linear IV when its dense features fit, and None
+    otherwise.
     """
     from .linear_iv import IV_ROW_FLOATS, linear_iv_gmm  # these kernels build on this module
     from .ppml import PPML_ROW_FLOATS, ppml_newton
@@ -579,7 +583,7 @@ def block_kernel(spec: EstimatorSpec, sample: PolyadicSample) -> tuple:
     if spec.kind == "ppml":
         return PPML_ROW_FLOATS, ppml_newton(spec, sample), None
     if spec.moment is None:  # the builtin linear IV
-        return IV_ROW_FLOATS, linear_iv_gmm(spec, sample), None
+        return IV_ROW_FLOATS, *linear_iv_gmm(spec, sample)
     return 1, _per_row_gmm(spec, sample), None
 
 

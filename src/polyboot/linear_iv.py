@@ -1,33 +1,44 @@
-"""Linear-IV GMM in closed form over a block of weight rows.
+"""Linear-IV GMM in closed form over a block of weight rows or of their
+weighted feature sums.
 
 The moment psi = (y - r'theta) z is linear in theta, so for a weight matrix
 Omega = S S' the objective |S'm|^2, m = b - A d, has the exact minimizer
 d = (A' Omega A)^{-1} A' Omega b (Hansen 1982), with A = sum w z r',
 b = sum w z (y - r'c) and theta = c + d; the center c, the unweighted
-one-step estimate, keeps e = (y - r'c) - r'd free of cancellation. One
-product of a block's weight rows gives every row's A and b; each round
-builds the rows' covariances from the block and solves all the S'A d = S'b
-by least squares, never squaring S'A's condition number in A' Omega A.
+one-step estimate, keeps e = (y - r'c) - r'd free of cancellation. Each
+round builds the rows' covariances and solves all the S'A d = S'b by least
+squares, never squaring S'A's condition number in A' Omega A.
 ``linear_iv_gmm`` is the moment's block kernel (``estimators.block_kernel``):
 it returns the rows' thetas, errors and infos, and the point estimate is
 the one-row case.
+
+Every sum a round needs is a weighted sum of fixed features, as e^2 = yc^2
+- 2 sum_j d_j yc r_j + sum_ij d_i d_j r_i r_j is quadratic in d, so the
+kernel also has a factorized form on the rows' feature sums, which the
+engine takes from ``weights.product_sums``; the two forms share one round
+loop. The expansion cancels when a row's weight piles onto a few
+observations: a row whose expanded covariance diagonal keeps less than
+CANCELLATION of its terms' magnitudes is solved from its weight row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import estimators  # its solver limits, read when a kernel is built
+from . import estimators, weights  # their limits, read when a kernel is built
 from .data_model import PolyadicSample
 from .errors import ParamError, SingularDesign, SolverError
 from .estimators import COND_LIMIT, EstimatorSpec, regressors
 from .gmm_weights import invert_psd
 
-# float64 values a linear-IV block budgets per draw and observation: the
-# kernel holds at most three (rows, N) arrays. At solver-mix's N = 870, 8
-# gives 75-row blocks; 4 ran its IV jobs up to 15% faster with 0.7 MB more
-# peak RSS, 16 up to 20% slower.
+# float64 values a block of weight rows budgets per draw and observation:
+# the kernel holds at most three (rows, N) arrays. Measured at N = 870
+# (solver-mix, before it took the factorized form): 4 ran up to 15% faster
+# with 0.7 MB more peak RSS, 16 up to 20% slower.
 IV_ROW_FLOATS = 8
+
+CANCELLATION = 1e-2  # the share of its terms' magnitudes an expanded diagonal must keep
+_CANCELLED = object()  # the error of a row handed to its weight row
 
 
 def _argmin(a, b, factor=None):
@@ -49,9 +60,13 @@ def _argmin(a, b, factor=None):
 
 
 def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
-    """The builtin linear-IV GMM over a block of weight rows: ``solve(weights
-    (R, N))`` gives the block result ``(theta, errors, infos)`` of
-    ``estimators.block_kernel``.
+    """The builtin linear-IV GMM: ``(solve, linear)``. ``solve(weights (R,
+    N))`` gives the block result ``(theta, errors, infos)`` of
+    ``estimators.block_kernel``; ``linear`` is ``(features (N, F), finish)``:
+    ``finish(sums (R, F), weights_of)`` gives the same from the rows' weighted
+    feature sums, and solves the cancelled rows from ``weights_of(rows)``.
+    ``linear`` is None when the dense feature tensor (``weights.dense_features``)
+    would pass ``weights.BLOCK_BYTES``.
 
     The rounds, the ``estimators.ITER_TOL`` stop, ``ITER_MAX``, the
     ``info`` keys and the weight matrices are those of ``estimators.gmm``,
@@ -68,19 +83,20 @@ def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
         raise ParamError("need at least as many instruments as regressors")
     center = np.linalg.lstsq(z.T @ r, z.T @ y, rcond=None)[0]
     yc, rt = y - r @ center, np.ascontiguousarray(r.T)
-    features = np.hstack([z * yc[:, None], (z[:, :, None] * r[:, None, :]).reshape(len(z), -1)])
+    first = np.hstack([z * yc[:, None], (z[:, :, None] * r[:, None, :]).reshape(len(z), -1)])
     lo, hi = np.triu_indices(l)  # the products z_i z_j, i <= j, and where each sits
     zz, pair = z[:, lo] * z[:, hi], np.empty((l, l), int)
     pair[lo, hi] = pair[hi, lo] = np.arange(len(lo))
     rounds = {"one-step": 0, "two-step": 1, "iterated": estimators.ITER_MAX}[mode] * (l > k)
 
-    def solve(weights):
-        sums = weights @ features
-        b, a = sums[:, :l], sums[:, l:].reshape(-1, l, k)
+    def run(sums, covariance):
+        """The rounds on the rows' sums of ``first``; ``covariance(live, d)`` gives
+        the live rows' pair entries of sum w e^2 z z' (acm: sum w e^2 times
+        sum w z z') and the rows to solve from their weight rows."""
+        b, a = sums[:, :l], sums[:, l : first.shape[1]].reshape(-1, l, k)
         d, errors = _argmin(a, b)
-        infos, traces = {}, [[] for _ in weights]
-        live = np.setdiff1d(np.arange(len(weights)), list(errors))
-        w = weights[live] if errors else weights
+        infos, traces = {}, [[] for _ in sums]
+        live = np.setdiff1d(np.arange(len(sums)), list(errors))
         if l == k and mode != "one-step":  # gmm solves a just-identified system as a moment root
             infos = {i: {"iterations": 1, "objective_trace": []} if mode == "iterated"
                      else {"iterations": 1} for i in live}
@@ -88,18 +104,14 @@ def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
             if not live.size:
                 break
             al, bl, dl = a[live], b[live], d[live]
-            e2w = dl @ rt  # the live rows' squared residuals times their weights
-            np.subtract(yc, e2w, out=e2w)
             with np.errstate(over="ignore", invalid="ignore"):
-                np.square(e2w, out=e2w)
-                e2w *= w
-                if acm:
-                    cov = e2w.sum(axis=1)[:, None, None] * (w @ zz)[:, pair]
-                else:
+                cov, inexact = covariance(live, dl)
+                cov = cov[:, pair]
+                if not acm:
                     psibar = bl - (al @ dl[:, :, None])[:, :, 0]
-                    cov = (e2w @ zz)[:, pair] - psibar[:, :, None] * psibar[:, None, :]
-            del e2w
+                    cov -= psibar[:, :, None] * psibar[:, None, :]
             factor, ridged, bad = invert_psd(cov)
+            bad.update((int(j), _CANCELLED) for j in np.flatnonzero(inexact))
             new, failed = _argmin(al, bl, factor)
             failed.update(bad)
             errors.update((int(live[j]), exc) for j, exc in failed.items())
@@ -116,11 +128,54 @@ def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
                     infos[i] = {"iterations": it, "objective_trace": traces[i]}
             keep = ~done
             keep[list(failed)] = False
-            if not keep.all():
-                live, w = live[keep], w[keep]
+            live = live[keep]
         if mode == "iterated" and l > k:
             unfixed = "iterated GMM did not reach a fixed point"
             errors.update((int(i), SolverError(unfixed, trace=traces[i])) for i in live)
         return center + d, errors, infos
 
-    return solve
+    def solve(block):
+        held = [block]  # the live rows' weights, gathered again when rows leave
+
+        def covariance(live, d):
+            if len(live) < len(held[0]):
+                held[0] = block[live]
+            w, e2w = held[0], d @ rt  # the squared residuals times their weights
+            np.subtract(yc, e2w, out=e2w)
+            np.square(e2w, out=e2w)
+            e2w *= w
+            return (e2w.sum(axis=1)[:, None] * (w @ zz) if acm else e2w @ zz), ()
+
+        return run(block @ first, covariance)
+
+    ri, rj = np.triu_indices(k)
+    terms = 1 + k + len(ri)  # e^2 = [yc^2, yc r, r_i r_j (i <= j)] . [1, -2 d, c_ij d_i d_j]
+    width = first.shape[1] + (terms + len(lo) if acm else terms * len(lo)) * (rounds > 0)
+    cells = sample.n_units**sample.order * max(sample.n_cluster_levels, 1)
+    if 8 * (1 + width) * cells > weights.BLOCK_BYTES:
+        return solve, None
+    squares = np.hstack([yc[:, None] ** 2, yc[:, None] * r, r[:, ri] * r[:, rj]])
+    extra = np.hstack([squares, zz]) if acm else (squares[:, :, None] * zz[:, None, :])
+    features = np.hstack([first, extra.reshape(len(z), -1)]) if rounds else first
+    diagonal = [0] if acm else np.flatnonzero(lo == hi)
+
+    def finish(sums, weights_of):
+        def covariance(live, d):
+            coef = np.hstack([np.ones((len(d), 1)), -2 * d, (1 + (ri < rj)) * d[:, ri] * d[:, rj]])
+            s = sums[live, first.shape[1] :]
+            q = (s[:, :terms] if acm else s).reshape(len(d), terms, -1)
+            e2 = (coef[:, None] @ q)[:, 0]
+            size = (np.abs(coef)[:, None] @ np.abs(q[:, :, diagonal]))[:, 0]
+            inexact = (e2[:, diagonal] < CANCELLATION * size).any(axis=1)
+            return (e2 * s[:, terms:] if acm else e2), inexact
+
+        theta, errors, infos = run(sums, covariance)
+        redo = sorted(r for r, exc in errors.items() if exc is _CANCELLED)
+        if redo:  # a failed row's info is never read, so the stale ones may stay
+            theta[redo], again, more = solve(weights_of(redo))
+            errors = {r: exc for r, exc in errors.items() if exc is not _CANCELLED}
+            errors.update((redo[j], exc) for j, exc in again.items())
+            infos.update((redo[j], info) for j, info in more.items())
+        return theta, errors, infos
+
+    return solve, (features, finish)

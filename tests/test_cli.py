@@ -170,6 +170,32 @@ ERROR_MATRIX = [
             ("estimator", {"kind": "ols", "y": "y", "x": 5}),
         )
     ],
+    # a value of the wrong JSON type is refused, not truncated, coerced or split
+    *[
+        (f"coverage-config-{name}",
+         lambda tmp, values=values, drop=drop: [
+             "coverage-sim", "--config", _coverage_config(tmp, drop, **values), "--seed", "1"],
+         4, f"config value of the wrong type: {text}")
+        for name, values, drop, text in (
+            ("replications-1.9", {"replications": 1.9}, None, "'replications' must be an integer"),
+            ("draws-2.5", {"draws": 2.5}, None, "'draws' must be an integer"),
+            ("target-index-0.7", {"target_index": 0.7}, None, "'target_index' must be an integer"),
+            ("dgp-n-6.5", {"dgp": {"type": "unit-effects-mean", "n": 6.5}}, None,
+             "'n' must be an integer"),
+            ("source-order-2.0", {"source": {"data": "d.csv", "order": 2.0}}, "dgp",
+             "'order' must be an integer"),
+            ("intercept-false-string",
+             {"estimator": {"kind": "ols", "y": "y", "x": ["x"], "intercept": "false"}}, None,
+             "'intercept' must be true or false"),
+            ("methods-string", {"methods": "naive"}, None, "'methods' must be a list of strings"),
+            ("x-string", {"estimator": {"kind": "ols", "y": "y", "x": "x"}}, None,
+             "'x' must be a list of strings"),
+            ("instruments-string",
+             {"estimator": {"kind": "linear-iv", "y": "y", "x": ["x"],
+                            "instruments": "instruments"}}, None,
+             "'instruments' must be a list of strings"),
+        )
+    ],
     ("estimate-mean-without-column",
      lambda tmp: ["estimate", "--data", make_fixture("exact-line", 0, tmp), "--estimator", "mean"],
      4, "--estimator mean requires --column"),

@@ -139,6 +139,12 @@ IV_TWO_STEP, IV_ITERATED = (
     )
     for mode in ("two-step", "iterated")
 )
+# two-step centered, iterated centered and iterated acm, with and without an intercept
+IV_SPECS = [
+    dataclasses.replace(spec, weight_style=style, intercept=intercept)
+    for spec, style in ((IV_TWO_STEP, "centered"), (IV_ITERATED, "centered"), (IV_ITERATED, "acm"))
+    for intercept in (False, True)
+]
 SINGULAR = "SingularDesign: weighted Gram matrix is numerically singular"
 
 
@@ -237,7 +243,7 @@ def test_draws_byte_identical_for_any_threads(spec, combo, seed):
     alpha = 3.0 if scheme == "prior" else None
     outputs = set()
     with pytest.MonkeyPatch.context() as mp:
-        # 30 draws in 3 (mean), 8 (GMM, PPML and linear IV) or 15 (OLS) blocks
+        # 30 draws in 3 (mean), 5 (factorized linear IV), 8 (GMM, PPML) or 15 (OLS) blocks
         row_floats = PPML_ROW_FLOATS if spec is PPML else 1
         if spec.builtin_moment == "linear-iv":
             row_floats = IV_ROW_FLOATS
@@ -250,23 +256,29 @@ def test_draws_byte_identical_for_any_threads(spec, combo, seed):
     assert len(outputs) == 1
 
 
-def factorized_sample(shape, n, seed):
-    """A sample whose dense feature tensor passes n**P * T <= 4 N."""
+def factorized_sample(shape, n, seed, columns=("y", "x")):
+    """A sample whose dense feature tensor passes n**P * T <= 4 N; with
+    instruments z1..z3 among the columns, x moves with z1 + z2."""
     if shape == "triadic":
         n = max(n, 4)  # 3**3 > 4 * 3!
         gen = np.random.default_rng(seed)
         index = pb.full_index_set(n, 3)
-        return pb.PolyadicSample(
+        s = pb.PolyadicSample(
             order=3,
             unit_labels=tuple(f"u{i}" for i in range(n)),
             index=index,
-            variables=gen.standard_normal((len(index), 2)),
-            variable_names=("y", "x"),
+            variables=gen.standard_normal((len(index), len(columns))),
+            variable_names=columns,
         )
-    s = shaped_sample(shape, n, seed, keep=1.0)
+    else:
+        s = shaped_sample(shape, n, seed, keep=1.0, columns=columns)
     if shape == "missing":  # a third of the dyads unobserved
         kept = np.sort(np.random.default_rng(seed).permutation(s.n_obs)[: 2 * s.n_obs // 3])
         s = pb.PolyadicSample(2, s.unit_labels, s.index[kept], s.variables[kept], s.variable_names)
+    if "z1" in columns:
+        v = s.variables.copy()
+        v[:, 1] += v[:, 2] + v[:, 3]
+        s = dataclasses.replace(s, variables=v)
     return s
 
 
@@ -304,9 +316,44 @@ def assert_rows_close(got, expected, scales):
     assert np.all(np.abs(got - expected).max(axis=1) <= 1e-12 * scales)
 
 
-@settings(max_examples=60, deadline=None)
+def covariance_condition(sample, spec, w, theta):
+    """cond of the moment covariance of weights w at theta: centered, or for
+    acm sum w z z' (its factor sum w e^2 leaves theta as it is)."""
+    y, z = sample.column("y"), estimators.regressors(sample, spec.instruments, spec.intercept)
+    if spec.weight_style == "acm":
+        return np.linalg.cond(z.T @ (w[:, None] * z))
+    psi = (y - estimators.regressors(sample, spec.x, spec.intercept) @ theta)[:, None] * z
+    psi -= w @ psi
+    return np.linalg.cond(psi.T @ (w[:, None] * psi))
+
+
+def assert_iv_draws_match_weight_rows(sample, spec, scheme, seed, alpha):
+    """The engine's linear-IV draws (the factorized form, and the weight-row
+    kernel on the rows it hands back) fail as the weight-row kernel fails on
+    the ``weights_for_block`` rows, with the same reasons and infos, and
+    their estimates agree to 1e-10 of each row's largest entry times the
+    condition number of its moment covariance."""
+    theta, errors, infos = bootstrap._run_draws(sample, spec, scheme, 16, seed, alpha, None)
+    failed = {}
+    block = pb.weights_for_block(sample, scheme, seed, 0, 16, alpha, failed=failed)
+    expected, expected_errors, expected_infos = estimators.block_kernel(spec, sample)[1](block)
+    expected_errors.update((b, DegenerateDraw(reason)) for b, reason in failed.items())
+
+    def reasons(errors):
+        return {b: f"{type(exc).__name__}: {exc}" for b, exc in errors.items()}
+
+    assert reasons(errors) == reasons(expected_errors)
+    for b in set(range(16)) - set(errors):
+        # the weight matrix magnifies the rounding of the covariance by up to its cond
+        cond = covariance_condition(sample, spec, block[b], expected[b])
+        assert np.abs(theta[b] - expected[b]).max() <= 1e-10 * cond * np.abs(expected[b]).max()
+        assert infos[b].get("iterations") == expected_infos[b].get("iterations")
+        assert infos[b].get("weight_matrix_ridged") == expected_infos[b].get("weight_matrix_ridged")
+
+
+@settings(max_examples=120, deadline=None)
 @given(
-    st.sampled_from([MEAN, OLS]),
+    st.sampled_from([MEAN, OLS, *IV_SPECS]),
     st.sampled_from(["plain", "grouped", "clustered", "grouped+clustered", "triadic", "missing"]),
     st.sampled_from(["bayes", "pigeonhole", "prior 0.01", "prior n/2", "prior 3n"]),
     st.integers(3, 7),
@@ -317,8 +364,9 @@ def test_factorized_draws_match_materialized_rows(spec, shape, scheme, n, seed):
     alpha = {"": None, "0.01": 0.01, "n/2": n / 2, "3n": 3.0 * n}[alpha]
     if scheme == "prior" and "grouped" in shape:
         shape = shape.replace("grouped", "plain")  # prior does not support unit groups
-    s = factorized_sample(shape, n, seed % 1019)
-    features = linear_statistic(spec, s)[0]
+    iv = spec.kind == "gmm"
+    s = factorized_sample(shape, n, seed % 1019, ("y", "x", "z1", "z2", "z3") if iv else ("y", "x"))
+    features = estimators.block_kernel(spec, s)[2][0]
     dense = weights.dense_features(s, features)
     assert dense is not None
     # the kernel: each row's sums equal the weight row times the features
@@ -331,6 +379,9 @@ def test_factorized_draws_match_materialized_rows(spec, shape, scheme, n, seed):
     assert np.all(
         np.abs(sums[rows] - block[rows] @ features) <= 1e-12 * (block[rows] @ np.abs(features))
     )
+    if iv:
+        assert_iv_draws_match_weight_rows(s, spec, scheme, seed, alpha)
+        return
     # the draws, through the fallback rows too
     try:
         res = pb.run_bootstrap(s, spec, scheme, n_draws=16, seed=seed, alpha=alpha)

@@ -48,8 +48,16 @@ def user_moment(spec, sample):
 
 
 def kernel(spec, sample, rows):
-    """The kernel's result for the weight rows (R, N), row by row."""
-    return row_of(linear_iv.linear_iv_gmm(spec, sample)(rows))
+    """The weight-row kernel's result for the weight rows (R, N), row by row."""
+    return row_of(linear_iv.linear_iv_gmm(spec, sample)[0](rows))
+
+
+def sparse_iv_sample(n=30):
+    """``overidentified_iv_sample(n)`` on every fifth dyad: N = 174 < n**2 / 4,
+    so its draws take the weight-row kernel."""
+    s = overidentified_iv_sample(n=n)
+    kept = np.arange(0, s.n_obs, 5)
+    return pb.PolyadicSample(2, s.unit_labels, s.index[kept], s.variables[kept], s.variable_names)
 
 
 def no_per_row_gmm(monkeypatch):
@@ -94,12 +102,18 @@ def test_batched_linear_iv_equals_per_row_gmm_and_oracle(scheme, mode, style):
     # per-row iterated centered rounds may end on either of two starts whose
     # objectives tie to rounding, so per-row draws agree to its tolerance
     tol = 1e-8 if (mode, style) == ("iterated", "centered") else 1e-12
-    for n, n_draws in ((12, 40), (30, 16)):
-        s = overidentified_iv_sample(n=n)
+    # the factorized form on the two dense samples, the weight-row kernel on the sparse one
+    samples = [(overidentified_iv_sample(n=12), 40, True),
+               (overidentified_iv_sample(n=30), 16, True), (sparse_iv_sample(), 16, False)]
+    for s, n_draws, dense in samples:
         alpha = s.n_units / 2 if scheme == "prior" else None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(weights, "BLOCK_BYTES", 8 * 7 * linear_iv.IV_ROW_FLOATS * s.n_obs)
-            assert bootstrap._block_estimator(s, spec, n_draws)[0] == 7  # blocks of 7 draws
+            linear = estimators.block_kernel(spec, s)[2]
+            factorized = linear is not None and weights.dense_features(s, linear[0]) is not None
+            assert factorized == dense
+            if not dense:
+                assert bootstrap._block_estimator(s, spec, n_draws)[0] == 7  # blocks of 7 draws
             res = pb.run_bootstrap(s, spec, scheme, n_draws=n_draws, seed=9, alpha=alpha)
         draws, failures = [], []
         for b in range(n_draws):
@@ -126,6 +140,43 @@ def test_degenerate_rows_keep_their_place_in_a_block(iv_sample):
     expected = per_row(spec, iv_sample, pb.uniform_weights(iv_sample).weights)
     for r in (0, 1, 3, 4, 6):
         assert_same_outcome(row(r), expected, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "mode, style, intercept, seed, n_marked",
+    [("two-step", "centered", False, 1, 72), ("two-step", "centered", False, 2, 71),
+     ("iterated", "acm", True, 1, 177), ("iterated", "acm", True, 2, 184)],
+)
+def test_cancelling_rows_are_solved_from_their_weight_rows(mode, style, intercept, seed, n_marked):
+    # prior alpha = 0.05 piles each draw's weight onto a few dyads, where the
+    # expanded e^2 = yc^2 - 2 d yc r + d^2 r^2 of the factorized form cancels:
+    # unmarked, two-step draws at seed 2 moved by up to 3e-9 relative, and
+    # iterated acm with an intercept failed 3 to 4 rows that the weight rows solve
+    s, n_draws = overidentified_iv_sample(n=12), 200
+    spec = pb.EstimatorSpec(**IV, gmm_mode=mode, weight_style=style, intercept=intercept)
+    rows = pb.weights_for_block(s, "prior", seed, 0, n_draws, 0.05)  # no draw is degenerate
+    features, finish = linear_iv.linear_iv_gmm(spec, s)[1]
+    draws = weights.log_draws(s, "prior", seed, 0, n_draws, 0.05, {})
+    sums = weights.product_sums(s, weights.dense_features(s, features), *draws, {})
+    marked = []
+    finish(sums, lambda cancelled: marked.extend(cancelled) or rows[cancelled])
+    assert len(marked) == n_marked  # the rows whose diagonal keeps < CANCELLATION of its terms
+    got = row_of(bootstrap._run_draws(s, spec, "prior", n_draws, seed, 0.05, None))
+    alone, block = kernel(spec, s, rows[marked]), kernel(spec, s, rows)
+    for b in range(n_draws):
+        expected, result = outcome(lambda: block(b)), outcome(lambda: got(b))
+        if b not in marked:
+            assert_same_outcome(result, expected, 1e-10)
+            continue
+        # the weight-row kernel's result for the marked rows, bit for bit; their
+        # near-singular weight matrices let the objective traces move with the
+        # rows solved beside them
+        assert repr(result) == repr(outcome(lambda: alone(marked.index(b))))
+        assert isinstance(result, str) == isinstance(expected, str)
+        if isinstance(result, str):
+            assert result == expected
+        else:
+            assert np.all(np.abs(result[0] - expected[0]) <= 1e-10 * np.abs(expected[0]))
 
 
 def crafted_sample():

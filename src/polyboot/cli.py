@@ -5,13 +5,34 @@ marginal-prior-atoms, make-fixture. Every stochastic command requires an
 explicit --seed and is a pure function of its flags, so re-running
 reproduces output byte for byte. Exit codes: 0 ok, 2 data error, 3 solver
 or numerical error, 4 configuration error.
+
+A command parses its input CSV once per content: the parsed sample is kept
+as an uncompressed ``.npz`` entry under ``$XDG_CACHE_HOME/polyboot``, else
+``~/.cache/polyboot``, and a later command on the same file reads that
+entry instead (rebuilt through ``PolyadicSample``, so it is validated
+again). An entry is keyed by the sha256 of the file's bytes, the tuple
+arity, the numpy version and the source of ``data_model.py``, so other
+content or other parsing code never hits it. Entries are parsed copies of
+the input data, written with file mode 0600; the cache keeps the
+CACHE_ENTRIES most recently used and evicts the rest. Deleting the
+directory is always safe, and any fault of the cache (no home directory,
+an unwritable directory, a corrupt entry) falls back to parsing the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import hashlib
+import io
 import json
+import os
+import stat
 import sys
+import tempfile
+import zipfile
+from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +44,8 @@ from .coverage import (
     ols_unit_effects_dgp,
     run_coverage,
 )
-from .data_model import load_csv, validate
+from . import data_model
+from .data_model import PolyadicSample, load_csv, validate
 from .errors import (
     CounterfactualError,
     DataError,
@@ -47,6 +69,11 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 4
+
+CACHE_ENTRIES = 16  # parsed samples the cache keeps; the least recently used goes first
+_CACHE_FAULTS = (OSError, EOFError, KeyError, TypeError, ValueError, RuntimeError,
+                 zipfile.BadZipFile, DataError)
+_ARRAY_FIELDS = ("index", "variables", "cluster_ids")
 
 _SOLVER_ERRORS = (
     SolverError,
@@ -75,6 +102,71 @@ def _emit(payload, out_path):
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    return Path(base if os.path.isabs(base) else Path.home() / ".cache") / "polyboot"
+
+
+def _decode(entry) -> dict:
+    """The ``PolyadicSample`` fields of an open ``.npz`` entry."""
+    return {name: int(v) if name == "order" else v if name in _ARRAY_FIELDS else tuple(v.tolist())
+            for name, v in ((name, entry[name]) for name in entry.files)}
+
+
+def _load_sample(path, order) -> PolyadicSample:
+    """``load_csv(path, order)``, parsed once per content (module docstring)."""
+    entry = None
+    try:
+        seen = os.stat(path)
+        if stat.S_ISREG(seen.st_mode):
+            key = hashlib.sha256(f"{order}\0{np.__version__}\0".encode())
+            key.update(hashlib.sha256(Path(data_model.__file__).read_bytes()).digest())
+            with open(path, "rb") as fh:
+                key.update(fh.read())
+            entry = _cache_dir() / f"{key.hexdigest()}.npz"
+            os.utime(entry)  # a hit makes its entry the most recently used
+            with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+                return PolyadicSample(**_decode(npz))
+    except _CACHE_FAULTS:
+        pass
+    sample = load_csv(path, order=order)  # a file that fails to parse raises before a write
+    if entry is not None:
+        with contextlib.suppress(*_CACHE_FAULTS):
+            _store(entry, sample, path, seen)
+    return sample
+
+
+def _store(entry, sample, path, seen):
+    """Write ``sample`` to ``entry`` when the file kept its size and mtime
+    through the parse and the entry decodes to the same fields, then evict
+    the least recently used entries past CACHE_ENTRIES."""
+    fields = {f.name: getattr(sample, f.name) for f in dataclasses.fields(sample)}
+    fields = {name: value for name, value in fields.items() if value is not None}
+    data = io.BytesIO()
+    np.savez(data, **fields)
+    with np.load(io.BytesIO(data.getvalue()), allow_pickle=False) as npz:
+        decoded = _decode(npz)
+    same = all(
+        value.dtype == decoded[name].dtype and value.tobytes() == decoded[name].tobytes()
+        if name in _ARRAY_FIELDS else value == decoded[name]
+        for name, value in fields.items()
+    )  # not so for a label with a trailing NUL, which numpy's fixed-width strings drop
+    now = os.stat(path)
+    if not same or (now.st_size, now.st_mtime_ns) != (seen.st_size, seen.st_mtime_ns):
+        return
+    entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+    fd, temp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)  # mode 0600
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data.getbuffer())
+        os.replace(temp, entry)
+    finally:
+        Path(temp).unlink(missing_ok=True)
+    entries = sorted(entry.parent.iterdir(), key=lambda p: p.stat().st_mtime_ns)
+    for old in entries[:-CACHE_ENTRIES]:
+        old.unlink(missing_ok=True)
 
 
 def _add_data_args(p):
@@ -135,7 +227,7 @@ def _spec_from_args(args) -> EstimatorSpec:
 
 
 def _cmd_estimate(args):
-    sample = load_csv(args.data, order=args.order)
+    sample = _load_sample(args.data, args.order)
     spec = _spec_from_args(args)
     theta, info = evaluate_estimator(spec, sample, uniform_weights(sample))
     _emit(
@@ -173,7 +265,7 @@ def _add_draw_args(p):
 def _draw_inputs(args, levels) -> tuple:
     """(sample, EstimatorSpec) for the data and estimator flags, once the
     draw flags and the interval ``levels`` are checked."""
-    sample = load_csv(args.data, order=args.order)
+    sample = _load_sample(args.data, args.order)
     spec = _spec_from_args(args)
     if args.method == "prior" and args.alpha is None:
         raise ParamError("--method prior requires --alpha")
@@ -206,7 +298,7 @@ def _cmd_bootstrap(args):
 
 
 def _cmd_variance(args):
-    sample = load_csv(args.data, order=args.order)
+    sample = _load_sample(args.data, args.order)
     spec = _spec_from_args(args)
     moment = build_moment(spec, sample)
     theta, _ = evaluate_estimator(spec, sample, uniform_weights(sample))
@@ -345,7 +437,7 @@ def _cmd_coverage(args):
     config = CoverageConfig(
         seed=args.seed,
         dgp=dgp,
-        source_sample=None if source is None else load_csv(source[0], order=source[1]),
+        source_sample=None if source is None else _load_sample(*source),
         threads=args.threads,
         **settings,
     )
@@ -371,7 +463,7 @@ def _cmd_coverage(args):
 
 
 def _cmd_prior_atoms(args):
-    sample = load_csv(args.data, order=args.order)
+    sample = _load_sample(args.data, args.order)
     name, _, rest = args.functional.partition(":")
     if name != "ratio-of-means":
         raise ParamError("supported functional: ratio-of-means:<ycol>:<xcol>")

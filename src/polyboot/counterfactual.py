@@ -6,6 +6,7 @@ induced draw set is the posterior of the counterfactual prediction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,12 @@ def _toy_growth(column):
     if not column:
         raise ParamError("toy-growth needs a column: toy-growth:<column>")
 
+    @functools.lru_cache(maxsize=1)  # a sample hashes by identity and its arrays are read-only
+    def column_mean(sample):
+        return float(np.mean(sample.column(column)))
+
     def fn(sample, theta):
-        return np.array([np.exp(theta[0] * float(np.mean(sample.column(column))))])
+        return np.array([np.exp(theta[0] * column_mean(sample))])
 
     return CounterfactualFn(f"toy-growth:{column}", 1, fn)
 

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DataError, ParamError
 
 RESERVED_COLUMNS = ("group", "cluster")
+_WRITE_ROWS = 4096  # rows write_csv turns into strings at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,18 +378,23 @@ def write_csv(sample: PolyadicSample, path) -> None:
     if sample.cluster_ids is not None:
         header.append("cluster")
     header.extend(sample.variable_names)
+    if sample.group_of_unit is not None:
+        labels = sample.group_labels
+        group = [labels[g] if labels else str(g) for g in sample.group_of_unit]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(sample.n_obs):
-            row = [sample.unit_labels[u] for u in sample.index[i]]
+        # column by column, in chunks of rows so that the strings stay few
+        for rows in (slice(i, i + _WRITE_ROWS) for i in range(0, sample.n_obs, _WRITE_ROWS)):
+            index = sample.index[rows].T.tolist()
+            columns = [[sample.unit_labels[u] for u in ids] for ids in index]
             if sample.group_of_unit is not None:
-                g = sample.group_of_unit[sample.index[i, 0]]
-                row.append(sample.group_labels[g] if sample.group_labels else str(g))
+                columns.append([group[u] for u in index[0]])
             if sample.cluster_ids is not None:
-                row.append(sample.cluster_labels[sample.cluster_ids[i]])
-            row.extend(repr(v) for v in sample.variables[i].tolist())
-            writer.writerow(row)
+                levels = sample.cluster_ids[rows].tolist()
+                columns.append([sample.cluster_labels[t] for t in levels])
+            columns.extend(list(map(repr, v)) for v in sample.variables[rows].T.tolist())
+            writer.writerows(zip(*columns))
 
 
 def validate(sample: PolyadicSample) -> list:

@@ -567,8 +567,10 @@ def block_kernel(spec: EstimatorSpec, sample: PolyadicSample) -> tuple:
     other rows' theta and info are estimates; infos maps a row to its solver
     metadata, {} when absent. Each row's result is the one it would have
     alone. ``row_floats`` is the float64 values a block budgets per row and
-    observation. ``linear`` is the factorized form ``(features, finish)``:
-    ``finish(sums, weights_of)`` gives the block result from the rows'
+    observation. ``linear`` is the factorized form ``(features, finish)``,
+    features (N, F) or, for linear IV, a function that builds them only
+    when ``weights.dense_features`` takes the sample (the point estimate never
+    does): ``finish(sums, weights_of)`` gives the block result from the rows'
     weighted feature sums, and may solve some rows from their weights,
     ``weights_of(rows)``. It is ``linear_statistic``'s for mean and OLS,
     ``linear_iv_gmm``'s for linear IV when its dense features fit, and None

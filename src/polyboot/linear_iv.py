@@ -62,9 +62,10 @@ def _argmin(a, b, factor=None):
 def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
     """The builtin linear-IV GMM: ``(solve, linear)``. ``solve(weights (R,
     N))`` gives the block result ``(theta, errors, infos)`` of
-    ``estimators.block_kernel``; ``linear`` is ``(features (N, F), finish)``:
-    ``finish(sums (R, F), weights_of)`` gives the same from the rows' weighted
-    feature sums, and solves the cancelled rows from ``weights_of(rows)``.
+    ``estimators.block_kernel``; ``linear`` is ``(features, finish)``:
+    ``features()`` builds the (N, F) features, and ``finish(sums (R, F),
+    weights_of)`` gives the same result from the rows' weighted feature sums,
+    and solves the cancelled rows from ``weights_of(rows)``.
     ``linear`` is None when the dense feature tensor (``weights.dense_features``)
     would pass ``weights.BLOCK_BYTES``.
 
@@ -154,9 +155,14 @@ def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
     cells = sample.n_units**sample.order * max(sample.n_cluster_levels, 1)
     if 8 * (1 + width) * cells > weights.BLOCK_BYTES:
         return solve, None
-    squares = np.hstack([yc[:, None] ** 2, yc[:, None] * r, r[:, ri] * r[:, rj]])
-    extra = np.hstack([squares, zz]) if acm else (squares[:, :, None] * zz[:, None, :])
-    features = np.hstack([first, extra.reshape(len(z), -1)]) if rounds else first
+
+    def features():  # built only for a sample the dense tensor takes
+        if not rounds:
+            return first
+        squares = np.hstack([yc[:, None] ** 2, yc[:, None] * r, r[:, ri] * r[:, rj]])
+        extra = np.hstack([squares, zz]) if acm else (squares[:, :, None] * zz[:, None, :])
+        return np.hstack([first, extra.reshape(len(z), -1)])
+
     diagonal = [0] if acm else np.flatnonzero(lo == hi)
 
     def finish(sums, weights_of):

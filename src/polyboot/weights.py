@@ -239,10 +239,12 @@ def _dense_index(sample):
     return (*sample.index.T, 0 if sample.cluster_ids is None else sample.cluster_ids)
 
 
-def dense_features(sample: PolyadicSample, features: np.ndarray) -> np.ndarray | None:
+def dense_features(sample: PolyadicSample, features) -> np.ndarray | None:
     """The observed-tuple mask and ``features`` (N, F) scattered into a dense
     tensor D of shape (n,) * P + (T, 1 + F), zero at unobserved tuples:
     D[i_1, ..., i_P, t] = (1, f_k) for observed tuple k in level t.
+    ``features`` may also be a function that builds them, called only when
+    D is made.
 
     None when D would hold more than four entries per observation
     (n**P * T > 4 N, T = 1 without clusters): a sparse index set keeps the
@@ -252,6 +254,8 @@ def dense_features(sample: PolyadicSample, features: np.ndarray) -> np.ndarray |
     levels = max(sample.n_cluster_levels, 1)
     if n**order * levels > 4 * n_obs:
         return None
+    if callable(features):
+        features = features()
     features = np.asarray(features, dtype=np.float64).reshape(n_obs, -1)
     dense = np.zeros((n,) * order + (levels, 1 + features.shape[1]))
     at = _dense_index(sample)

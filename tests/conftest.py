@@ -30,6 +30,13 @@ def assert_same_columns(got, expected):
 
 
 @pytest.fixture(autouse=True)
+def private_sample_cache(monkeypatch, tmp_path):
+    """The CLI's parsed-sample cache lives under the test's own directory,
+    also for the CLI processes a test starts, never in the user's cache."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+
+
+@pytest.fixture(autouse=True)
 def csv_column_reader_matches_row_loop(monkeypatch):
     """Every CSV a test loads in process is read row by row as well: the
     column reader must give what the row loop gives."""

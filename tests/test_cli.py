@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -457,3 +458,167 @@ def test_import_does_not_load_scipy():
     check = "import sys, polyboot, polyboot.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# -- the parsed-sample cache ---------------------------------------------------
+
+OLS_FLAGS = ["--estimator", "ols", "--y", "y", "--x", "x"]
+CSV_COMMANDS = {  # command -> (flags, cluster levels of its data)
+    "estimate": (OLS_FLAGS, 2),
+    "bootstrap": ([*OLS_FLAGS, "--draws", "30", "--seed", "3", "--emit-draws"], 2),
+    "variance": (OLS_FLAGS, 1),  # the dyadic-robust variance takes no cluster column
+    "counterfactual": (
+        [*OLS_FLAGS, "--counterfactual", "toy-growth:x", "--draws", "30", "--seed", "3"], 2
+    ),
+    "marginal-prior-atoms": (["--functional", "ratio-of-means:y:x"], 2),
+}
+
+
+def grouped_csv(tmp_path, levels=2, name="grouped.csv"):
+    """A CSV from ``write_csv`` with unit groups and, for levels > 1, a
+    cluster column: every field of a sample goes through the cache."""
+    rng = np.random.default_rng(5)
+    index = np.tile(pb.full_index_set(5, 2), (levels, 1))
+    clusters = {}
+    if levels > 1:
+        clusters = dict(cluster_ids=np.repeat(np.arange(levels), 20),
+                        cluster_labels=tuple(str(2000 + t) for t in range(levels)))
+    sample = pb.PolyadicSample(
+        2, [f"c{i}" for i in range(5)], index, rng.standard_normal((len(index), 2)) + [0, 3],
+        ("y", "x"), group_of_unit=(0, 1, 0, 1, 1), group_labels=("east", "west"), **clusters,
+    )
+    pb.write_csv(sample, tmp_path / name)
+    return str(tmp_path / name)
+
+
+def cache_entries(tmp_path):
+    return sorted((tmp_path / "cache" / "polyboot").glob("*"))
+
+
+def forbid_parsing(monkeypatch):
+    def parse(*args, **kwargs):
+        raise AssertionError("the CSV was parsed")
+
+    monkeypatch.setattr(cli, "load_csv", parse)
+
+
+@pytest.mark.parametrize("command", list(CSV_COMMANDS))
+def test_cache_gives_the_same_out_cold_warm_and_without_a_cache(
+    monkeypatch, capsys, tmp_path, command
+):
+    flags, levels = CSV_COMMANDS[command]
+    data = grouped_csv(tmp_path, levels)
+
+    def out_bytes(name):
+        out = tmp_path / f"{name}.json"
+        code, _, err = run(capsys, command, *flags, "--data", data, "--out", str(out))
+        assert code == 0 and err == ""
+        return out.read_bytes()
+
+    cold = out_bytes("cold")
+    (entry,) = cache_entries(tmp_path)
+    assert entry.stat().st_mode & 0o777 == 0o600
+    with pytest.MonkeyPatch.context() as mp:
+        forbid_parsing(mp)
+        assert out_bytes("warm") == cold
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file" / "cache"))  # not a directory
+    assert out_bytes("unwritable") == cold
+
+    def no_home():
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setattr(cli.Path, "home", no_home)
+    assert out_bytes("no-home") == cold
+    assert cache_entries(tmp_path) == [entry]
+
+
+def test_coverage_source_reads_the_cache(monkeypatch, capsys, tmp_path):
+    source = {"data": make_fixture("exact-line", 0, tmp_path)}
+    cfg = _coverage_config(tmp_path, "dgp", source=source)
+    outputs = [run(capsys, "coverage-sim", "--config", cfg, "--seed", "1")]
+    assert len(cache_entries(tmp_path)) == 1
+    forbid_parsing(monkeypatch)
+    outputs.append(run(capsys, "coverage-sim", "--config", cfg, "--seed", "1"))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
+def test_an_edited_csv_misses(capsys, tmp_path):
+    path = tmp_path / "pairs.csv"
+    means = []
+    for y in ("2", "4"):
+        path.write_text(f"u1,u2,y\nA,B,{y}\nB,A,6\n")
+        code, out, _ = run(capsys, "estimate", "--data", str(path), "--estimator", "mean",
+                           "--column", "y")
+        means.append(json.loads(out)["point_estimate"])
+    assert means == [[4.0], [5.0]]
+    assert len(cache_entries(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage"])
+def test_a_damaged_entry_is_parsed_around_and_replaced(capsys, tmp_path, damage):
+    args = ["bootstrap", "--data", grouped_csv(tmp_path), *CSV_COMMANDS["bootstrap"][0]]
+    first = run(capsys, *args)
+    (entry,) = cache_entries(tmp_path)
+    good = entry.read_bytes()
+    entry.write_bytes(good[: len(good) // 2] if damage == "truncated" else b"\x93NUMPY garbage")
+    assert run(capsys, *args) == first
+    assert entry.read_bytes() == good
+
+
+def test_a_bad_csv_exits_2_on_every_call_and_is_not_stored(capsys, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("u1,u2,y\nA,B,x\nB,A,1\n")
+    for _ in range(2):
+        code, _, err = run(capsys, "estimate", "--data", str(path), "--estimator", "mean",
+                           "--column", "y")
+        assert code == 2 and "line 2: column 'y' is not numeric" in err
+    assert cache_entries(tmp_path) == []
+
+
+def test_a_label_numpy_strings_cannot_hold_is_not_stored(capsys, tmp_path):
+    # a NUL sends the file to the row-by-row reader, which keeps it in the label
+    path = tmp_path / "nul.csv"
+    path.write_text("u1,u2,y\nA\x00,B,1\nB,A\x00,2\n")
+    outputs = [run(capsys, "estimate", "--data", str(path), "--estimator", "mean",
+                   "--column", "y") for _ in range(2)]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    assert pb.load_csv(path).unit_labels == ("A\x00", "B")
+    assert cache_entries(tmp_path) == []
+
+
+def test_a_csv_changed_while_it_is_parsed_is_not_stored(monkeypatch, tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text("u1,u2,y\nA,B,2\nB,A,6\n")
+    load_csv = cli.load_csv
+
+    def edit_then_parse(*args, **kwargs):
+        with open(path, "a") as fh:
+            fh.write("A,C,1\n")
+        return load_csv(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_csv", edit_then_parse)
+    assert cli._load_sample(str(path), 2).n_obs == 3
+    assert cache_entries(tmp_path) == []
+
+
+def test_the_cache_keeps_its_bound_and_evicts_the_least_recently_used(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "CACHE_ENTRIES", 3)
+    paths = []
+    for i in range(4):
+        paths.append(tmp_path / f"d{i}.csv")
+        paths[-1].write_text(f"u1,u2,y\nA,B,{i}\nB,A,1\n")
+
+    def load(i):
+        time.sleep(0.05)  # file times may be as coarse as one clock tick
+        return cli._load_sample(str(paths[i]), 2)
+
+    for i in (0, 1, 2, 0, 3):  # the hit on d0 makes d1 the least recently used
+        load(i)
+    assert len(cache_entries(tmp_path)) == 3
+    forbid_parsing(monkeypatch)
+    for i in (0, 2, 3):
+        assert load(i).variables[0, 0] == i
+    with pytest.raises(AssertionError, match="the CSV was parsed"):
+        load(1)

@@ -36,6 +36,22 @@ def test_toy_growth_matches_hand_evaluation():
     assert np.allclose(preds.draws[:, 0], np.exp(res.draws[:, 0] * col_mean), atol=1e-14)
 
 
+
+def test_toy_growth_reads_its_column_once_per_sample(monkeypatch):
+    s, res = bootstrap_mean(seed=3, draws=41)
+    reads, column = [], pb.PolyadicSample.column
+
+    def counted(sample, name):
+        reads.append(name)
+        return column(sample, name)
+
+    monkeypatch.setattr(pb.PolyadicSample, "column", counted)
+    preds = pb.propagate(s, res, pb.resolve_counterfactual("toy-growth:y"))
+    assert reads == ["y"]
+    col_mean = float(np.mean(column(s, "y")))
+    expected = [np.exp(theta * col_mean) for theta in res.draws[:, 0]]
+    assert preds.draws[:, 0].tolist() == expected
+
 def test_failure_at_point_estimate():
     s, res = bootstrap_mean(seed=4)
     g = pb.CounterfactualFn("bad", 1, lambda sample, theta: np.array([np.nan]))

@@ -133,6 +133,50 @@ def test_round_trip(tmp_path):
     assert back.variable_names == s.variable_names
 
 
+
+def grouped_clustered_sample(variables, group_labels=("g0", "g1")):
+    index = np.array([[0, 1], [1, 2], [2, 0], [0, 1]])
+    return pb.PolyadicSample(
+        order=2,
+        unit_labels=("a", "b", "c"),
+        index=index,
+        variables=np.asarray(variables, dtype=float),
+        variable_names=("y", "x"),
+        group_of_unit=(0, 1, 0),
+        group_labels=group_labels,
+        cluster_ids=np.array([0, 1, 0, 1]),
+        cluster_labels=("2001", "2002"),
+    )
+
+
+@pytest.mark.parametrize("chunk", [3, data_model._WRITE_ROWS])
+@pytest.mark.parametrize("group_labels, names", [(("g0", "g1"), ("g0", "g1")), (None, ("0", "1"))])
+def test_write_csv_text(monkeypatch, tmp_path, group_labels, names, chunk):
+    monkeypatch.setattr(data_model, "_WRITE_ROWS", chunk)  # 3: the rows go in two chunks
+    values = [[0.1, -0.0], [1e-300, 1 / 3], [2.0, -5.5], [1e22, 7.0]]
+    out = tmp_path / "exact.csv"
+    pb.write_csv(grouped_clustered_sample(values, group_labels), out)
+    g0, g1 = names
+    assert out.read_bytes().decode() == (
+        "u1,u2,group,cluster,y,x\r\n"
+        f"a,b,{g0},2001,0.1,-0.0\r\n"
+        f"b,c,{g1},2002,1e-300,0.3333333333333333\r\n"
+        f"c,a,{g0},2001,2.0,-5.5\r\n"
+        f"a,b,{g0},2002,1e+22,7.0\r\n"
+    )
+
+
+def test_round_trip_with_groups_and_clusters(tmp_path):
+    s = grouped_clustered_sample(np.random.default_rng(2).standard_normal((4, 2)))
+    out = tmp_path / "round.csv"
+    pb.write_csv(s, out)
+    back = pb.load_csv(out)
+    for name in ("unit_labels", "variable_names", "group_of_unit", "group_labels",
+                 "cluster_labels"):
+        assert getattr(back, name) == getattr(s, name)
+    for name in ("index", "variables", "cluster_ids"):
+        assert np.array_equal(getattr(back, name), getattr(s, name))
+
 def test_validate_clean(tmp_path):
     rng = np.random.default_rng(1)
     assert pb.validate(random_dyadic_sample(rng, 3)) == []

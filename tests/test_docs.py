@@ -60,3 +60,8 @@ def test_documented_coverage_config_is_valid():
         "target_index": 1,
     })
     assert slope.estimator.param_names()[slope.target_index] == "x"
+
+
+def test_readme_states_the_cache_bound():
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    assert f"keeps the {cli.CACHE_ENTRIES} most recently used entries" in text

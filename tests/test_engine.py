@@ -367,6 +367,7 @@ def test_factorized_draws_match_materialized_rows(spec, shape, scheme, n, seed):
     iv = spec.kind == "gmm"
     s = factorized_sample(shape, n, seed % 1019, ("y", "x", "z1", "z2", "z3") if iv else ("y", "x"))
     features = estimators.block_kernel(spec, s)[2][0]
+    features = features() if iv else features  # linear IV builds its features on demand
     dense = weights.dense_features(s, features)
     assert dense is not None
     # the kernel: each row's sums equal the weight row times the features

@@ -179,6 +179,24 @@ def test_cancelling_rows_are_solved_from_their_weight_rows(mode, style, intercep
             assert np.all(np.abs(result[0] - expected[0]) <= 1e-10 * np.abs(expected[0]))
 
 
+
+def test_features_are_built_only_where_the_dense_path_reads_them(monkeypatch):
+    spec = pb.EstimatorSpec(**IV, gmm_mode="iterated", weight_style="centered")
+    built, linear_iv_gmm = [], linear_iv.linear_iv_gmm
+
+    def counted(spec, sample):
+        solve, (features, finish) = linear_iv_gmm(spec, sample)
+        return solve, (lambda: built.append(sample) or features(), finish)
+
+    monkeypatch.setattr(linear_iv, "linear_iv_gmm", counted)
+    dense, sparse = overidentified_iv_sample(n=12), sparse_iv_sample()
+    for s in (dense, sparse):
+        pb.evaluate_estimator(spec, s, pb.uniform_weights(s))
+    pb.run_bootstrap(sparse, spec, "bayes", n_draws=8, seed=1)
+    assert built == []  # the point estimates and the sparse sample's weight rows
+    pb.run_bootstrap(dense, spec, "bayes", n_draws=8, seed=1)
+    assert built == [dense]
+
 def crafted_sample():
     """``overidentified_iv_sample(n=4)`` whose first two dyads have y = 0,
     r = 1 and -1, and the same instruments: with half the weight on each,

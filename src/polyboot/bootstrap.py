@@ -103,9 +103,6 @@ class CredibleInterval:
     lower: np.ndarray
     upper: np.ndarray
 
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
-
 
 @dataclass(frozen=True)
 class DiscreteAtomSet:

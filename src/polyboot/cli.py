@@ -3,8 +3,9 @@
 Commands: estimate, bootstrap, variance, counterfactual, coverage-sim,
 marginal-prior-atoms, make-fixture. Every stochastic command requires an
 explicit --seed and is a pure function of its flags, so re-running
-reproduces output byte for byte. Exit codes: 0 ok, 2 data error, 3 solver
-or numerical error, 4 configuration error.
+reproduces output byte for byte. Exit codes: 0 ok, 2 data error (a path
+that cannot be read or written is one), 3 solver or numerical error, 4
+configuration error; each error class carries its code (``errors.py``).
 
 A command parses its input CSV once per content: the parsed sample is kept
 as an uncompressed ``.npz`` entry under ``$XDG_CACHE_HOME/polyboot``, else
@@ -46,52 +47,25 @@ from .coverage import (
 )
 from . import data_model
 from .data_model import PolyadicSample, load_csv, validate
-from .errors import (
-    CounterfactualError,
-    DataError,
-    DegenerateDraw,
-    DgpError,
-    EvalError,
-    ParamError,
-    PolybootError,
-    SingularDesign,
-    SingularJacobian,
-    SingularWeightMatrix,
-    SolverError,
-    Unsupported,
-)
+from .errors import DataError, ParamError, PolybootError
 from .estimators import EstimatorSpec, build_moment, evaluate_estimator
 from .fixtures import FIXTURE_NAMES, make_fixture
 from .variance import graham_variance, naive_dyad_robust
 from .weights import uniform_weights
 
 EXIT_OK = 0
-EXIT_DATA = 2
-EXIT_SOLVER = 3
-EXIT_CONFIG = 4
 
 CACHE_ENTRIES = 16  # parsed samples the cache keeps; the least recently used goes first
 _CACHE_FAULTS = (OSError, EOFError, KeyError, TypeError, ValueError, RuntimeError,
                  zipfile.BadZipFile, DataError)
 _ARRAY_FIELDS = ("index", "variables", "cluster_ids")
 
-_SOLVER_ERRORS = (
-    SolverError,
-    SingularDesign,
-    SingularWeightMatrix,
-    SingularJacobian,
-    DegenerateDraw,
-    DgpError,
-    CounterfactualError,
-    EvalError,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        sys.exit(EXIT_CONFIG)
+        sys.exit(ParamError.exit_code)
 
 
 def _emit(payload, out_path):
@@ -408,6 +382,8 @@ def _cmd_coverage(args):
             cfg = json.load(fh)
         except UnicodeDecodeError as exc:
             raise ParamError(f"the config is not UTF-8 text: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ParamError(str(exc)) from None
     if not isinstance(cfg, dict):
         raise ParamError("config must be a JSON object")
     dgp = source = None
@@ -564,24 +540,12 @@ def main(argv=None) -> int:
         args.level = [0.95]
     try:
         return args.fn(args)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except _SOLVER_ERRORS as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (ParamError, Unsupported) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PolybootError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except json.JSONDecodeError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except PolybootError as exc:  # each error class carries its code (errors.py)
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:  # a path that cannot be read or written
+        print(f"{DataError.label}: {exc}", file=sys.stderr)
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .bootstrap import check_level, credible_interval, run_bootstrap
 from .data_model import PolyadicSample, full_index_set
 from .errors import DataError, DgpError, ParamError, PolybootError, Unsupported
 from .estimators import EstimatorSpec, build_moment, evaluate_estimator
-from .variance import graham_variance, naive_dyad_robust
+from .variance import delta_method_interval, graham_variance, naive_dyad_robust
 from .weights import uniform_weights
 
 # reserved replication index for the large plug-in truth sample
@@ -295,10 +294,8 @@ def _interval(method, config, sample, rep_seed):
         var = graham_variance(moment, sample, theta)
     else:
         var = naive_dyad_robust(moment, sample, theta)
-    z = NormalDist().inv_cdf(1.0 - (1.0 - config.level) / 2.0)
-    center = float(theta[config.target_index])
-    half = z * float(var.se[config.target_index])
-    return center - half, center + half
+    t = config.target_index
+    return delta_method_interval(theta[t], np.eye(len(theta))[t], var, config.level)
 
 
 def run_coverage(config: CoverageConfig, progress=None) -> CoverageReport:

@@ -5,12 +5,15 @@ the mean is y - theta (z = 1), OLS (y - x'theta) x, PPML (y - exp(x'theta)) x
 and linear-IV GMM (y - r'theta) z. Every estimator is a pure function of a
 sample and a normalized weight vector, and it has one block form,
 ``block_kernel``: ``solve(weights (R, N))`` gives ``(theta (R, K), errors,
-infos)`` for R weight rows at once, each row's result the one it would
-have alone. The bootstrap engine applies it to a block of draws and
-``evaluate_estimator`` to one row. Mean and OLS are closed forms in
+infos)`` for R weight rows at once. The bootstrap engine applies it to a
+block of draws and ``evaluate_estimator`` to one row. A draw's weight row
+is the same bytes under any partition of the draws into blocks, but a
+kernel's products round with the rows beside a row, so its result is fixed
+for a fixed partition, which depends only on B, the sample's shape and the
+kernel: ``--threads`` never changes it. Mean and OLS are closed forms in
 weighted feature sums, defined once in ``linear_statistic``, whose block
 is one batched normal-equation solve. PPML (``ppml.ppml_newton``, a damped
-Newton in which each row takes the steps it would take alone) and
+Newton in which each row follows its own stopping rule) and
 linear-IV GMM (``linear_iv.linear_iv_gmm``, one exact weighted solve per
 re-weighting round) solve the block's rows together. ``gmm`` is the
 per-row GMM of user moments, one-step, two-step (centered weight matrix
@@ -565,12 +568,12 @@ def block_kernel(spec: EstimatorSpec, sample: PolyadicSample) -> tuple:
     linear)``, where ``solve(weights (R, N))`` gives ``(theta (R, K), errors,
     infos)``. errors maps each failed row to its draw failure, and only the
     other rows' theta and info are estimates; infos maps a row to its solver
-    metadata, {} when absent. Each row's result is the one it would have
-    alone. ``row_floats`` is the float64 values a block budgets per row and
-    observation. ``linear`` is the factorized form ``(features, finish)``,
-    features (N, F) or, for linear IV, a function that builds them only
-    when ``weights.dense_features`` takes the sample (the point estimate never
-    does): ``finish(sums, weights_of)`` gives the block result from the rows'
+    metadata, {} when absent. A row's result is fixed for a fixed block
+    (module docstring). ``row_floats`` is the float64 values a block
+    budgets per row and observation. ``linear`` is the factorized form
+    ``(features, finish)``, features (N, F) or, for linear IV, a function
+    that builds them only when ``weights.dense_features`` takes the sample
+    (the point estimate never does): ``finish(sums, weights_of)`` gives the block result from the rows'
     weighted feature sums, and may solve some rows from their weights,
     ``weights_of(rows)``. It is ``linear_statistic``'s for mean and OLS,
     ``linear_iv_gmm``'s for linear IV when its dense features fit, and None

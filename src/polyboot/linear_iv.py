@@ -38,6 +38,8 @@ from .gmm_weights import invert_psd
 IV_ROW_FLOATS = 8
 
 CANCELLATION = 1e-2  # the share of its terms' magnitudes an expanded diagonal must keep
+# a covariance diagonal within this share of its terms' magnitudes is rounding: zero
+ROUNDING = (16 * np.finfo(np.float64).eps) ** 2
 _CANCELLED = object()  # the error of a row handed to its weight row
 
 
@@ -86,14 +88,18 @@ def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
     yc, rt = y - r @ center, np.ascontiguousarray(r.T)
     first = np.hstack([z * yc[:, None], (z[:, :, None] * r[:, None, :]).reshape(len(z), -1)])
     lo, hi = np.triu_indices(l)  # the products z_i z_j, i <= j, and where each sits
-    zz, pair = z[:, lo] * z[:, hi], np.empty((l, l), int)
+    zz, pair, on_diagonal = z[:, lo] * z[:, hi], np.empty((l, l), int), np.flatnonzero(lo == hi)
     pair[lo, hi] = pair[hi, lo] = np.arange(len(lo))
     rounds = {"one-step": 0, "two-step": 1, "iterated": estimators.ITER_MAX}[mode] * (l > k)
 
     def run(sums, covariance):
         """The rounds on the rows' sums of ``first``; ``covariance(live, d)`` gives
         the live rows' pair entries of sum w e^2 z z' (acm: sum w e^2 times
-        sum w z z') and the rows to solve from their weight rows."""
+        sum w z z'), the magnitude of the terms each diagonal entry sums, and
+        the rows to solve from their weight rows. A row whose covariance
+        diagonal is rounding of that magnitude (ROUNDING) has vanishing
+        residuals, so its d minimizes every weighted objective, at 0: it keeps
+        d, ridged, as a fixed point."""
         b, a = sums[:, :l], sums[:, l : first.shape[1]].reshape(-1, l, k)
         d, errors = _argmin(a, b)
         infos, traces = {}, [[] for _ in sums]
@@ -106,15 +112,20 @@ def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
                 break
             al, bl, dl = a[live], b[live], d[live]
             with np.errstate(over="ignore", invalid="ignore"):
-                cov, inexact = covariance(live, dl)
+                cov, size, inexact = covariance(live, dl)
                 cov = cov[:, pair]
                 if not acm:
                     psibar = bl - (al @ dl[:, :, None])[:, :, 0]
                     cov -= psibar[:, :, None] * psibar[:, None, :]
+                zero = (np.diagonal(cov, axis1=1, axis2=2) <= ROUNDING * size).all(axis=1)
             factor, ridged, bad = invert_psd(cov)
-            bad.update((int(j), _CANCELLED) for j in np.flatnonzero(inexact))
             new, failed = _argmin(al, bl, factor)
             failed.update(bad)
+            if zero.any():  # a finite zero covariance: every objective is 0 at d
+                zero &= np.isfinite(cov).all(axis=(1, 2))
+                new[zero], ridged[zero], factor[zero] = dl[zero], True, 0.0
+                failed = {j: exc for j, exc in failed.items() if not zero[j]}
+            failed.update((int(j), _CANCELLED) for j in np.flatnonzero(inexact))
             errors.update((int(live[j]), exc) for j, exc in failed.items())
             d[live] = new
             if mode == "two-step":
@@ -142,10 +153,15 @@ def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
             if len(live) < len(held[0]):
                 held[0] = block[live]
             w, e2w = held[0], d @ rt  # the squared residuals times their weights
+            size = w * np.square(np.abs(e2w) + np.abs(yc))  # the terms' magnitudes
             np.subtract(yc, e2w, out=e2w)
             np.square(e2w, out=e2w)
             e2w *= w
-            return (e2w.sum(axis=1)[:, None] * (w @ zz) if acm else e2w @ zz), ()
+            if not acm:
+                return e2w @ zz, size @ zz[:, on_diagonal], ()
+            wzz = w @ zz
+            return (e2w.sum(axis=1)[:, None] * wzz,
+                    size.sum(axis=1)[:, None] * wzz[:, on_diagonal], ())
 
         return run(block @ first, covariance)
 
@@ -163,7 +179,7 @@ def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
         extra = np.hstack([squares, zz]) if acm else (squares[:, :, None] * zz[:, None, :])
         return np.hstack([first, extra.reshape(len(z), -1)])
 
-    diagonal = [0] if acm else np.flatnonzero(lo == hi)
+    diagonal = [0] if acm else on_diagonal
 
     def finish(sums, weights_of):
         def covariance(live, d):
@@ -173,7 +189,9 @@ def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
             e2 = (coef[:, None] @ q)[:, 0]
             size = (np.abs(coef)[:, None] @ np.abs(q[:, :, diagonal]))[:, 0]
             inexact = (e2[:, diagonal] < CANCELLATION * size).any(axis=1)
-            return (e2 * s[:, terms:] if acm else e2), inexact
+            if not acm:
+                return e2, size, inexact
+            return e2 * s[:, terms:], size * s[:, terms:][:, on_diagonal], inexact
 
         theta, errors, infos = run(sums, covariance)
         redo = sorted(r for r, exc in errors.items() if exc is _CANCELLED)

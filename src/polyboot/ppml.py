@@ -2,9 +2,9 @@
 
 ``ppml_newton`` is PPML's block kernel (``estimators.block_kernel``): it
 solves a block of weight rows at once and returns their thetas, errors and
-infos; the point estimate is the one-row case. Each row takes the
-decisions it would take solved alone: the same start, stopping rule, step
-halvings and failure reasons.
+infos; the point estimate is the one-row case. Each row follows the rules
+it would follow alone: the same start, stopping rule, step halvings and
+failure reasons, applied to sums that round with the rows of its block.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def ppml_newton(spec: EstimatorSpec, sample: PolyadicSample):
     once its moment residual's max norm is at most 1e-8, and halves a Newton
     step up to 40 times until that norm falls; it fails after
     ``estimators.MAX_ITER`` steps. Rows leave the block as they converge or
-    fail, so each takes the decisions it would take alone.
+    fail, so each follows its own rules.
     """
     y = sample.column(spec.y)
     if np.any(y < 0):

@@ -247,6 +247,70 @@ def test_error_matrix_exit_codes(capsys, tmp_path, build, expected, text):
     assert "Traceback" not in err
 
 
+def error_classes(cls=pb.errors.PolybootError):
+    """``cls`` and all its subclasses, recursively."""
+    return [cls, *(c for sub in cls.__subclasses__() for c in error_classes(sub))]
+
+
+EXIT_TABLE = {  # errors.py's table: each class's exit code and stderr label
+    "PolybootError": (3, "error"),
+    "BootstrapError": (3, "error"),
+    "DataError": (2, "data error"),
+    "ParamError": (4, "configuration error"),
+    "Unsupported": (4, "configuration error"),
+    **dict.fromkeys(
+        ["_NumericalError", "DegenerateDraw", "SolverError", "SingularDesign",
+         "SingularWeightMatrix", "SingularJacobian", "CounterfactualError", "EvalError",
+         "DgpError"],
+        (3, "solver error"),
+    ),
+}
+
+
+def test_every_error_class_exits_with_its_documented_code(monkeypatch, capsys, tmp_path):
+    classes = error_classes()
+    assert sorted(c.__name__ for c in classes) == sorted(EXIT_TABLE)  # a new class needs a row
+    for cls in classes:
+        def fail(args, cls=cls):
+            raise cls("the message")
+
+        monkeypatch.setattr(cli, "_cmd_make_fixture", fail)
+        code, out, err = run(capsys, "make-fixture", "--name", "exact-line", "--seed", "1",
+                             "--out-dir", str(tmp_path))
+        code_expected, label = EXIT_TABLE[cls.__name__]
+        assert (code, out, err) == (code_expected, "", f"{label}: the message\n"), cls
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda tmp, csv: ["estimate", "--data", f"{csv}/x", "--estimator", "mean",
+                          "--column", "y"],
+        lambda tmp, csv: ["estimate", "--data", str(tmp / ("d" * 5000)), "--estimator", "mean",
+                          "--column", "y"],
+        lambda tmp, csv: ["coverage-sim", "--config", f"{csv}/x", "--seed", "1"],
+        lambda tmp, csv: ["estimate", "--data", csv, "--estimator", "mean", "--column", "y",
+                          "--out", f"{csv}/out.json"],
+    ],
+    ids=["data-under-a-file", "data-name-too-long", "config-under-a-file", "out-under-a-file"],
+)
+def test_a_path_that_cannot_be_read_or_written_exits_2(capsys, tmp_path, build):
+    code, _, err = run(capsys, *build(tmp_path, make_fixture("exact-line", 0, tmp_path)))
+    assert code == 2
+    assert err.startswith("data error: ")
+    assert "Traceback" not in err
+
+
+def test_a_malformed_json_config_exits_4_with_the_decoder_message(capsys, tmp_path):
+    text = '{"dgp": '
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as decoded:
+        json.loads(text)
+    code, _, err = run(capsys, "coverage-sim", "--config", str(path), "--seed", "1")
+    assert (code, err) == (4, f"configuration error: {decoded.value}\n")
+
+
 @pytest.mark.parametrize(
     "values, text",
     [

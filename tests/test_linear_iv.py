@@ -229,7 +229,7 @@ def failure_case(name, monkeypatch):
         s = dataclasses.replace(s, variables=v)
         rows = list(pb.weights_for_block(s, "bayes", 3, 0, 3))
         return s, pb.EstimatorSpec(**IV), rows, [None] * 3
-    if name == "non-finite covariance":
+    if name in ("non-finite covariance", "non-finite acm covariance"):
         # y near 1e160: the squared residuals overflow
         s = overidentified_iv_sample(n=5)
         v = s.variables.copy()
@@ -237,11 +237,14 @@ def failure_case(name, monkeypatch):
         s = dataclasses.replace(s, variables=v)
         rows = list(pb.weights_for_block(s, "bayes", 3, 0, 3))
         reason = "SingularWeightMatrix: non-finite moment covariance"
-        return s, pb.EstimatorSpec(**IV), rows, [reason] * 3
+        # acm: the covariance and its terms' magnitudes are both inf, so inf <= inf
+        mode = dict(gmm_mode="iterated", weight_style="acm") if "acm" in name else {}
+        return s, pb.EstimatorSpec(**IV, **mode), rows, [reason] * 3
     if name == "no positive eigenvalue":
-        spec = pb.EstimatorSpec(**IV)
-        reason = "SingularWeightMatrix: moment covariance has no positive eigenvalue"
-        return s, spec, [one, uniform], [reason, None]
+        # theta fits the one dyad exactly, so its estimate minimizes every
+        # weighted objective: the kernel keeps it, where per-row gmm fails
+        exact_fit = (np.array([0.5]), {"weight_matrix_ridged": True})
+        return s, pb.EstimatorSpec(**IV), [one, uniform], [exact_fit, None]
     if name == "ridged":
         # an instrument that is zero everywhere: its covariance row is zero
         s = overidentified_iv_sample(n=5)
@@ -260,8 +263,9 @@ def failure_case(name, monkeypatch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # per-row gmm on y near 1e160 and 1e7
 @pytest.mark.parametrize(
     "name",
-    ["singular least squares", "non-finite covariance", "no positive eigenvalue", "ridged",
-     "first-order conditions", "stalled line search", "iter_max"],
+    ["singular least squares", "non-finite covariance", "non-finite acm covariance",
+     "no positive eigenvalue", "ridged", "first-order conditions", "stalled line search",
+     "iter_max"],
 )
 def test_crafted_rows_fail_as_they_would_alone(monkeypatch, name):
     s, spec, rows, reasons = failure_case(name, monkeypatch)
@@ -271,16 +275,21 @@ def test_crafted_rows_fail_as_they_would_alone(monkeypatch, name):
     for i, (w, reason) in enumerate(zip(rows, reasons)):
         alone = kernel(spec, s, rows[i : i + 1])
         for got in (outcome(lambda: block(i)), outcome(lambda: alone(0))):
-            if reason is not None:
+            if isinstance(reason, tuple):
+                assert_same_outcome(got, reason, 1e-15)
+            elif reason is not None:
                 assert got == reason
             elif name in GAUSS_NEWTON:
                 assert_oracle(spec, s, w, *got)
             else:
                 assert_same_outcome(got, per_row(spec, s, w), 1e-12)
                 assert name != "ridged" or got[1] == {"weight_matrix_ridged": True}
-    if name in ("no positive eigenvalue", "iter_max"):  # per-row gmm fails alike
+    if name == "iter_max":  # per-row gmm fails alike
         for w, reason in zip(rows[:-1], reasons):
-            assert reason is None or per_row(spec, s, w) == reason
+            assert per_row(spec, s, w) == reason
+    if name == "no positive eigenvalue":
+        no_positive = "SingularWeightMatrix: moment covariance has no positive eigenvalue"
+        assert per_row(spec, s, rows[0]) == no_positive
     if name == "non-finite covariance":  # per-row Gauss-Newton's objective overflows first
         for w in rows[:-1]:
             assert per_row(spec, s, w) == NOT_MINIMIZED
@@ -379,3 +388,17 @@ def test_wide_specs_take_the_kernel(monkeypatch):
         w = pb.weights_for_draw(s, "bayes", 4, b).weights
         assert_oracle(spec, s, w, res.draws[b], info)
         assert_same_outcome((res.draws[b], info), per_row(spec, s, w), 1e-12)
+
+
+@pytest.mark.parametrize("style", ["acm", "centered"])
+def test_an_exact_fit_is_an_iterated_fixed_point(style):
+    # the "no positive eigenvalue" row: all the weight on a dyad that the
+    # one-step estimate fits exactly, where every weighted objective is 0
+    s = crafted_sample()
+    one = np.zeros(s.n_obs)
+    one[2] = 1.0
+    rows = np.array([np.full(s.n_obs, 1 / s.n_obs), one])
+    spec = pb.EstimatorSpec(**IV, gmm_mode="iterated", weight_style=style)
+    expected = (np.array([0.5]), {"iterations": 1, "objective_trace": [0.0]})
+    for got in (kernel(spec, s, rows)(1), kernel(spec, s, rows[1:])(0)):
+        assert_same_outcome(got, expected, 1e-15)

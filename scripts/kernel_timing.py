@@ -14,7 +14,7 @@ For PPML (solver-mix's gravity shape, n=40, B=200) it times the damped
 Newton on the same weight rows two ways: row by row (the test suite's
 oracle, ``tests/oracles.py``) and batched over the engine's blocks
 (``ppml.ppml_newton``), and prints the largest difference between
-their draws relative to each parameter's largest draw. A last table
+their draws relative to each parameter's largest draw. A third table
 times the two forms of linear-IV GMM (``linear_iv.linear_iv_gmm``) from
 the same draws, each over its own blocks: the weight-row kernel on
 ``weights_for_block`` rows, and the factorized form on ``product_sums``
@@ -26,6 +26,13 @@ L = 7 with an intercept: 3.8 of 4 MB), and six instruments over the
 89,700 dyads of n=300, the size of cli-large's CSV, past that bound, where
 only the weight-row kernel runs.
 
+A last table times the draws' random inputs, one ``weights.log_draws``
+call for all B draws (its work is per row, so the block partition barely
+moves it), in ms and in us per draw: bayes, pigeonhole and prior
+(alpha = n/2) at coverage-small's n=40, B=500, and bayes at cli-large's
+n=300, B=1000. It checks the first rows against the same draws rebuilt
+from each row's own ``rng.substream``.
+
 Usage: PYTHONPATH=src python scripts/kernel_timing.py [repeats]
 """
 
@@ -36,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from polyboot import EstimatorSpec, coverage, linear_iv, weights
+from polyboot import EstimatorSpec, coverage, linear_iv, rng, weights
 from polyboot.estimators import linear_statistic, regressors
 from polyboot.fixtures import gravity_sample, overidentified_iv_sample
 from polyboot.ppml import PPML_ROW_FLOATS, ppml_newton
@@ -62,6 +69,14 @@ IV_SHAPES = [  # (label, units, instruments, intercept, GMM mode, weight style, 
     ("iv iterated n=50 L=7 B=100 bayes", 50, 6, True, "iterated", "centered", "bayes", 100),
     ("iv 2-step n=300 L=6 B=20 bayes", 300, 6, False, "two-step", "centered", "bayes", 20),
 ]
+
+DRAW_SHAPES = [  # (label, units, scheme, alpha, draws)
+    ("draws n=40 B=500 bayes", 40, "bayes", None, 500),
+    ("draws n=40 B=500 pigeonhole", 40, "pigeonhole", None, 500),
+    ("draws n=40 B=500 prior n/2", 40, "prior", 20.0, 500),
+    ("draws n=300 B=1000 bayes", 300, "bayes", None, 1000),
+]
+ORACLE_ROWS = 3  # leading rows of each block checked against per-row substreams
 
 
 def materialized(sample, features, scheme, seed, n_draws):
@@ -117,6 +132,20 @@ def iv_factorized(spec, sample, scheme, seed, n_draws):
     return np.concatenate(theta)  # no draw fails here
 
 
+def substream_log_units(n, scheme, alpha, seed, b):
+    """Draw b's unit log-values from its own ``rng.substream``."""
+    with np.errstate(divide="ignore"):
+        if scheme == "bayes":
+            return np.log(-np.log1p(-rng.substream(seed, rng.ROLE_UNIT, b).random(n)))
+        if scheme == "pigeonhole":
+            gen = rng.substream(seed, rng.ROLE_PIGEONHOLE, b)
+            return np.log(gen.multinomial(n, np.full(n, 1.0 / n)))
+        a = alpha / n
+        gen = rng.substream(seed, rng.ROLE_GAMMA, b)
+        y = gen.standard_gamma(a + 1.0, n)
+        return np.log(y) + np.log(1.0 - gen.random(n)) / a
+
+
 def timed(fn, repeats, *args):
     times, out = [], None
     for _ in range(repeats):
@@ -169,6 +198,14 @@ def main(repeats=5):
             continue
         ms_fac, b = timed(iv_factorized, repeats, *args)
         print_pair(label, ms_row, ms_fac, a, b)
+    print(f"{'shape':32} {'log_draws ms':>16} {'us per draw':>14}")
+    for label, n, scheme, alpha, n_draws in DRAW_SHAPES:
+        sample = coverage.generate_synthetic(coverage.mean_unit_effects_dgp(n), 1, 0)
+        args = (sample, scheme, 7, 0, n_draws, alpha, {})  # no group: no row fails
+        ms, (log_units, _) = timed(weights.log_draws, repeats, *args)
+        for b in range(min(ORACLE_ROWS, n_draws)):
+            assert np.array_equal(log_units[b], substream_log_units(n, scheme, alpha, 7, b))
+        print(f"{label:32} {ms:16.2f} {1e3 * ms / n_draws:14.2f}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ an extra clustering dimension (e.g. year), and then numeric variable columns.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -181,7 +180,12 @@ def _check_sample(s: PolyadicSample):
 
 def full_index_set(n: int, order: int) -> np.ndarray:
     """All ordered ``order``-tuples of distinct ids in [0, n)."""
-    return np.array(list(itertools.permutations(range(n), order)), dtype=np.int64)
+    grid = np.indices((n,) * order, dtype=np.int64).reshape(order, -1).T  # lexicographic
+    distinct = np.ones(len(grid), dtype=bool)
+    for j in range(order):
+        for k in range(j):
+            distinct &= grid[:, j] != grid[:, k]
+    return grid[distinct]
 
 
 def load_csv(path, order: int = 2) -> PolyadicSample:

@@ -7,8 +7,12 @@ of the 256-bit counter.  A substream is therefore a pure function of
 draws are scheduled across threads, and distinct draw indices can never
 collide (each index owns 2**128 counter blocks). ``Substreams`` reaches the
 same streams by re-keying one generator, which is much cheaper than
-building a new one per draw. Seeds, roles, indices and lanes may be Python
-or NumPy integers (``operator.index``); floats are refused.
+building a new one per draw. It keeps the state words as Python ints,
+because numpy's ``Philox.state`` setter converts array words one scalar at
+a time: a re-key took 0.7 us with int words against 1.8 us with array
+words (min of 15 x 20,000 calls, 2-vCPU x86-64 VM, numpy 2.4).
+Seeds, roles, indices and lanes may be Python or NumPy integers
+(``operator.index``); floats are refused.
 """
 
 from __future__ import annotations
@@ -46,26 +50,27 @@ def substream(seed: int, role: int, index: int, lane: int = 0) -> np.random.Gene
 class Substreams:
     """Every substream of one ``(seed, role)`` from a single Philox.
 
-    ``at(index, lane)`` sets the counter words to ``[0, 0, lane, index]`` and
-    empties the output buffer, after which the generator yields exactly what
-    ``substream(seed, role, index, lane)`` yields. One instance must not be
-    shared between threads.
+    ``at(index, lane)`` sets the counter words to ``[0, 0, lane, index]`` in
+    the fresh generator's state (an empty buffer, no stored 32-bit half),
+    built once with its words as Python ints, which the setter only reads.
+    The generator then yields exactly what ``substream(seed, role, index,
+    lane)`` yields. One instance must not be shared between threads.
     """
 
     def __init__(self, seed: int, role: int):
         self._bits = np.random.Philox(key=_key(seed, role))
-        self._state = self._bits.state
+        state = self._bits.state
+        state["state"]["key"] = tuple(map(int, state["state"]["key"]))
+        state["buffer"] = tuple(map(int, state["buffer"]))
+        self._state = state
         self._generator = np.random.Generator(self._bits)
 
     def at(self, index: int, lane: int = 0) -> np.random.Generator:
         index, lane = operator.index(index), operator.index(lane)
         if index < 0 or lane < 0:
             raise ValueError("index and lane must be nonnegative")
-        state = self._state
-        state["state"]["counter"][:] = (0, 0, lane & _MASK64, index & _MASK64)
-        state["buffer_pos"] = 4  # empty: the next output starts a new block
-        state["has_uint32"] = 0
-        self._bits.state = state
+        self._state["state"]["counter"] = (0, 0, lane & _MASK64, index & _MASK64)
+        self._bits.state = self._state
         return self._generator
 
 

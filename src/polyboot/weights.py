@@ -96,7 +96,7 @@ def _exponential(streams, b0, b1, n, lane=0):
     """
     u = np.empty((b1 - b0, n))
     for r in range(b1 - b0):
-        u[r] = streams.at(b0 + r, lane).random(n)
+        streams.at(b0 + r, lane).random(out=u[r])
     values = -np.log1p(-u)
     with np.errstate(divide="ignore"):
         return values, np.log(values)
@@ -110,8 +110,8 @@ def _gamma(streams, b0, b1, n, alpha):
     u = np.empty((b1 - b0, n))
     for r in range(b1 - b0):
         g = streams.at(b0 + r)
-        y[r] = g.standard_gamma(a + 1.0, n)
-        u[r] = g.random(n)
+        g.standard_gamma(a + 1.0, out=y[r])
+        g.random(out=u[r])
     with np.errstate(divide="ignore"):
         log_values = np.log(y) + np.log(1.0 - u) / a  # 1 - U lies in (0, 1]
     return np.exp(log_values), log_values

@@ -41,6 +41,16 @@ def test_full_triadic_index_set(tmp_path):
     assert s.has_full_index_set()
 
 
+@pytest.mark.parametrize("n, order", [(2, 2), (5, 3), (12, 4), (40, 2)])
+def test_full_index_set_is_the_permutations_in_order(n, order):
+    import itertools
+
+    got = pb.full_index_set(n, order)
+    expected = np.array(list(itertools.permutations(range(n), order)), dtype=np.int64)
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert np.array_equal(got, expected)
+
+
 def test_missing_dyad_accepted(tmp_path):
     rows = ["u1,u2,y", "A,B,1", "B,A,2", "A,C,3", "C,A,4", "B,C,5"]  # (C,B) absent
     s = pb.load_csv(write(tmp_path, "\n".join(rows) + "\n"))

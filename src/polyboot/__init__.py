@@ -12,7 +12,6 @@ from .counterfactual import (
     CounterfactualFn,
     PredictionDraws,
     propagate,
-    ranking_match_fraction,
     register_counterfactual,
     resolve_counterfactual,
     summarize,
@@ -48,7 +47,7 @@ from .estimators import (
     stacked_init,
     stacked_two_step_moment,
 )
-from .gmm_weights import GmmWeightMatrix, acm_weight_matrix, centered_weight_matrix
+from .gmm_weights import acm_weight_matrix, centered_weight_matrix
 from .variance import (
     VarianceEstimate,
     delta_method_interval,
@@ -56,7 +55,6 @@ from .variance import (
     naive_dyad_robust,
 )
 from .weights import (
-    ObservationWeights,
     product_weights,
     uniform_weights,
     unit_draws,

@@ -1,40 +1,28 @@
 """Bootstrap orchestration: B resampling draws for any scheme x estimator.
 
-The weights are a draw's only random input, so draw b is the estimator
-applied to row b of a (B, N) weight matrix. The engine walks the draws in
-blocks (``weights.block_rows``: about 4 MB of working set each, a function
-of B and the sample's shape only), each from its unit and cluster
-log-draws (``weights.log_draws``).
+This is the one account of the engine. The weights are a draw's only
+random input, so draw b is the estimator applied to row b of a (B, N)
+weight matrix. The draws are walked in blocks of about
+``weights.BLOCK_BYTES`` (``weights.block_rows``), a partition set by B and
+the sample's shape alone. Draw b's unit and cluster log-values
+(``weights.log_draws``) come from substreams keyed by (seed, b), so its
+weight row is the same bytes in any block. Each estimator has one block
+kernel (``estimators.block_kernel``) that solves a block's rows together.
+Its products round with the rows beside a row, so a draw is fixed for the
+fixed partition, and ``threads`` > 1, which maps the blocks over a thread
+pool, never changes it.
 
-Every estimator has one block kernel, ``estimators.block_kernel``:
-``solve(weights (R, N))`` gives ``(theta (R, K), errors, infos)``, the
-rows' estimates, their draw failures and their solver metadata, and the
-point estimate is its one-row case. Mean, OLS and linear-IV GMM are
-functions of weighted feature sums s = sum_k w_k f_k: f = y for the mean,
-f = [vec(x x'), x y] for OLS (``estimators.linear_statistic``), whose
-k x k normal equations a block solves in one batched call, and for linear
-IV z y, z r' and the features of the squared residual's covariance, from
-which each re-weighting round takes its exact weighted solve
-(``linear_iv.linear_iv_gmm``, while that dense tensor fits
-``weights.BLOCK_BYTES``). Such a sum is a quadratic form in the unit
-values, v'F v / v'M v for dyads with M the observed-dyad mask, so when the
-dense feature tensor holds at most four entries per observation
-(n**P * T <= 4 N) the sums come from ``weights.product_sums`` without
-building the weight matrix. A draw whose normalizer v'M v is not finite or
-below e**-600, or a linear-IV draw whose expanded covariance cancels, has
-its weight row built from the same draws instead (``weights_of``). Every
-other block applies its kernel to the block of the weight matrix: PPML is
-one damped Newton (``ppml.ppml_newton``), linear IV the same rounds on the
-weight rows, user GMM moments ``gmm`` on each row.
+Mean, OLS and linear IV are functions of weighted feature sums
+sum_k w_k f_k, which are quadratic forms in the unit values (v'F v / v'M v
+for dyads, M the observed-dyad mask). When the dense feature tensor holds
+at most four entries per observation (n**P * T <= 4 N), a block takes the
+sums from ``weights.product_sums`` and builds no weight matrix. A row whose
+normalizer underflows, or a linear-IV row whose expanded covariance
+cancels, is solved from its weight row instead (``weights_of``).
 
-Blocks run serially unless ``threads`` > 1 maps them over a thread pool;
-since each block owns its random streams and the partition never depends
-on the thread count, the draws are the same bit for bit for any
-``threads``.
-
-Failed draws (degenerate weights, the kernels' ``errors.DRAW_FAILURES``,
-non-finite estimates) are recorded and excluded from quantiles rather than
-aborting the run, unless they exceed a 20% systematic-failure cap.
+Failed draws (degenerate weights, ``errors.DRAW_FAILURES``, non-finite
+estimates) are recorded and left out of the quantiles, unless more than
+``MAX_FAILURE_SHARE`` of the draws fail.
 """
 
 from __future__ import annotations

@@ -40,7 +40,6 @@ class PredictionDraws:
     point: np.ndarray
     draws: np.ndarray  # (B_ok, m)
     dropped: int
-    source: BootstrapResult
 
 
 def _toy_growth(column):
@@ -110,7 +109,7 @@ def propagate(sample: PolyadicSample, result: BootstrapResult, g: Counterfactual
             continue
         rows.append(np.asarray(out, dtype=np.float64))
     draws = np.array(rows, dtype=np.float64).reshape(len(rows), g.n_outputs)
-    return PredictionDraws(point=point, draws=draws, dropped=dropped, source=result)
+    return PredictionDraws(point=point, draws=draws, dropped=dropped)
 
 
 @dataclass(frozen=True)
@@ -166,9 +165,3 @@ def _skewness(draws) -> np.ndarray:
     with np.errstate(all="ignore"):
         return np.where(m2 <= (np.finfo(np.float64).eps * mean) ** 2, np.nan, m3 / m2**1.5)
 
-
-def ranking_match_fraction(preds: PredictionDraws) -> float:
-    """Share of draws whose output ordering matches the point prediction's."""
-    ref = np.argsort(preds.point, kind="stable")
-    orders = np.argsort(preds.draws, axis=1, kind="stable")
-    return float(np.mean(np.all(orders == ref, axis=1)))

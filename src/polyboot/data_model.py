@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,23 +190,19 @@ def full_index_set(n: int, order: int) -> np.ndarray:
 
 
 def load_csv(path, order: int = 2) -> PolyadicSample:
-    """Load a polyadic sample from CSV.
+    """Load a polyadic sample from CSV, read row by row by the csv module.
 
-    Unit ids are assigned densely by first appearance. Every column other
-    than ``u1..uP``, ``group`` and ``cluster`` is a variable.
-
-    A file with no quote or NUL character, no blank line and "\\n" or
-    "\\r\\n" line ends is read column by column by ``np.loadtxt``; any other
-    file, and any file that read finds fault with, goes through the csv
-    module row by row, which gives the same sample or reports the first
-    faulty line.
+    Unit ids are assigned densely by first appearance, as are cluster
+    levels; labels are stripped of surrounding spaces. Every column other
+    than ``u1..uP``, ``group`` and ``cluster`` is a variable. A faulty row
+    raises ``DataError`` naming its line.
     """
     if order < 2:
         raise ParamError("order must be >= 2")
     unit_cols = [f"u{p + 1}" for p in range(order)]
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            n_rows = _plain_rows(fh.read())
+            fh.read()  # a file that does not decode fails before its first row
         except UnicodeDecodeError as exc:
             raise DataError(f"the file is not UTF-8 text: {exc}") from None
         fh.seek(0)
@@ -217,111 +214,19 @@ def load_csv(path, order: int = 2) -> PolyadicSample:
         variable_columns = [c for c in header if c not in unit_cols and c not in RESERVED_COLUMNS]
         if not variable_columns:
             raise DataError("no variable columns")
-        columns = None
-        if n_rows:
-            columns = _read_columns(path, n_rows, header, unit_cols, variable_columns)
-        if columns is None:
-            columns = _read_rows(reader, header, unit_cols, variable_columns)
-    labels, index, variables, group_of, cluster_ids, cluster_labels = columns
-
-    group_of_unit = None
-    group_labels = None
-    if group_of:
-        seen = sorted(set(group_of.values()))
-        gid = {g: i for i, g in enumerate(seen)}
-        missing = [labels[u] for u in range(len(labels)) if u not in group_of]
-        if missing:
-            raise DataError(
-                "group column present but no group known for units "
-                + ", ".join(repr(m) for m in missing)
-                + " (groups are read from rows where the unit appears in u1)"
-            )
-        group_of_unit = tuple(gid[group_of[u]] for u in range(len(labels)))
-        group_labels = tuple(seen)
-    return PolyadicSample(
-        order=order,
-        unit_labels=labels,
-        index=index,
-        variables=variables,
-        variable_names=tuple(variable_columns),
-        group_of_unit=group_of_unit,
-        cluster_ids=cluster_ids,
-        cluster_labels=cluster_labels,
-        group_labels=group_labels,
-    )
+        return _read_rows(reader, unit_cols, variable_columns)
 
 
-def _first_appearance_ids(labels):
-    """(ids, distinct labels): labels numbered densely by first appearance
-    in C order."""
-    distinct, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    rank = np.empty(len(distinct), dtype=np.int64)
-    rank[by_first] = np.arange(len(distinct))
-    return rank[inverse].reshape(labels.shape), tuple(distinct[by_first].tolist())
-
-
-def _plain_rows(text):
-    """The number of lines after the header when ``np.loadtxt`` splits
-    ``text`` as the csv module does (no quote or NUL, "\\n" or "\\r\\n"
-    line ends, no blank line); else None."""
-    if any(c in text for c in ('"', "\x00", "\n\n", "\n\r\n")):
-        return None
-    if text.count("\r") != text.count("\r\n"):
-        return None
-    return text.count("\n") - text.endswith("\n")
-
-
-def _read_columns(path, n_rows, header, unit_cols, variable_columns):
-    """``_read_rows``' result for a file of ``n_rows`` plain lines, read
-    column by column by ``np.loadtxt``; None when the file holds anything
-    ``_read_rows`` would reject or read differently."""
-    if len(set(header)) < len(header):
-        return None
-
-    def load(dtype, names):
-        # from the open file, read in chunks rather than as one string
-        with open(path, encoding="utf-8") as fh:
-            usecols = [header.index(c) for c in names]
-            return np.loadtxt(
-                fh, dtype, comments=None, delimiter=",", skiprows=1, usecols=usecols, ndmin=2
-            )
-
-    try:
-        labels = np.char.strip(load(str, unit_cols + [c for c in RESERVED_COLUMNS if c in header]))
-        variables = load(np.float64, variable_columns)
-    except ValueError:
-        return None
-    order = len(unit_cols)
-    if len(labels) != n_rows or (labels[:, :order] == "").any() or not np.isfinite(variables).all():
-        return None
-    index, unit_labels = _first_appearance_ids(labels[:, :order])
-    ordered = np.sort(index, axis=1)
-    if (ordered[:, 1:] == ordered[:, :-1]).any():
-        return None
-    group_of = {}
-    if "group" in header:
-        given = labels[:, order] != ""
-        pairs = set(zip(index[given, 0].tolist(), labels[given, order].tolist()))
-        group_of = dict(pairs)
-        if len(group_of) < len(pairs):
-            return None  # a unit with two groups
-    cluster_ids = cluster_labels = None
-    if "cluster" in header:
-        cluster_ids, cluster_labels = _first_appearance_ids(labels[:, -1])
-    return unit_labels, index, variables, group_of, cluster_ids, cluster_labels
-
-
-def _read_rows(reader, header, unit_cols, variable_columns):
-    """The rows of a ``csv.DictReader``, one at a time: (unit labels, index,
-    variables, group label by unit id, cluster ids, cluster labels). Raises
+def _read_rows(reader, unit_cols, variable_columns) -> PolyadicSample:
+    """The sample of a ``csv.DictReader``'s rows, read one at a time; raises
     ``DataError`` naming the line of the first faulty row."""
-    has_group = "group" in header
-    has_cluster = "cluster" in header
+    has_group = "group" in reader.fieldnames
+    has_cluster = "cluster" in reader.fieldnames
     unit_ids: dict = {}
     group_of: dict = {}
     cluster_ids_map: dict = {}
-    index_rows, var_rows, cluster_rows = [], [], []
+    # flat typed arrays: a Python list per row would hold far more memory
+    index_rows, var_rows, cluster_rows = array("q"), array("d"), array("q")
     for lineno, row in enumerate(reader, start=2):
         tup = []
         for c in unit_cols:
@@ -332,7 +237,6 @@ def _read_rows(reader, header, unit_cols, variable_columns):
             tup.append(uid)
         if len(set(tup)) != len(unit_cols):
             raise DataError(f"line {lineno}: repeated unit within tuple")
-        values = []
         for c in variable_columns:
             try:
                 v = float(row[c])
@@ -340,7 +244,7 @@ def _read_rows(reader, header, unit_cols, variable_columns):
                 raise DataError(f"line {lineno}: column {c!r} is not numeric") from None
             if not math.isfinite(v):
                 raise DataError(f"line {lineno}: non-finite value in column {c!r}")
-            values.append(v)
+            var_rows.append(v)
         if has_group:
             g = (row["group"] or "").strip()
             if g:
@@ -354,22 +258,33 @@ def _read_rows(reader, header, unit_cols, variable_columns):
             lab = (row["cluster"] or "").strip()
             cid = cluster_ids_map.setdefault(lab, len(cluster_ids_map))
             cluster_rows.append(cid)
-        index_rows.append(tup)
-        var_rows.append(values)
+        index_rows.extend(tup)
 
     if not index_rows:
         raise DataError("no observations")
-    cluster_ids = cluster_labels = None
-    if has_cluster:
-        cluster_ids = np.array(cluster_rows, dtype=np.int64)
-        cluster_labels = tuple(sorted(cluster_ids_map, key=cluster_ids_map.get))
-    return (
-        tuple(sorted(unit_ids, key=unit_ids.get)),
-        np.array(index_rows, dtype=np.int64),
-        np.array(var_rows, dtype=np.float64),
-        group_of,
-        cluster_ids,
-        cluster_labels,
+    labels = tuple(unit_ids)  # in id order, as ids follow first appearance
+    group_of_unit = group_labels = None
+    if group_of:
+        group_labels = tuple(sorted(set(group_of.values())))
+        missing = [labels[u] for u in range(len(labels)) if u not in group_of]
+        if missing:
+            raise DataError(
+                "group column present but no group known for units "
+                + ", ".join(repr(m) for m in missing)
+                + " (groups are read from rows where the unit appears in u1)"
+            )
+        gid = {g: i for i, g in enumerate(group_labels)}
+        group_of_unit = tuple(gid[group_of[u]] for u in range(len(labels)))
+    return PolyadicSample(
+        order=len(unit_cols),
+        unit_labels=labels,
+        index=np.array(index_rows, dtype=np.int64).reshape(-1, len(unit_cols)),
+        variables=np.array(var_rows, dtype=np.float64).reshape(-1, len(variable_columns)),
+        variable_names=tuple(variable_columns),
+        group_of_unit=group_of_unit,
+        cluster_ids=np.array(cluster_rows, dtype=np.int64) if has_cluster else None,
+        cluster_labels=tuple(cluster_ids_map) if has_cluster else None,
+        group_labels=group_labels,
     )
 
 

@@ -3,24 +3,16 @@
 Every builtin moment is a residual times an instrument, psi = (y - mu) z:
 the mean is y - theta (z = 1), OLS (y - x'theta) x, PPML (y - exp(x'theta)) x
 and linear-IV GMM (y - r'theta) z. Every estimator is a pure function of a
-sample and a normalized weight vector, and it has one block form,
-``block_kernel``: ``solve(weights (R, N))`` gives ``(theta (R, K), errors,
-infos)`` for R weight rows at once. The bootstrap engine applies it to a
-block of draws and ``evaluate_estimator`` to one row. A draw's weight row
-is the same bytes under any partition of the draws into blocks, but a
-kernel's products round with the rows beside a row, so its result is fixed
-for a fixed partition, which depends only on B, the sample's shape and the
-kernel: ``--threads`` never changes it. Mean and OLS are closed forms in
-weighted feature sums, defined once in ``linear_statistic``, whose block
-is one batched normal-equation solve. PPML (``ppml.ppml_newton``, a damped
-Newton in which each row follows its own stopping rule) and
-linear-IV GMM (``linear_iv.linear_iv_gmm``, one exact weighted solve per
-re-weighting round) solve the block's rows together. ``gmm`` is the
-per-row GMM of user moments, one-step, two-step (centered weight matrix
-re-estimated at the step-1 solution) or iterated, with the weight matrices
-of ``gmm_weights``; just-identified systems are solved as moment roots. Its
-block kernel solves each row in turn. The solvers' tolerances and limits
-are the module constants below.
+sample and a normalized weight vector (N,), with one block form over R
+weight rows at once, ``block_kernel``; the ``bootstrap`` module docstring
+tells how the engine applies it. Mean and OLS are closed forms in weighted
+feature sums (``linear_statistic``), PPML a damped Newton per row
+(``ppml.ppml_newton``) and the builtin linear IV one exact weighted solve
+per re-weighting round (``linear_iv.linear_iv_gmm``). ``gmm`` is the
+per-row GMM of user moments, one-step, two-step or iterated, with the
+weight matrices of ``gmm_weights``; just-identified systems are solved as
+moment roots. The solvers' tolerances and limits are the module constants
+below.
 """
 
 from __future__ import annotations
@@ -38,7 +30,6 @@ from .errors import (
     SolverError,
 )
 from .gmm_weights import acm_weight_matrix, centered_weight_matrix
-from .weights import ObservationWeights
 
 COND_LIMIT = 1e12
 FOC_TOL = 1e-8  # per-row GMM: the largest gradient entry at a minimum
@@ -329,7 +320,7 @@ def solve_z(moment, sample, weights, init=None) -> tuple:
     """
     if not moment.just_identified:
         raise ParamError("solve_z requires a just-identified moment (L = K)")
-    variables, w = sample.variables, weights.weights
+    variables, w = sample.variables, weights
     theta = np.zeros(moment.n_params) if init is None else np.asarray(init, dtype=np.float64).copy()
 
     def merit(m):
@@ -421,7 +412,7 @@ def _minimize_gmm(moment, sample, weights, weight_matrix, init=None):
         starts.insert(0, init)
     best = None
     for start in starts:
-        theta, q, ok = _gauss_newton(moment, sample.variables, weights.weights, weight_matrix, start)
+        theta, q, ok = _gauss_newton(moment, sample.variables, weights, weight_matrix, start)
         if ok and (best is None or q < best[1]):
             best = (theta, q)
     if best is None:
@@ -458,12 +449,12 @@ def gmm(moment, sample, weights, mode="two-step", weight_style="centered") -> tu
     reweight = acm_weight_matrix if iterated and weight_style == "acm" else centered_weight_matrix
     trace = []
     for it in range(1, (ITER_MAX if iterated else 1) + 1):
-        omega = reweight(moment, sample, weights, theta)
-        theta_new = _minimize_gmm(moment, sample, weights, omega.matrix, init=theta)
+        omega, ridged = reweight(moment, sample, weights, theta)
+        theta_new = _minimize_gmm(moment, sample, weights, omega, init=theta)
         if not iterated:
-            return theta_new, {"weight_matrix_ridged": omega.ridged}
-        m = moment_mean(moment, sample.variables, weights.weights, theta_new)
-        trace.append(float(m @ omega.matrix @ m))
+            return theta_new, {"weight_matrix_ridged": ridged}
+        m = moment_mean(moment, sample.variables, weights, theta_new)
+        trace.append(float(m @ omega @ m))
         delta = np.linalg.norm(theta_new - theta)
         theta = theta_new
         if delta <= ITER_TOL:
@@ -533,11 +524,10 @@ def stacked_init(moment, sample, weights, theta_init=None) -> np.ndarray:
     K, L = moment.n_params, moment.n_moments
     theta = np.zeros(K) if theta_init is None else np.asarray(theta_init, dtype=np.float64)
     psi = moment.fn(sample.variables, theta)
-    w = weights.weights
-    m = w @ psi
+    m = weights @ psi
     centered = psi - m
-    omega = centered.T @ (w[:, None] * centered)
-    g = moment_mean_jacobian(moment, sample.variables, w, theta)
+    omega = centered.T @ (weights[:, None] * centered)
+    g = moment_mean_jacobian(moment, sample.variables, weights, theta)
     return np.concatenate([theta, theta, m, omega.ravel(), g.ravel(), g.ravel()])
 
 
@@ -553,9 +543,7 @@ def _per_row_gmm(spec, sample):
         theta, errors, infos = np.full((len(weights), moment.n_params), np.nan), {}, {}
         for r, w in enumerate(weights):
             try:
-                theta[r], infos[r] = gmm(
-                    moment, sample, ObservationWeights(w), spec.gmm_mode, spec.weight_style
-                )
+                theta[r], infos[r] = gmm(moment, sample, w, spec.gmm_mode, spec.weight_style)
             except DRAW_FAILURES as exc:
                 errors[r] = exc
         return theta, errors, infos
@@ -569,15 +557,15 @@ def block_kernel(spec: EstimatorSpec, sample: PolyadicSample) -> tuple:
     infos)``. errors maps each failed row to its draw failure, and only the
     other rows' theta and info are estimates; infos maps a row to its solver
     metadata, {} when absent. A row's result is fixed for a fixed block
-    (module docstring). ``row_floats`` is the float64 values a block
-    budgets per row and observation. ``linear`` is the factorized form
-    ``(features, finish)``, features (N, F) or, for linear IV, a function
-    that builds them only when ``weights.dense_features`` takes the sample
-    (the point estimate never does): ``finish(sums, weights_of)`` gives the block result from the rows'
-    weighted feature sums, and may solve some rows from their weights,
-    ``weights_of(rows)``. It is ``linear_statistic``'s for mean and OLS,
-    ``linear_iv_gmm``'s for linear IV when its dense features fit, and None
-    otherwise.
+    (``bootstrap`` module docstring). ``row_floats`` is the float64 values a
+    block budgets per row and observation. ``linear`` is the factorized
+    form ``(features, finish)``, features (N, F) or, for linear IV, a
+    function that builds them only when ``weights.dense_features`` takes the
+    sample (the point estimate never does): ``finish(sums, weights_of)``
+    gives the block result from the rows' weighted feature sums, and may
+    solve some rows from their weights, ``weights_of(rows)``. It is
+    ``linear_statistic``'s for mean and OLS, ``linear_iv_gmm``'s for linear
+    IV when its dense features fit, and None otherwise.
     """
     from .linear_iv import IV_ROW_FLOATS, linear_iv_gmm  # these kernels build on this module
     from .ppml import PPML_ROW_FLOATS, ppml_newton
@@ -593,12 +581,12 @@ def block_kernel(spec: EstimatorSpec, sample: PolyadicSample) -> tuple:
 
 
 def evaluate_estimator(spec: EstimatorSpec, sample: PolyadicSample, weights) -> tuple:
-    """Apply the estimator functional to a weighted empirical distribution:
+    """Apply the estimator functional to the weight vector ``weights`` (N,):
     the one-row case of ``block_kernel``, which raises a failed row's error.
 
     Returns (theta as 1-d array, info dict with solver metadata).
     """
-    theta, errors, infos = block_kernel(spec, sample)[1](weights.weights[None])
+    theta, errors, infos = block_kernel(spec, sample)[1](np.asarray(weights, float)[None])
     if errors:
         raise errors[0]
     return theta[0], infos.get(0, {})

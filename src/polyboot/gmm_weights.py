@@ -7,21 +7,11 @@ the covariances that each closed-form round builds for a block of draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParamError, SingularWeightMatrix
 
 RIDGE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class GmmWeightMatrix:
-    """L x L symmetric PSD weight matrix; ``ridged`` when an eigenvalue was floored."""
-
-    matrix: np.ndarray
-    ridged: bool = False
 
 
 def invert_psd(cov) -> tuple:
@@ -46,30 +36,33 @@ def invert_psd(cov) -> tuple:
     return factor, (eigval < floor).any(axis=1), errors
 
 
-def _weight_matrix(cov) -> GmmWeightMatrix:
-    """``invert_psd`` of one covariance, raising its SingularWeightMatrix."""
+def _weight_matrix(cov) -> tuple:
+    """``invert_psd`` of one covariance: ``(matrix (L, L), ridged)``, ridged
+    when an eigenvalue was floored; raises its SingularWeightMatrix."""
     factor, ridged, errors = invert_psd(np.atleast_2d(cov)[None])
     if errors:
         raise errors[0]
-    return GmmWeightMatrix(factor[0] @ factor[0].T, bool(ridged[0]))  # exactly symmetric
+    return factor[0] @ factor[0].T, bool(ridged[0])  # exactly symmetric
 
 
-def centered_weight_matrix(moment, sample, weights, theta) -> GmmWeightMatrix:
-    """Inverse of the moment covariance centered at the weighted moment mean."""
+def centered_weight_matrix(moment, sample, weights, theta) -> tuple:
+    """Inverse of the moment covariance centered at the weighted moment mean,
+    for the weight vector ``weights`` (N,): ``(matrix, ridged)``."""
     theta = np.asarray(theta, dtype=np.float64)
     psi = moment.fn(sample.variables, theta)
-    psibar = weights.weights @ psi
+    psibar = weights @ psi
     centered = psi - psibar
-    cov = centered.T @ (weights.weights[:, None] * centered)
+    cov = centered.T @ (weights[:, None] * centered)
     return _weight_matrix(cov)
 
 
-def acm_weight_matrix(moment, sample, weights, theta) -> GmmWeightMatrix:
-    """Inverse of (weighted mean squared residual) times (weighted Z Z')."""
+def acm_weight_matrix(moment, sample, weights, theta) -> tuple:
+    """Inverse of (weighted mean squared residual) times (weighted Z Z'):
+    ``(matrix, ridged)``."""
     if moment.residual_instrument is None:
         raise ParamError("acm-style weight matrix needs a residual x instrument moment")
     theta = np.asarray(theta, dtype=np.float64)
     e, z = moment.residual_instrument(sample.variables, theta)
-    s2 = float(weights.weights @ (e * e))
-    zz = z.T @ (weights.weights[:, None] * z)
+    s2 = float(weights @ (e * e))
+    zz = z.T @ (weights[:, None] * z)
     return _weight_matrix(s2 * np.atleast_2d(zz))

@@ -50,9 +50,7 @@ class VarianceEstimate:
 
 
 def _mean_jacobian(moment, sample, theta):
-    jac = moment_mean_jacobian(
-        moment, sample.variables, uniform_weights(sample).weights, theta
-    )
+    jac = moment_mean_jacobian(moment, sample.variables, uniform_weights(sample), theta)
     if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) >= COND_LIMIT:
         raise SingularJacobian("moment Jacobian is numerically singular")
     return jac

@@ -18,30 +18,13 @@ Rubin's (1981) Bayesian bootstrap applied to every index dimension at once.
 Products are formed in log space so that extreme prior draws (tiny alpha)
 survive without underflow.
 
-Weights are built a block of draws at a time: ``log_draws`` gives the unit
-log-values and cluster log-levels of draws b0..b1-1, ``weights_for_block``
-turns them into rows b0..b1-1 of the (B, N) weight matrix with
-``product_weights``, and ``weights_for_draw`` is its one-row case. Draw b's
-values come from substream (seed, role, b, lane) whatever block it falls in,
-so every row is the same bit for bit under any block partition.
-
-A statistic linear in the weights needs no weight matrix. The sum
-sum_k w_k f_k is a quadratic form in the unit values, v'F v / v'M v for a
-dyadic sample, where F holds f at the observed dyads and zeros elsewhere and
-M is the 0/1 observed-dyad mask (a P-linear form for P-tuples, with one
-more contraction over the cluster levels). ``dense_features`` scatters the
-features into that dense tensor once; it declines, leaving the weight
-matrix, when the tensor would exceed four entries per observation
-(n**P * T > 4 N). ``product_sums`` evaluates the forms for a block of
-draws from ``log_draws``, with each row scaled by exp(l - max l); a row
-whose normalizer v'M v is not finite or below e**-600 may have lost
-precision to underflow, so its weights are built from the same draws with
-``product_weights`` and summed instead.
+``weights_for_block`` gives rows b0..b1-1 of the (B, N) weight matrix,
+``product_weights`` of ``log_draws``, and ``product_sums`` a block's
+weighted feature sums without it; the ``bootstrap`` module docstring tells
+how the engine uses them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,20 +46,9 @@ BLOCK_BYTES = 4 * 2**20
 MIN_NORMALIZER = np.exp(-600.0)
 
 
-@dataclass(frozen=True)
-class ObservationWeights:
-    """Normalized weight per observed index tuple."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-
-def uniform_weights(sample: PolyadicSample) -> ObservationWeights:
-    return ObservationWeights(np.full(sample.n_obs, 1.0 / sample.n_obs))
+def uniform_weights(sample: PolyadicSample) -> np.ndarray:
+    """Weight 1/N on every observed tuple: the point estimate's weights."""
+    return np.full(sample.n_obs, 1.0 / sample.n_obs)
 
 
 def block_rows(n_draws: int, row_floats: int) -> int:
@@ -374,7 +346,6 @@ def weights_for_block(
 
 def weights_for_draw(
     sample: PolyadicSample, scheme: str, seed: int, b: int, alpha: float | None = None
-) -> ObservationWeights:
-    """The draw-``b`` weights: row b of the weight matrix (see
-    ``weights_for_block``)."""
-    return ObservationWeights(weights_for_block(sample, scheme, seed, b, b + 1, alpha)[0])
+) -> np.ndarray:
+    """Row b of the weight matrix (see ``weights_for_block``)."""
+    return weights_for_block(sample, scheme, seed, b, b + 1, alpha)[0]

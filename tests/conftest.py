@@ -1,4 +1,3 @@
-import csv
 import os
 import sys
 from pathlib import Path
@@ -9,7 +8,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import polyboot as pb
-from polyboot import data_model
 
 # tests that start ``python -m polyboot.cli`` must import the package under
 # test, also from a checkout where it is not installed
@@ -18,41 +16,11 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 
-def assert_same_columns(got, expected):
-    """Two CSV readings, (unit labels, index, variables, groups, cluster ids,
-    cluster labels), are equal in value and dtype."""
-    assert len(got) == len(expected)
-    for a, b in zip(got, expected):
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        else:
-            assert a == b
-
-
 @pytest.fixture(autouse=True)
 def private_sample_cache(monkeypatch, tmp_path):
     """The CLI's parsed-sample cache lives under the test's own directory,
     also for the CLI processes a test starts, never in the user's cache."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-
-
-@pytest.fixture(autouse=True)
-def csv_column_reader_matches_row_loop(monkeypatch):
-    """Every CSV a test loads in process is read row by row as well: the
-    column reader must give what the row loop gives."""
-    read_columns = data_model._read_columns
-
-    def checked(path, n_rows, header, unit_cols, variable_columns):
-        columns = read_columns(path, n_rows, header, unit_cols, variable_columns)
-        if columns is not None:
-            with open(path, newline="", encoding="utf-8") as fh:
-                expected = data_model._read_rows(
-                    csv.DictReader(fh), header, unit_cols, variable_columns
-                )
-            assert_same_columns(columns, expected)
-        return columns
-
-    monkeypatch.setattr(data_model, "_read_columns", checked)
 
 
 @pytest.fixture

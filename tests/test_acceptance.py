@@ -61,7 +61,7 @@ def test_criterion_02_ols_reweighting_identity():
             spec = pb.EstimatorSpec(kind="ols", y="y", x=("x",), intercept=True)
             theta, _ = pb.evaluate_estimator(spec, s, w)
             design = np.column_stack([np.ones(s.n_obs), s.column("x")])
-            ref = oracles.scaled_ols(s.column("y"), design, w.weights)
+            ref = oracles.scaled_ols(s.column("y"), design, w)
             worst = max(worst, float(np.max(np.abs(theta - ref))))
         assert worst < 1e-10
 

@@ -57,7 +57,7 @@ def test_pigeonhole_zero_weights_seen_and_failures_counted():
     res = pb.run_bootstrap(s, spec, "pigeonhole", n_draws=300, seed=7)
     assert res.failed_draw_count >= 0
     zero_hit = any(
-        np.any(pb.weights_for_draw(s, "pigeonhole", 7, b).weights == 0.0) for b in range(50)
+        np.any(pb.weights_for_draw(s, "pigeonhole", 7, b) == 0.0) for b in range(50)
     )
     assert zero_hit
 

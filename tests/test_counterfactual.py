@@ -102,11 +102,8 @@ def test_g_wrong_shape_on_a_draw_is_dropped_and_counted():
 
 
 def test_summarize_exceedance():
-    s, res = bootstrap_mean(seed=6)
-    g = pb.resolve_counterfactual("identity:1")
-
     preds = pb.PredictionDraws(
-        point=np.array([1.0]), draws=np.array([[-1.0], [1.0], [3.0]]), dropped=0, source=res
+        point=np.array([1.0]), draws=np.array([[-1.0], [1.0], [3.0]]), dropped=0
     )
     summary = pb.summarize(preds, 0.5, thresholds=[0.0])
     p, se = summary.exceedance[0.0]
@@ -115,7 +112,7 @@ def test_summarize_exceedance():
 
     positive = pb.PredictionDraws(
         point=np.array([1.0]), draws=np.abs(np.random.default_rng(0).standard_normal((50, 1))) + 0.1,
-        dropped=0, source=res,
+        dropped=0,
     )
     p, _ = pb.summarize(positive, 0.5, thresholds=[0.0]).exceedance[0.0]
     assert p[0] == 1.0
@@ -123,7 +120,7 @@ def test_summarize_exceedance():
     symmetric = pb.PredictionDraws(
         point=np.array([0.0]),
         draws=np.concatenate([-np.arange(1.0, 100.0), np.arange(1.0, 100.0)])[:, None],
-        dropped=0, source=res,
+        dropped=0,
     )
     p, _ = pb.summarize(symmetric, 0.5, thresholds=[0.0]).exceedance[0.0]
     assert abs(p[0] - 0.5) < 0.05
@@ -132,14 +129,13 @@ def test_summarize_exceedance():
 def test_summarize_skewness_matches_scipy():
     from scipy.stats import skew
 
-    _, res = bootstrap_mean(seed=6)
     rng = np.random.default_rng(3)
     draws = np.column_stack([
         rng.gamma(2.0, size=400) * 1e3 + 5.0,  # right-skewed, large offset
         -rng.exponential(size=400),  # left-skewed
         np.full(400, 2.5),  # constant: no spread, skewness undefined
     ])
-    preds = pb.PredictionDraws(point=np.zeros(3), draws=draws, dropped=0, source=res)
+    preds = pb.PredictionDraws(point=np.zeros(3), draws=draws, dropped=0)
     got = pb.summarize(preds, 0.9).skewness
     assert np.allclose(got[:2], skew(draws[:, :2], axis=0), rtol=1e-14, atol=0.0)
     assert np.isnan(got[2])
@@ -157,21 +153,7 @@ def test_monotone_g_maps_quantiles_exactly():
     assert summary.interval.upper[0] == np.exp(ci_theta.upper[0])
 
 
-def test_ranking_match_fraction():
-    s, res = bootstrap_mean(seed=8, draws=10)
-    preds = pb.PredictionDraws(
-        point=np.array([1.0, 2.0]),
-        draws=np.array([[1.0, 2.0], [0.5, 1.5], [2.0, 1.0]]),
-        dropped=0,
-        source=res,
-    )
-    assert pb.ranking_match_fraction(preds) == pytest.approx(2.0 / 3.0)
-
-
 def test_summarize_needs_two_rows():
-    s, res = bootstrap_mean(seed=9, draws=10)
-    preds = pb.PredictionDraws(
-        point=np.array([1.0]), draws=np.array([[1.0]]), dropped=0, source=res
-    )
+    preds = pb.PredictionDraws(point=np.array([1.0]), draws=np.array([[1.0]]), dropped=0)
     with pytest.raises(ParamError):
         pb.summarize(preds, 0.9)

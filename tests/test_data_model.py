@@ -1,7 +1,3 @@
-import csv
-import tempfile
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +6,7 @@ from hypothesis import strategies as st
 import polyboot as pb
 from polyboot import data_model
 from polyboot.errors import DataError
-from conftest import assert_same_columns, random_dyadic_sample
+from conftest import random_dyadic_sample
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -255,29 +251,12 @@ def test_relabeling_leaves_estimators_unchanged(perm, seed):
     assert np.allclose(t1, t2, atol=1e-12)
 
 
-def read_both(text, directory, order=2):
-    """(column reader result or None, row loop result or its DataError text)
-    for a CSV file holding ``text``."""
-    path = Path(directory) / "both.csv"
-    path.write_bytes(text.encode())
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        unit_cols = [f"u{p + 1}" for p in range(order)]
-        variables = [c for c in header if c not in unit_cols and c not in ("group", "cluster")]
-        n_rows = data_model._plain_rows(text)
-        columns = None
-        if n_rows:
-            columns = data_model._read_columns(path, n_rows, header, unit_cols, variables)
-        try:
-            rows = data_model._read_rows(reader, header, unit_cols, variables)
-        except DataError as exc:
-            rows = str(exc)
-    return columns, rows
-
-
-@pytest.mark.parametrize("end", ["\n", "\r\n"])
-def test_column_reader_reads_plain_files(tmp_path, end):
+@pytest.mark.parametrize(
+    "end, quote", [("\n", ""), ("\r\n", ""), ("\n", '"')], ids=["\n", "\r\n", "quoted"]
+)
+def test_column_reader_reads_plain_files(tmp_path, end, quote):
+    # line ends, quoting, label stripping, first-appearance ids, group and
+    # cluster labels: the same sample from each spelling of one file
     lines = [
         "u1,u2,group,cluster,y,x",
         " B , A ,g2,2001, 1.5,0",
@@ -285,12 +264,9 @@ def test_column_reader_reads_plain_files(tmp_path, end):
         "C,B,g1,,3,2",
         "A,B,,2002,4,3",
     ]
-    text = end.join(lines) + end
-    columns, rows = read_both(text, tmp_path)
-    assert columns is not None
-    assert_same_columns(columns, rows)
+    text = end.join(",".join(f"{quote}{f}{quote}" for f in line.split(",")) for line in lines)
     p = tmp_path / "plain.csv"
-    p.write_bytes(text.encode())
+    p.write_bytes((text + end).encode())
     s = pb.load_csv(p)
     assert s.unit_labels == ("B", "A", "C")
     assert s.index.tolist() == [[0, 1], [1, 2], [2, 0], [1, 0]]
@@ -300,41 +276,8 @@ def test_column_reader_reads_plain_files(tmp_path, end):
     assert s.cluster_ids.tolist() == [0, 0, 1, 2]
 
 
-def test_quoted_fields_take_the_row_loop(tmp_path):
-    text = 'u1,u2,y\n"a,b",c,1\nc,"a,b",2\n'
-    assert read_both(text, tmp_path)[0] is None
+def test_quoted_label_keeps_its_comma(tmp_path):
     p = tmp_path / "quoted.csv"
-    p.write_text(text)
+    p.write_text('u1,u2,y\n"a,b",c,1\nc,"a,b",2\n')
     s = pb.load_csv(p)
     assert s.unit_labels == ("a,b", "c") and s.index.tolist() == [[0, 1], [1, 0]]
-
-
-GOOD_ROWS = st.tuples(
-    st.sampled_from(["A", " B", "C "]),
-    st.sampled_from(["D", "E ", " A"]),
-    st.lists(st.sampled_from(["1.5", " -2e3 ", "7", "g1"]), min_size=2, max_size=3),
-)
-BAD_ROWS = st.tuples(
-    st.sampled_from(["A", "", " ", '"A"']),
-    st.sampled_from(["A", "B", "\t"]),
-    st.lists(st.sampled_from(["1.5", "", "nan", "1_0", "x"]), min_size=0, max_size=3),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.one_of(GOOD_ROWS, GOOD_ROWS, GOOD_ROWS, BAD_ROWS), max_size=6),
-    st.sampled_from(["u1,u2,y", "u1,u2,group,y", "u1,u2,cluster,y,z", "u1,u2,y,y"]),
-    st.sampled_from(["\n", "\r\n", "\r"]),
-    st.booleans(),
-)
-def test_column_reader_agrees_with_row_loop(rows, header, end, final_end):
-    # any text the column reader accepts, it reads as the row loop does;
-    # what the row loop rejects, the column reader leaves to it
-    lines = [header] + [",".join([u1, u2, *values]) for u1, u2, values in rows]
-    text = end.join(lines) + (end if final_end else "")
-    with tempfile.TemporaryDirectory() as directory:
-        columns, expected = read_both(text, directory)
-    if columns is not None:
-        assert not isinstance(expected, str)
-        assert_same_columns(columns, expected)

@@ -1,6 +1,8 @@
 """The commands and the coverage-sim config that README.md and
-docs/walkthrough.md show are ones the CLI accepts."""
+docs/walkthrough.md show are ones the CLI accepts, and the names they cite
+are ones polyboot has."""
 
+import importlib.util
 import json
 import re
 import shlex
@@ -38,6 +40,37 @@ def test_every_doc_shows_commands():
 def test_documented_commands_parse(doc, argv):
     args = cli.build_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+MODULES = {p.stem for p in Path(pb.__file__).parent.glob("*.py")} - {"__init__"}
+
+
+def cited_names(doc):
+    """Each ``pb.<name>`` of the python blocks as ``polyboot.<name>``, and each
+    backticked ``polyboot.<name>`` or ``<module>.<name>`` (a file name such
+    as ``data_model.py`` aside)."""
+    names = [f"polyboot.{n}" for n in re.findall(r"\bpb\.(\w+)", "".join(blocks(doc, "python")))]
+    text = (ROOT / doc).read_text(encoding="utf-8")
+    for span in re.findall(r"`(\w+(?:\.\w+)+)`", text):
+        head = span.split(".")[0]
+        if head in MODULES and not span.endswith(".py"):
+            names.append(f"polyboot.{span}")
+        elif head == "polyboot":
+            names.append(span)
+    return sorted(set(names))
+
+
+NAMES = [(doc, name) for doc in DOCS for name in cited_names(doc)]
+
+
+def test_every_doc_cites_names():
+    assert {doc for doc, _ in NAMES} == set(DOCS)
+
+
+@pytest.mark.parametrize("doc, name", NAMES, ids=[f"{d}:{n}" for d, n in NAMES])
+def test_cited_names_exist(doc, name):
+    module, _, attr = name.rpartition(".")
+    assert hasattr(importlib.import_module(module), attr) or importlib.util.find_spec(name)
 
 
 def test_documented_coverage_config_is_valid():

@@ -59,7 +59,7 @@ def shaped_sample(shape, n, seed, keep=0.7, columns=("y", "x")):
 def per_draw_weights(sample, scheme, seed, b, alpha):
     """Weights of draw b, or the DegenerateDraw message."""
     try:
-        return pb.weights_for_draw(sample, scheme, seed, b, alpha=alpha).weights
+        return pb.weights_for_draw(sample, scheme, seed, b, alpha=alpha)
     except DegenerateDraw as exc:
         return str(exc)
 
@@ -213,7 +213,7 @@ def per_draw_bootstrap(sample, spec, scheme, n_draws, seed, alpha):
         except (DegenerateDraw, SingularDesign, SolverError) as exc:
             failures.append((b, f"{type(exc).__name__}: {exc}"))
             continue
-        assert_ols_oracle(sample, spec, w.weights, draws[-1])
+        assert_ols_oracle(sample, spec, w, draws[-1])
     return np.array(draws).reshape(len(draws), -1), tuple(failures)
 
 

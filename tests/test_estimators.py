@@ -30,13 +30,12 @@ def test_weighted_mean_uniform():
 def test_weighted_mean_point_mass(dyad_sample):
     w = np.zeros(6)
     w[3] = 1.0
-    weights = pb.ObservationWeights(w)
-    assert weighted_mean(dyad_sample, weights, "y") == dyad_sample.variables[3, 0]
+    assert weighted_mean(dyad_sample, w, "y") == dyad_sample.variables[3, 0]
 
 
 def test_weighted_mean_product_weights_hand_oracle(dyad_sample):
     v = np.array([1.0, 2.0, 3.0])
-    w = pb.ObservationWeights(pb.product_weights(dyad_sample, np.log(v)[None, :])[0])
+    w = pb.product_weights(dyad_sample, np.log(v)[None, :])[0]
     # direct enumeration over the six dyads
     expected = sum(
         v[i] * v[j] * dyad_sample.variables[r, 0]
@@ -70,7 +69,7 @@ def test_ols_matches_scaled_oracle():
         w = rand_weights(s, 100 + trial)
         theta = weighted_ols(s, w, "y", ("x",), intercept=True)
         design = np.column_stack([np.ones(s.n_obs), s.column("x")])
-        ref = oracles.scaled_ols(s.column("y"), design, w.weights)
+        ref = oracles.scaled_ols(s.column("y"), design, w)
         assert np.max(np.abs(theta - ref)) < 1e-10
 
 
@@ -131,10 +130,10 @@ def test_ppml_matches_irls_oracle():
     w = rand_weights(s, 41)
     theta, _ = weighted_ppml(s, w, "y", ("x",), intercept=True)
     design = np.column_stack([np.ones(s.n_obs), s.column("x")])
-    ref = oracles.irls_ppml(s.column("y"), design, w.weights)
+    ref = oracles.irls_ppml(s.column("y"), design, w)
     assert np.max(np.abs(theta - ref)) < 1e-6
     moment = pb.ppml_moment(s.variable_names, "y", ("x",), intercept=True)
-    resid = moment_mean(moment, s.variables, w.weights, theta)
+    resid = moment_mean(moment, s.variables, w, theta)
     assert np.max(np.abs(resid)) <= 1e-8
 
 
@@ -237,7 +236,7 @@ def test_centered_weight_matrix_unit_variance():
     s = two_point_sample([+1.0, -1.0])
     moment = pb.mean_moment(s.variable_names, "y")
     omega = pb.centered_weight_matrix(moment, s, pb.uniform_weights(s), np.array([0.0]))
-    assert omega.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert omega[0][0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_centered_weight_matrix_constant_psi_singular():
@@ -256,7 +255,7 @@ def test_centered_weight_matrix_homogeneity():
     w = pb.uniform_weights(s)
     o1 = pb.centered_weight_matrix(base, s, w, np.array([0.0]))
     o2 = pb.centered_weight_matrix(scaled, s, w, np.array([0.0]))
-    assert np.allclose(o2.matrix, o1.matrix / c**2, rtol=1e-12)
+    assert np.allclose(o2[0], o1[0] / c**2, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------- GMM
@@ -286,7 +285,7 @@ def test_just_identified_nonlinear_root():
     )
     w = rand_weights(s, 61)
     theta, _ = pb.gmm(moment, s, w)
-    m = moment_mean(moment, s.variables, w.weights, theta)
+    m = moment_mean(moment, s.variables, w, theta)
     assert np.max(np.abs(m)) <= 1e-8
     assert theta[0] == pytest.approx(np.log(weighted_mean(s, w, "x")), abs=1e-9)
 
@@ -302,15 +301,15 @@ def test_two_step_matches_grid_oracle(iv_sample):
         w = rand_weights(iv_sample, 71, b)
 
         def obj_identity(t):
-            m = moment_mean(moment, variables, w.weights, np.array([t]))
+            m = moment_mean(moment, variables, w, np.array([t]))
             return float(m @ m)
 
         t1 = oracles.grid_golden_minimize(obj_identity, -5.0, 8.0)
         omega = pb.centered_weight_matrix(moment, iv_sample, w, np.array([t1]))
 
         def obj_step2(t):
-            m = moment_mean(moment, variables, w.weights, np.array([t]))
-            return float(m @ omega.matrix @ m)
+            m = moment_mean(moment, variables, w, np.array([t]))
+            return float(m @ omega[0] @ m)
 
         ref = oracles.grid_golden_minimize(obj_step2, -5.0, 8.0)
         theta, info = pb.gmm(moment, iv_sample, w, mode="two-step")
@@ -346,11 +345,11 @@ def test_iterated_fixed_point_and_foc(iv_sample):
         else:
             omega = pb.acm_weight_matrix(moment, iv_sample, w, theta)
         # a round restarted from the fixed point moves less than the tolerance
-        theta2 = pb.estimators._minimize_gmm(moment, iv_sample, w, omega.matrix, init=theta)
+        theta2 = pb.estimators._minimize_gmm(moment, iv_sample, w, omega[0], init=theta)
         assert np.linalg.norm(theta2 - theta) < 1e-6
-        m = moment_mean(moment, iv_sample.variables, w.weights, theta)
-        jac = pb.estimators.moment_mean_jacobian(moment, iv_sample.variables, w.weights, theta)
-        assert np.max(np.abs(jac.T @ omega.matrix @ m)) <= 1e-6
+        m = moment_mean(moment, iv_sample.variables, w, theta)
+        jac = pb.estimators.moment_mean_jacobian(moment, iv_sample.variables, w, theta)
+        assert np.max(np.abs(jac.T @ omega[0] @ m)) <= 1e-6
 
 
 def test_gmm_rejects_unknown_mode_and_weight_style(iv_sample):
@@ -389,7 +388,7 @@ def test_solve_z_linear_closed_form():
     moment = pb.ols_moment(s.variable_names, "y", ("x",))
     theta, _ = pb.solve_z(moment, s, w)
     x, y = s.column("x"), s.column("y")
-    ref = float((w.weights * x * y).sum() / (w.weights * x * x).sum())
+    ref = float((w * x * y).sum() / (w * x * x).sum())
     assert theta[0] == pytest.approx(ref, abs=1e-10)
 
 
@@ -427,7 +426,7 @@ def test_analytic_jacobians_match_finite_differences():
         analytic = moment.jacobian(sample.variables, theta2)
         numeric = observation_jacobian(bare, sample.variables, theta2)
         assert np.max(np.abs(analytic - numeric) / (1.0 + np.abs(analytic))) < 1e-5
-        w = rand_weights(sample, 141).weights
+        w = rand_weights(sample, 141)
         analytic = moment_mean_jacobian(moment, sample.variables, w, theta2)
         numeric = moment_mean_jacobian(bare, sample.variables, w, theta2)
         assert np.max(np.abs(analytic - numeric) / (1.0 + np.abs(analytic))) < 1e-5

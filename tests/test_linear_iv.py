@@ -34,11 +34,7 @@ def outcome(evaluate):
 
 def per_row(spec, sample, w):
     moment = pb.build_moment(spec, sample)
-    return outcome(
-        lambda: pb.gmm(
-            moment, sample, pb.ObservationWeights(w), spec.gmm_mode, spec.weight_style
-        )
-    )
+    return outcome(lambda: pb.gmm(moment, sample, w, spec.gmm_mode, spec.weight_style))
 
 
 def user_moment(spec, sample):
@@ -118,7 +114,7 @@ def test_batched_linear_iv_equals_per_row_gmm_and_oracle(scheme, mode, style):
         draws, failures = [], []
         for b in range(n_draws):
             try:
-                w = pb.weights_for_draw(s, scheme, 9, b, alpha=alpha).weights
+                w = pb.weights_for_draw(s, scheme, 9, b, alpha=alpha)
             except DegenerateDraw as exc:
                 failures.append((b, f"DegenerateDraw: {exc}"))
                 continue
@@ -137,7 +133,7 @@ def test_degenerate_rows_keep_their_place_in_a_block(iv_sample):
     failed = {2: "an earlier reason"}
     row = row_of(for_block(log_units, None, failed))
     assert failed == {2: "an earlier reason", 5: "every observed tuple has zero weight"}
-    expected = per_row(spec, iv_sample, pb.uniform_weights(iv_sample).weights)
+    expected = per_row(spec, iv_sample, pb.uniform_weights(iv_sample))
     for r in (0, 1, 3, 4, 6):
         assert_same_outcome(row(r), expected, 1e-12)
 
@@ -296,7 +292,7 @@ def test_crafted_rows_fail_as_they_would_alone(monkeypatch, name):
     if name in GAUSS_NEWTON:  # user moments keep per-row Gauss-Newton, which fails these rows
         user = user_moment(spec, s)
         for w in rows[:-1]:
-            got = outcome(lambda: pb.evaluate_estimator(user, s, pb.ObservationWeights(w)))
+            got = outcome(lambda: pb.evaluate_estimator(user, s, w))
             assert got == NOT_MINIMIZED
 
 
@@ -350,11 +346,11 @@ def test_point_estimate_is_the_kernels_one_row_case(iv_sample):
         spec = pb.EstimatorSpec(**IV, gmm_mode=mode, weight_style=style)
         w = pb.uniform_weights(iv_sample)
         theta, info = pb.evaluate_estimator(spec, iv_sample, w)
-        row = kernel(spec, iv_sample, w.weights[None])
+        row = kernel(spec, iv_sample, w[None])
         assert np.array_equal(theta, row(0)[0]) and info == row(0)[1]
-        assert_oracle(spec, iv_sample, w.weights, theta, info)
+        assert_oracle(spec, iv_sample, w, theta, info)
         tol = 1e-8 if style == "centered" and mode == "iterated" else 1e-12
-        assert_same_outcome((theta, info), per_row(spec, iv_sample, w.weights), tol)
+        assert_same_outcome((theta, info), per_row(spec, iv_sample, w), tol)
 
 
 @pytest.mark.parametrize("mode, style", MODES)
@@ -385,7 +381,7 @@ def test_wide_specs_take_the_kernel(monkeypatch):
     res = pb.run_bootstrap(s, spec, "bayes", n_draws=3, seed=4)
     assert not res.failures
     for b, info in enumerate(res.draw_metadata):
-        w = pb.weights_for_draw(s, "bayes", 4, b).weights
+        w = pb.weights_for_draw(s, "bayes", 4, b)
         assert_oracle(spec, s, w, res.draws[b], info)
         assert_same_outcome((res.draws[b], info), per_row(spec, s, w), 1e-12)
 

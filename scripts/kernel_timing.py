@@ -10,11 +10,12 @@ and the largest difference between the two paths' draws relative to each
 parameter's largest draw. The shapes are those of the benchmark's
 coverage-small (mean, n=40, B=500) and cli-large (OLS, n=300, B=1000).
 
-For PPML (solver-mix's gravity shape, n=40, B=200) it times the damped
-Newton on the same weight rows two ways: row by row (the test suite's
-oracle, ``tests/oracles.py``) and batched over the engine's blocks
-(``ppml.ppml_newton``), and prints the largest difference between
-their draws relative to each parameter's largest draw. A third table
+For PPML (solver-mix's two gravity jobs, n=40, B=200: bayes, and prior
+with alpha = n/2) it times the damped Newton on the same weight rows two
+ways: row by row (the test suite's oracle, ``tests/oracles.py``) and
+batched over the engine's blocks (``ppml.ppml_newton``), and prints the
+rows of those blocks and the largest difference between their draws
+relative to each parameter's largest draw. A third table
 times the two forms of linear-IV GMM (``linear_iv.linear_iv_gmm``) from
 the same draws, each over its own blocks: the weight-row kernel on
 ``weights_for_block`` rows, and the factorized form on ``product_sums``
@@ -61,7 +62,10 @@ SHAPES = [  # (label, dgp, estimator, scheme, draws)
 GRAVITY = EstimatorSpec(
     kind="ppml", y="flow", x=("size_origin", "size_destination", "log_friction"), intercept=True
 )
-PPML_SHAPES = [("ppml n=40 B=200 bayes", 40, "bayes", 200)]  # (label, units, scheme, draws)
+PPML_SHAPES = [  # (label, units, scheme, alpha, draws)
+    ("ppml n=40 B=200 bayes", 40, "bayes", None, 200),
+    ("ppml n=40 B=200 prior n/2", 40, "prior", 20.0, 200),
+]
 IV_SHAPES = [  # (label, units, instruments, intercept, GMM mode, weight style, scheme, draws)
     ("iv 2-step n=30 L=3 B=200 pigeon", 30, 3, False, "two-step", "centered", "pigeonhole", 200),
     ("iv iterated n=30 L=3 B=100 bayes", 30, 3, False, "iterated", "centered", "bayes", 100),
@@ -155,9 +159,9 @@ def timed(fn, repeats, *args):
     return statistics.median(times), out
 
 
-def print_pair(label, ms_row, ms_batch, a, b):
+def print_pair(label, ms_row, ms_batch, a, b, end=""):
     diff = np.max(np.abs(a - b) / np.max(np.abs(a), axis=0))
-    print(f"{label:32} {ms_row:16.1f} {ms_batch:14.1f} {diff:13.1e}")
+    print(f"{label:32} {ms_row:16.1f} {ms_batch:14.1f} {diff:13.1e}{end}")
 
 
 def main(repeats=5):
@@ -175,15 +179,16 @@ def main(repeats=5):
         theta_a = finish(a[ok])[0]
         diff = np.max(np.abs(theta_a - theta_b) / np.max(np.abs(theta_a), axis=0))
         print(f"{label:32} {ms_mat:16.1f} {ms_fac:14.1f} {ms_est:13.1f} {diff:13.1e}")
-    print(f"{'shape':32} {'per-row ms':>16} {'batched ms':>14} {'max rel diff':>13}")
-    for label, n, scheme, n_draws in PPML_SHAPES:
+    print(f"{'shape':32} {'per-row ms':>16} {'batched ms':>14} {'max rel diff':>13} "
+          f"{'block rows':>11}")
+    for label, n, scheme, alpha, n_draws in PPML_SHAPES:
         sample = gravity_sample(n=n)
-        rows = weights.weights_for_block(sample, scheme, 7, 0, n_draws)
+        rows = weights.weights_for_block(sample, scheme, 7, 0, n_draws, alpha)
         ms_row, a = timed(ppml_per_row, repeats, sample, rows)
         solve = ppml_newton(GRAVITY, sample)
         step = weights.block_rows(n_draws, PPML_ROW_FLOATS * sample.n_obs)
         ms_batch, b = timed(batched, repeats, solve, rows, step)
-        print_pair(label, ms_row, ms_batch, a, b)
+        print_pair(label, ms_row, ms_batch, a, b, f" {step:11d}")
     print(f"{'shape':32} {'weight-row ms':>16} {'factorized ms':>14} {'max rel diff':>13}")
     for label, n, n_instruments, intercept, mode, style, scheme, n_draws in IV_SHAPES:
         sample = overidentified_iv_sample(n=n, extra=n_instruments - 3)

@@ -10,7 +10,7 @@ weight row is the same bytes in any block. Each estimator has one block
 kernel (``estimators.block_kernel``) that solves a block's rows together.
 Its products round with the rows beside a row, so a draw is fixed for the
 fixed partition, and ``threads`` > 1, which maps the blocks over a thread
-pool, never changes it.
+pool, never changes it. A run builds the kernel once, for its point estimate and draws.
 
 Mean, OLS and linear IV are functions of weighted feature sums
 sum_k w_k f_k, which are quadratic forms in the unit values (v'F v / v'M v
@@ -105,12 +105,12 @@ class DiscreteAtomSet:
             raise ParamError("masses must be nonnegative and sum to 1")
 
 
-def _block_estimator(sample, spec, n_draws):
-    """``(draws per block, for_block)``: for_block(log_units, log_levels,
-    failed) gives the block result ``(theta, errors, infos)`` of
-    ``estimators.block_kernel`` for a block of draws, and adds the rows
-    without a positive weight to ``failed``."""
-    row_floats, solve, linear = block_kernel(spec, sample)
+def _block_estimator(sample, n_draws, kernel):
+    """``(draws per block, for_block)`` from ``kernel``, the estimator's
+    ``estimators.block_kernel``: for_block(log_units, log_levels, failed)
+    gives the kernel's block result ``(theta, errors, infos)`` for a block
+    of draws, and adds the rows without a positive weight to ``failed``."""
+    row_floats, solve, linear = kernel
     dense = None if linear is None else dense_features(sample, linear[0])
     if dense is None:
         def for_block(log_units, log_levels, failed):
@@ -132,11 +132,11 @@ def _block_estimator(sample, spec, n_draws):
     return block_rows(n_draws, dense[0].size), for_block
 
 
-def _run_draws(sample, spec, scheme, n_draws, seed, alpha, threads):
-    """``(theta (B, K), errors, infos)`` in draw order: errors maps a failed
-    draw index to its draw failure, infos a draw index to its solver
-    metadata."""
-    step, for_block = _block_estimator(sample, spec, n_draws)
+def _run_draws(sample, scheme, n_draws, seed, alpha, threads, blocks):
+    """``(theta (B, K), errors, infos)`` in draw order, from the block
+    estimator ``blocks`` of ``_block_estimator``: errors maps a failed draw
+    index to its draw failure, infos a draw index to its solver metadata."""
+    step, for_block = blocks
 
     def run_block(b0):
         # each block draws its own random streams, so blocks may run concurrently
@@ -179,8 +179,11 @@ def run_bootstrap(
     """
     if n_draws < 1:
         raise ParamError("need at least one draw")
-    point, _ = evaluate_estimator(spec, sample, uniform_weights(sample))
-    theta, errors, infos = _run_draws(sample, spec, scheme, n_draws, seed, alpha, threads)
+    kernel = block_kernel(spec, sample)
+    point, _ = evaluate_estimator(spec, sample, uniform_weights(sample), kernel[1])
+    blocks = _block_estimator(sample, n_draws, kernel)
+    del kernel  # dense blocks keep no (N, F) feature matrix, so neither may the run
+    theta, errors, infos = _run_draws(sample, scheme, n_draws, seed, alpha, threads, blocks)
 
     ok = np.isfinite(theta).all(axis=1)
     ok[list(errors)] = False

@@ -195,33 +195,35 @@ def load_csv(path, order: int = 2) -> PolyadicSample:
     Unit ids are assigned densely by first appearance, as are cluster
     levels; labels are stripped of surrounding spaces. Every column other
     than ``u1..uP``, ``group`` and ``cluster`` is a variable. A faulty row
-    raises ``DataError`` naming its line.
+    raises ``DataError`` naming its line, and a file that is not UTF-8 one
+    naming its first bad byte, counted from the start of the file.
     """
     if order < 2:
         raise ParamError("order must be >= 2")
     unit_cols = [f"u{p + 1}" for p in range(order)]
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            fh.read()  # a file that does not decode fails before its first row
-        except UnicodeDecodeError as exc:
-            raise DataError(f"the file is not UTF-8 text: {exc}") from None
-        fh.seek(0)
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for c in unit_cols:
-            if c not in header:
-                raise DataError(f"missing unit column {c!r}")
-        variable_columns = [c for c in header if c not in unit_cols and c not in RESERVED_COLUMNS]
-        if not variable_columns:
-            raise DataError("no variable columns")
-        return _read_rows(reader, unit_cols, variable_columns)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            try:
+                return _read_rows(csv.DictReader(fh), unit_cols)
+            except UnicodeDecodeError:  # decoded whole, the position counts from the start
+                fh.buffer.seek(0)
+                fh.buffer.read().decode("utf-8")
+                raise
+    except UnicodeDecodeError as exc:
+        raise DataError(f"the file is not UTF-8 text: {exc}") from None
 
 
-def _read_rows(reader, unit_cols, variable_columns) -> PolyadicSample:
-    """The sample of a ``csv.DictReader``'s rows, read one at a time; raises
-    ``DataError`` naming the line of the first faulty row."""
-    has_group = "group" in reader.fieldnames
-    has_cluster = "cluster" in reader.fieldnames
+def _read_rows(reader, unit_cols) -> PolyadicSample:
+    """The sample of a ``csv.DictReader``'s header and rows, read one at a
+    time; raises ``DataError`` naming the line of the first faulty row."""
+    header = reader.fieldnames or []
+    for c in unit_cols:
+        if c not in header:
+            raise DataError(f"missing unit column {c!r}")
+    variable_columns = [c for c in header if c not in unit_cols and c not in RESERVED_COLUMNS]
+    if not variable_columns:
+        raise DataError("no variable columns")
+    has_group, has_cluster = "group" in header, "cluster" in header
     unit_ids: dict = {}
     group_of: dict = {}
     cluster_ids_map: dict = {}

@@ -6,13 +6,13 @@ and linear-IV GMM (y - r'theta) z. Every estimator is a pure function of a
 sample and a normalized weight vector (N,), with one block form over R
 weight rows at once, ``block_kernel``; the ``bootstrap`` module docstring
 tells how the engine applies it. Mean and OLS are closed forms in weighted
-feature sums (``linear_statistic``), PPML a damped Newton per row
-(``ppml.ppml_newton``) and the builtin linear IV one exact weighted solve
-per re-weighting round (``linear_iv.linear_iv_gmm``). ``gmm`` is the
-per-row GMM of user moments, one-step, two-step or iterated, with the
-weight matrices of ``gmm_weights``; just-identified systems are solved as
-moment roots. The solvers' tolerances and limits are the module constants
-below.
+feature sums (``linear_statistic``), PPML a damped Newton per row, one
+weighted product per evaluation (``ppml.ppml_newton``), and the builtin
+linear IV one exact weighted solve per re-weighting round
+(``linear_iv.linear_iv_gmm``). ``gmm`` is the per-row GMM of user moments,
+one-step, two-step or iterated, with the weight matrices of
+``gmm_weights``; just-identified systems are solved as moment roots. The
+solvers' tolerances and limits are the module constants below.
 """
 
 from __future__ import annotations
@@ -580,13 +580,15 @@ def block_kernel(spec: EstimatorSpec, sample: PolyadicSample) -> tuple:
     return 1, _per_row_gmm(spec, sample), None
 
 
-def evaluate_estimator(spec: EstimatorSpec, sample: PolyadicSample, weights) -> tuple:
+def evaluate_estimator(spec: EstimatorSpec, sample: PolyadicSample, weights, solve=None) -> tuple:
     """Apply the estimator functional to the weight vector ``weights`` (N,):
     the one-row case of ``block_kernel``, which raises a failed row's error.
+    ``solve`` is that kernel's, when the caller has built it already.
 
     Returns (theta as 1-d array, info dict with solver metadata).
     """
-    theta, errors, infos = block_kernel(spec, sample)[1](np.asarray(weights, float)[None])
+    solve = solve or block_kernel(spec, sample)[1]
+    theta, errors, infos = solve(np.asarray(weights, float)[None])
     if errors:
         raise errors[0]
     return theta[0], infos.get(0, {})

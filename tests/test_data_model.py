@@ -281,3 +281,21 @@ def test_quoted_label_keeps_its_comma(tmp_path):
     p.write_text('u1,u2,y\n"a,b",c,1\nc,"a,b",2\n')
     s = pb.load_csv(p)
     assert s.unit_labels == ("a,b", "c") and s.index.tolist() == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("where", ["header", "past 8 KiB"])
+def test_not_utf8_names_the_byte_from_the_start_of_the_file(tmp_path, where):
+    # the reader decodes in chunks; the message counts from the file's start
+    rows = "".join(f"é{i},b{i},{i}\n" for i in range(1000)).encode()  # 2-byte labels
+    if where == "header":
+        data = b"u1,u2,y\xff\n" + rows
+    else:
+        data = b"u1,u2,y\n" + rows + b"a,\xfe,1\n"
+        assert data.index(b"\xfe") > 8192
+    p = tmp_path / "bad.csv"
+    p.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    with pytest.raises(DataError) as raised:
+        pb.load_csv(p)
+    assert str(raised.value) == f"the file is not UTF-8 text: {whole.value}"

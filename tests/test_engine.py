@@ -354,7 +354,8 @@ def assert_iv_draws_match_weight_rows(sample, spec, scheme, seed, alpha):
     the ``weights_for_block`` rows, with the same reasons and infos, and
     their estimates agree to 1e-10 of each row's largest entry, at least its
     sum of w |y|, times the condition number of its moment covariance."""
-    theta, errors, infos = bootstrap._run_draws(sample, spec, scheme, 16, seed, alpha, None)
+    blocks = bootstrap._block_estimator(sample, 16, estimators.block_kernel(spec, sample))
+    theta, errors, infos = bootstrap._run_draws(sample, scheme, 16, seed, alpha, None, blocks)
     failed = {}
     block = pb.weights_for_block(sample, scheme, seed, 0, 16, alpha, failed=failed)
     expected, expected_errors, expected_infos = estimators.block_kernel(spec, sample)[1](block)
@@ -513,6 +514,16 @@ def test_batched_ppml_equals_per_row_newton(scheme):
         mp.setattr(weights, "BLOCK_BYTES", 8 * s.n_obs * PPML_ROW_FLOATS * 7)
         res = pb.run_bootstrap(s, GRAVITY_PPML, scheme, n_draws=40, seed=9, alpha=alpha)
     assert_newton_oracle(res, s, GRAVITY_PPML, scheme, 40, 9, alpha)
+
+
+@pytest.mark.parametrize("scheme", ["bayes", "prior"])
+def test_batched_ppml_equals_per_row_newton_at_the_benchmark_shape(scheme):
+    # solver-mix's gravity jobs: n = 40, B = 200, the default block budget
+    s = gravity_sample(seed=3, n=40)
+    alpha = s.n_units / 2 if scheme == "prior" else None
+    assert weights.block_rows(200, PPML_ROW_FLOATS * s.n_obs) < 200  # more than one block
+    res = pb.run_bootstrap(s, GRAVITY_PPML, scheme, n_draws=200, seed=5, alpha=alpha)
+    assert_newton_oracle(res, s, GRAVITY_PPML, scheme, 200, 5, alpha)
 
 
 def test_collinear_ppml_rows_fail_alone_in_their_block():
@@ -685,7 +696,7 @@ def test_dense_blocks_do_not_keep_the_feature_matrix(monkeypatch):
 
     monkeypatch.setattr(estimators, "linear_statistic", spy)
     monkeypatch.setattr(bootstrap, "linear_statistic", spy, raising=False)
-    step, for_block = bootstrap._block_estimator(s, OLS, 30)
+    step, for_block = bootstrap._block_estimator(s, 30, estimators.block_kernel(OLS, s))
     assert weights.dense_features(s, linear_statistic(OLS, s)[0]) is not None
     gc.collect()
     assert len(features) == 1 and features[0]() is None
@@ -710,4 +721,4 @@ def test_sparse_blocks_build_the_features_once(monkeypatch, spec):
     monkeypatch.setattr(bootstrap, "linear_statistic", spy, raising=False)
     res = pb.run_bootstrap(s, spec, "bayes", n_draws=5, seed=2)
     assert not res.failures
-    assert len(calls) == 2  # once for the point estimate, once for the draws
+    assert len(calls) == 1  # one kernel gives the point estimate and the draws

@@ -105,11 +105,12 @@ def test_batched_linear_iv_equals_per_row_gmm_and_oracle(scheme, mode, style):
         alpha = s.n_units / 2 if scheme == "prior" else None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(weights, "BLOCK_BYTES", 8 * 7 * linear_iv.IV_ROW_FLOATS * s.n_obs)
-            linear = estimators.block_kernel(spec, s)[2]
+            built = estimators.block_kernel(spec, s)
+            linear = built[2]
             factorized = linear is not None and weights.dense_features(s, linear[0]) is not None
             assert factorized == dense
             if not dense:
-                assert bootstrap._block_estimator(s, spec, n_draws)[0] == 7  # blocks of 7 draws
+                assert bootstrap._block_estimator(s, n_draws, built)[0] == 7  # blocks of 7 draws
             res = pb.run_bootstrap(s, spec, scheme, n_draws=n_draws, seed=9, alpha=alpha)
         draws, failures = [], []
         for b in range(n_draws):
@@ -127,7 +128,8 @@ def test_batched_linear_iv_equals_per_row_gmm_and_oracle(scheme, mode, style):
 
 def test_degenerate_rows_keep_their_place_in_a_block(iv_sample):
     spec = pb.EstimatorSpec(**IV)
-    _, for_block = bootstrap._block_estimator(iv_sample, spec, 7)
+    built = estimators.block_kernel(spec, iv_sample)
+    _, for_block = bootstrap._block_estimator(iv_sample, 7, built)
     log_units = np.zeros((7, iv_sample.n_units))  # equal unit values: uniform weights
     log_units[[2, 5]] = -np.inf
     failed = {2: "an earlier reason"}
@@ -157,7 +159,8 @@ def test_cancelling_rows_are_solved_from_their_weight_rows(mode, style, intercep
     marked = []
     finish(sums, lambda cancelled: marked.extend(cancelled) or rows[cancelled])
     assert len(marked) == n_marked  # the rows whose diagonal keeps < CANCELLATION of its terms
-    got = row_of(bootstrap._run_draws(s, spec, "prior", n_draws, seed, 0.05, None))
+    blocks = bootstrap._block_estimator(s, n_draws, estimators.block_kernel(spec, s))
+    got = row_of(bootstrap._run_draws(s, "prior", n_draws, seed, 0.05, None, blocks))
     alone, block = kernel(spec, s, rows[marked]), kernel(spec, s, rows)
     for b in range(n_draws):
         expected, result = outcome(lambda: block(b)), outcome(lambda: got(b))

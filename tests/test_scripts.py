@@ -27,7 +27,10 @@ def test_kernel_timing_runs(monkeypatch, capsys):
     timing = load(next(p for p in SCRIPTS if p.stem == "kernel_timing"))
     dgp = pb.coverage.ols_unit_effects_dgp(6)
     monkeypatch.setattr(timing, "SHAPES", [("ols n=6 B=20 bayes", dgp, timing.OLS, "bayes", 20)])
-    monkeypatch.setattr(timing, "PPML_SHAPES", [("ppml n=8 B=20 bayes", 8, "bayes", 20)])
+    monkeypatch.setattr(timing, "PPML_SHAPES", [
+        ("ppml n=8 B=20 bayes", 8, "bayes", None, 20),
+        ("ppml n=8 B=20 prior n/2", 8, "prior", 4.0, 20),
+    ])
     monkeypatch.setattr(timing, "IV_SHAPES", [
         ("iv two-step n=8 L=3 B=20 bayes", 8, 3, False, "two-step", "centered", "bayes", 20),
         ("iv iter-acm n=8 L=5 B=20 bayes", 8, 5, True, "iterated", "acm", "bayes", 20),
@@ -36,17 +39,20 @@ def test_kernel_timing_runs(monkeypatch, capsys):
     monkeypatch.setattr(timing, "DRAW_SHAPES", [("draws n=5 B=4 prior n/2", 5, "prior", 2.5, 4)])
     timing.main(repeats=1)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 10 and lines[1].startswith("ols n=6 B=20 bayes")
-    assert lines[3].startswith("ppml n=8 B=20 bayes") and float(lines[3].split()[-1]) < 1e-12
-    assert lines[4].split()[1:] == ["weight-row", "ms", "factorized", "ms", "max", "rel", "diff"]
-    assert lines[5].startswith("iv two-step n=8 L=3") and lines[6].startswith("iv iter-acm n=8 L=5")
-    assert all(len(line.split()) == 9 for line in lines[5:8])  # label, two times, the difference
-    assert all(float(line.split()[-1]) < 1e-12 for line in lines[5:7])
+    assert len(lines) == 11 and lines[1].startswith("ols n=6 B=20 bayes")
+    assert lines[2].split()[-2:] == ["block", "rows"]
+    # both PPML jobs: the difference, then the rows of a block (20 draws fit in one)
+    assert lines[3].startswith("ppml n=8 B=20 bayes") and lines[4].startswith("ppml n=8 B=20 prior")
+    assert all(float(line.split()[-2]) < 1e-12 and line.split()[-1] == "20" for line in lines[3:5])
+    assert lines[5].split()[1:] == ["weight-row", "ms", "factorized", "ms", "max", "rel", "diff"]
+    assert lines[6].startswith("iv two-step n=8 L=3") and lines[7].startswith("iv iter-acm n=8 L=5")
+    assert all(len(line.split()) == 9 for line in lines[6:9])  # label, two times, the difference
+    assert all(float(line.split()[-1]) < 1e-12 for line in lines[6:8])
     # L = 13 over n = 40: the dense features pass weights.BLOCK_BYTES, so only weight rows run
-    assert lines[7].startswith("iv two-step n=40 L=13") and lines[7].split()[-2:] == ["-", "-"]
+    assert lines[8].startswith("iv two-step n=40 L=13") and lines[8].split()[-2:] == ["-", "-"]
     # the draw inputs, checked against per-row substreams before they are timed
-    assert lines[8].split() == ["shape", "log_draws", "ms", "us", "per", "draw"]
-    assert lines[9].startswith("draws n=5 B=4 prior n/2") and len(lines[9].split()) == 7
+    assert lines[9].split() == ["shape", "log_draws", "ms", "us", "per", "draw"]
+    assert lines[10].startswith("draws n=5 B=4 prior n/2") and len(lines[10].split()) == 7
 
 
 def test_cli_peak_rss_runs(capsys):

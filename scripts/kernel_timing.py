@@ -27,12 +27,19 @@ L = 7 with an intercept: 3.8 of 4 MB), and six instruments over the
 89,700 dyads of n=300, the size of cli-large's CSV, past that bound, where
 only the weight-row kernel runs.
 
-A last table times the draws' random inputs, one ``weights.log_draws``
+Another table times the draws' random inputs, one ``weights.log_draws``
 call for all B draws (its work is per row, so the block partition barely
 moves it), in ms and in us per draw: bayes, pigeonhole and prior
 (alpha = n/2) at coverage-small's n=40, B=500, and bayes at cli-large's
 n=300, B=1000. It checks the first rows against the same draws rebuilt
 from each row's own ``rng.substream``.
+
+The user-moment table times ``run_bootstrap`` on the builtin PPML and
+linear-IV two-step moments passed as user ``MomentFunction``s, which solve
+each draw with ``estimators.gmm``, against the builtin kernels on the same
+bayes draws (solver-mix's shapes, B=200), with the user moment's time per
+draw and the largest difference between the two runs' draws. Set
+OPENBLAS_NUM_THREADS=1 (or the BLAS's own variable) to time one thread.
 
 Usage: PYTHONPATH=src python scripts/kernel_timing.py [repeats]
 """
@@ -44,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from polyboot import EstimatorSpec, coverage, linear_iv, rng, weights
+from polyboot import EstimatorSpec, build_moment, coverage, linear_iv, rng, run_bootstrap, weights
 from polyboot.estimators import linear_statistic, regressors
 from polyboot.fixtures import gravity_sample, overidentified_iv_sample
 from polyboot.ppml import PPML_ROW_FLOATS, ppml_newton
@@ -79,6 +86,13 @@ DRAW_SHAPES = [  # (label, units, scheme, alpha, draws)
     ("draws n=40 B=500 pigeonhole", 40, "pigeonhole", None, 500),
     ("draws n=40 B=500 prior n/2", 40, "prior", 20.0, 500),
     ("draws n=300 B=1000 bayes", 300, "bayes", None, 1000),
+]
+IV_TWO_STEP = EstimatorSpec(
+    kind="gmm", builtin_moment="linear-iv", y="y", x=("r",), instruments=("z1", "z2", "z3")
+)
+USER_SHAPES = [  # (label, builtin estimator, units, bayes draws)
+    ("user ppml n=40 B=200 bayes", GRAVITY, 40, 200),
+    ("user iv 2-step n=30 B=200 bayes", IV_TWO_STEP, 30, 200),
 ]
 ORACLE_ROWS = 3  # leading rows of each block checked against per-row substreams
 
@@ -211,6 +225,15 @@ def main(repeats=5):
         for b in range(min(ORACLE_ROWS, n_draws)):
             assert np.array_equal(log_units[b], substream_log_units(n, scheme, alpha, 7, b))
         print(f"{label:32} {ms:16.2f} {1e3 * ms / n_draws:14.2f}")
+    print(f"{'shape':32} {'user moment ms':>16} {'builtin ms':>14} {'max rel diff':>13} "
+          f"{'user us/draw':>13}")
+    for label, spec, n, n_draws in USER_SHAPES:
+        sample = gravity_sample(n=n) if spec.kind == "ppml" else overidentified_iv_sample(n=n)
+        user = EstimatorSpec(kind="gmm", moment=build_moment(spec, sample), gmm_mode=spec.gmm_mode)
+        ms_user, a = timed(run_bootstrap, repeats, sample, user, "bayes", n_draws, 7)
+        ms_builtin, b = timed(run_bootstrap, repeats, sample, spec, "bayes", n_draws, 7)
+        us_per_draw = 1e3 * ms_user / n_draws
+        print_pair(label, ms_user, ms_builtin, a.draws, b.draws, f" {us_per_draw:13.0f}")
 
 
 if __name__ == "__main__":

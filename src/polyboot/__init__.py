@@ -38,12 +38,12 @@ from .estimators import (
     MomentFunction,
     build_moment,
     evaluate_estimator,
+    gauss_newton,
     gmm,
     linear_iv_moment,
     mean_moment,
     ols_moment,
     ppml_moment,
-    solve_z,
     stacked_init,
     stacked_two_step_moment,
 )

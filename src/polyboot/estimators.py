@@ -11,8 +11,10 @@ weighted product per evaluation (``ppml.ppml_newton``), and the builtin
 linear IV one exact weighted solve per re-weighting round
 (``linear_iv.linear_iv_gmm``). ``gmm`` is the per-row GMM of user moments,
 one-step, two-step or iterated, with the weight matrices of
-``gmm_weights``; just-identified systems are solved as moment roots. The
-solvers' tolerances and limits are the module constants below.
+``gmm_weights``; each of its minimizations, and a just-identified moment's
+root, is one least-squares Gauss-Newton (``gauss_newton``) with a stop
+relative to theta. The solvers' tolerances and limits are the module
+constants below.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from .errors import (
 from .gmm_weights import acm_weight_matrix, centered_weight_matrix
 
 COND_LIMIT = 1e12
-FOC_TOL = 1e-8  # per-row GMM: the largest gradient entry at a minimum
-ROOT_TOL = 1e-10  # solve_z: the largest moment residual at a root
-MAX_ITER = 100  # Newton steps of solve_z and PPML, Gauss-Newton steps of per-row GMM
+STEP_TOL = 1e-10  # gauss_newton: the largest step at a solution, relative to 1 + max|theta|
+STALLED = 1e3  # gauss_newton: a step within this many bounds ends the row if it does not descend
+MAX_ITER = 100  # Newton steps of PPML, Gauss-Newton steps of gauss_newton
 ITER_TOL = 1e-8  # iterated GMM: the largest change in theta at a fixed point
 ITER_MAX = 50  # iterated GMM: re-weighting rounds
 
@@ -46,8 +48,8 @@ class MomentFunction:
     ``fn`` is vectorized over observations: (variables (N, V), theta (K,))
     -> (N, L). ``jacobian``, when given, returns per-observation L x K
     derivative blocks and must match finite differences to 1e-5 relative; it
-    drives the solvers' Newton and Gauss-Newton steps as well as the analytic
-    variance, and without it both use central differences.
+    drives ``gauss_newton``'s steps as well as the analytic variance, and
+    without it both use central differences.
     ``residual_instrument`` exposes the (e, Z) decomposition required by the
     acm-style weight matrix.
     """
@@ -310,151 +312,88 @@ def linear_statistic(spec: EstimatorSpec, sample: PolyadicSample):
 # solvers
 
 
-def solve_z(moment, sample, weights, init=None) -> tuple:
-    """Newton root of the just-identified weighted moment; (theta, iterations).
+def gauss_newton(moment, sample, weights, factor=None, init=None) -> tuple:
+    """Minimize |S'm(theta)|^2 for the weighted mean moment m, S a weight-matrix
+    factor (Omega = S S', None for the identity), from ``init`` or zero:
+    ``(theta, iterations)``.
 
-    Uses the moment's Jacobian (central differences only when the moment has
-    none, see ``observation_jacobian``), a halving line search on residual
-    increase, and declares convergence at max-norm <= ROOT_TOL within
-    MAX_ITER steps.
+    Each step d is the least-squares solution of S'J d = -S'm, never forming
+    J' Omega J; with L = K and S = I it is the Newton step J d = -m, so a
+    just-identified moment is solved for its root. The row converges, taking
+    that last step, once max|d| <= STEP_TOL (1 + max|theta|), or once a step
+    within STALLED times that bound does not lower the objective: near a
+    minimum the fall of the objective is second order in d and sinks below
+    its rounding, while the step is still exact to first order. A longer
+    step is halved until the objective falls, and the row fails with
+    SolverError when 40 halvings do not lower it or after MAX_ITER steps.
     """
-    if not moment.just_identified:
-        raise ParamError("solve_z requires a just-identified moment (L = K)")
-    variables, w = sample.variables, weights
-    theta = np.zeros(moment.n_params) if init is None else np.asarray(init, dtype=np.float64).copy()
+    variables = sample.variables
+    st = np.eye(moment.n_moments) if factor is None else factor.T
 
-    def merit(m):
-        return float(m @ m) if np.all(np.isfinite(m)) else np.inf
+    def residual(t):
+        r = st @ moment_mean(moment, variables, weights, t)
+        return r, float(r @ r) if np.all(np.isfinite(r)) else np.inf
 
-    m = moment_mean(moment, variables, w, theta)
+    theta = np.zeros(moment.n_params) if init is None else np.array(init, dtype=np.float64)
+    r, q = residual(theta)
     for it in range(MAX_ITER):
-        if np.all(np.isfinite(m)) and np.max(np.abs(m)) <= ROOT_TOL:
-            return theta, it
-        jac = moment_mean_jacobian(moment, variables, w, theta)
-        grad = jac.T @ m  # gradient of the squared-residual merit (up to 2x)
-        try:
-            step = np.linalg.solve(jac, -m)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None or step @ grad >= 0:
-            # Newton direction unavailable or not a descent direction
-            step = -grad
-            if not np.any(step):
-                raise SolverError(
-                    "stationary point of the moment residual", residual=float(np.max(np.abs(m)))
-                )
-        base = merit(m)
-        t = 1.0
-        for _ in range(60):
-            cand = theta + t * step
-            m_new = moment_mean(moment, variables, w, cand)
-            if merit(m_new) < base:
-                theta, m = cand, m_new
-                break
-            t *= 0.5
-        else:
-            raise SolverError(
-                "Newton line search stalled", residual=float(np.max(np.abs(m)))
-            )
-    norm = float(np.max(np.abs(m)))
-    if norm <= ROOT_TOL:
-        return theta, MAX_ITER
-    raise SolverError(f"moment root not found (residual {norm:.3e})", residual=norm)
-
-
-def _gauss_newton(moment, variables, w, weight_matrix, init):
-    """Minimize psibar' W psibar from one start; returns (theta, Q, converged)."""
-    theta = np.asarray(init, dtype=np.float64).copy()
-    wm = weight_matrix
-
-    def q_of(m):
-        return float(m @ wm @ m)
-
-    m = moment_mean(moment, variables, w, theta)
-    q = q_of(m)
-    converged = False
-    for _ in range(MAX_ITER):
-        jac = moment_mean_jacobian(moment, variables, w, theta)
-        grad = jac.T @ (wm @ m)
-        if np.max(np.abs(grad)) <= FOC_TOL:
-            converged = True
-            break
-        hess = jac.T @ wm @ jac
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = -grad
-        t = 1.0
-        improved = False
-        for _ in range(40):
-            cand = theta + t * step
-            m_new = moment_mean(moment, variables, w, cand)
-            q_new = q_of(m_new) if np.all(np.isfinite(m_new)) else np.inf
+        a = st @ moment_mean_jacobian(moment, variables, weights, theta)
+        if not (np.isfinite(q) and np.all(np.isfinite(a))):
+            raise SolverError("Gauss-Newton objective or Jacobian is not finite")
+        d = np.linalg.lstsq(a, -r, rcond=None)[0]
+        step, bound = np.max(np.abs(d)), STEP_TOL * (1.0 + np.max(np.abs(theta)))
+        if step <= bound:
+            return theta + d, it
+        short = step <= STALLED * bound
+        for t in 0.5 ** np.arange(1 if short else 40):
+            r_new, q_new = residual(theta + t * d)
             if q_new < q:
-                theta, m, q = cand, m_new, q_new
-                improved = True
+                theta, r, q = theta + t * d, r_new, q_new
                 break
-            t *= 0.5
-        if not improved:
-            # stuck at a point with a nonzero gradient: treat as stalled
-            break
-    else:
-        jac = moment_mean_jacobian(moment, variables, w, theta)
-        converged = np.max(np.abs(jac.T @ (wm @ m))) <= FOC_TOL
-    return theta, q, converged
-
-
-def _minimize_gmm(moment, sample, weights, weight_matrix, init=None):
-    """Multi-start Gauss-Newton on the GMM quadratic form, from ``init`` (when
-    given) and from zero."""
-    starts = [np.zeros(moment.n_params)]
-    if init is not None:
-        starts.insert(0, init)
-    best = None
-    for start in starts:
-        theta, q, ok = _gauss_newton(moment, sample.variables, weights, weight_matrix, start)
-        if ok and (best is None or q < best[1]):
-            best = (theta, q)
-    if best is None:
-        raise SolverError("GMM minimization did not reach the first-order conditions")
-    return best[0]
+        else:
+            if short:
+                return theta + d, it
+            raise SolverError(f"Gauss-Newton line search stalled (step {step:.3e})")
+    raise SolverError(f"Gauss-Newton did not converge in {MAX_ITER} steps")
 
 
 def gmm(moment, sample, weights, mode="two-step", weight_style="centered") -> tuple:
     """GMM in ``mode`` (one-step, two-step or iterated); returns (theta, info).
 
-    One-step minimizes with the identity weight matrix. Each re-weighting round
-    then re-estimates the weight matrix at the latest theta and minimizes again
-    from there: two-step GMM is one centered round (info:
+    Every minimization is ``gauss_newton``. One-step minimizes with the
+    identity weight matrix. Each re-weighting round then re-estimates the
+    weight matrix's factor at the latest theta and minimizes again from
+    there: two-step GMM is one centered round (info:
     ``weight_matrix_ridged``), iterated GMM runs up to ITER_MAX rounds with
     the ``weight_style`` (centered or acm) matrix until theta moves by at
-    most ITER_TOL (info: ``iterations``, ``objective_trace``). Just-identified
-    systems are solved directly as moment roots, where the weight matrix is
-    irrelevant. ``evaluate_estimator`` and the bootstrap solve the builtin
-    linear-IV moment in closed form with ``linear_iv.linear_iv_gmm`` instead.
+    most ITER_TOL (info: ``iterations``, ``objective_trace``, each round's
+    |S'm|^2). A just-identified system's one-step estimate is its moment
+    root, which every weight matrix keeps (info: the root's Gauss-Newton
+    ``iterations`` for two-step). ``evaluate_estimator`` and the bootstrap
+    solve the builtin linear-IV moment in closed form with
+    ``linear_iv.linear_iv_gmm`` instead.
     """
     if mode not in ("one-step", "two-step", "iterated") or weight_style not in ("centered", "acm"):
         raise ParamError(f"unknown gmm mode {mode!r} or weight style {weight_style!r}")
-    if moment.just_identified:
-        theta, iters = solve_z(moment, sample, weights)
-        if mode == "iterated":
+    iterated, just = mode == "iterated", moment.just_identified
+    if iterated and weight_style == "acm" and moment.residual_instrument is None and not just:
+        raise ParamError("acm-style iteration needs a residual x instrument moment")
+    theta, iters = gauss_newton(moment, sample, weights)
+    if just:
+        if iterated:
             return theta, {"iterations": 1, "objective_trace": []}
         return theta, {"iterations": iters} if mode == "two-step" else {}
-    iterated = mode == "iterated"
-    if iterated and weight_style == "acm" and moment.residual_instrument is None:
-        raise ParamError("acm-style iteration needs a residual x instrument moment")
-    theta = _minimize_gmm(moment, sample, weights, np.eye(moment.n_moments))
     if mode == "one-step":
         return theta, {}
     reweight = acm_weight_matrix if iterated and weight_style == "acm" else centered_weight_matrix
     trace = []
     for it in range(1, (ITER_MAX if iterated else 1) + 1):
-        omega, ridged = reweight(moment, sample, weights, theta)
-        theta_new = _minimize_gmm(moment, sample, weights, omega, init=theta)
+        factor, ridged = reweight(moment, sample, weights, theta)
+        theta_new, _ = gauss_newton(moment, sample, weights, factor, init=theta)
         if not iterated:
             return theta_new, {"weight_matrix_ridged": ridged}
-        m = moment_mean(moment, sample.variables, weights, theta_new)
-        trace.append(float(m @ omega @ m))
+        r = factor.T @ moment_mean(moment, sample.variables, weights, theta_new)
+        trace.append(float(r @ r))
         delta = np.linalg.norm(theta_new - theta)
         theta = theta_new
         if delta <= ITER_TOL:

@@ -1,8 +1,9 @@
-"""GMM weight matrices: a moment covariance inverted with its eigenvalues
-floored at RIDGE_FLOOR times the largest. ``invert_psd`` is the one rule,
-over a stack of covariances; the per-row ``centered_weight_matrix`` and
-``acm_weight_matrix`` are its one-row case, and ``linear_iv`` applies it to
-the covariances that each closed-form round builds for a block of draws.
+"""GMM weight matrices Omega = S S': a moment covariance inverted with its
+eigenvalues floored at RIDGE_FLOOR times the largest, kept as its factor S.
+``invert_psd`` is the one rule, over a stack of covariances; the per-row
+``centered_weight_matrix`` and ``acm_weight_matrix`` are its one-row case,
+and ``linear_iv`` applies it to the covariances that each closed-form round
+builds for a block of draws.
 """
 
 from __future__ import annotations
@@ -36,33 +37,26 @@ def invert_psd(cov) -> tuple:
     return factor, (eigval < floor).any(axis=1), errors
 
 
-def _weight_matrix(cov) -> tuple:
-    """``invert_psd`` of one covariance: ``(matrix (L, L), ridged)``, ridged
-    when an eigenvalue was floored; raises its SingularWeightMatrix."""
-    factor, ridged, errors = invert_psd(np.atleast_2d(cov)[None])
+def centered_weight_matrix(moment, sample, weights, theta) -> tuple:
+    """The factor of the inverse of the moment covariance centered at the
+    weighted moment mean, for the weight vector ``weights`` (N,): ``(S,
+    ridged)``, ridged when an eigenvalue was floored; raises its
+    SingularWeightMatrix."""
+    psi = moment.fn(sample.variables, np.asarray(theta, dtype=np.float64))
+    centered = psi - weights @ psi
+    factor, ridged, errors = invert_psd((centered.T @ (weights[:, None] * centered))[None])
     if errors:
         raise errors[0]
-    return factor[0] @ factor[0].T, bool(ridged[0])  # exactly symmetric
-
-
-def centered_weight_matrix(moment, sample, weights, theta) -> tuple:
-    """Inverse of the moment covariance centered at the weighted moment mean,
-    for the weight vector ``weights`` (N,): ``(matrix, ridged)``."""
-    theta = np.asarray(theta, dtype=np.float64)
-    psi = moment.fn(sample.variables, theta)
-    psibar = weights @ psi
-    centered = psi - psibar
-    cov = centered.T @ (weights[:, None] * centered)
-    return _weight_matrix(cov)
+    return factor[0], bool(ridged[0])
 
 
 def acm_weight_matrix(moment, sample, weights, theta) -> tuple:
-    """Inverse of (weighted mean squared residual) times (weighted Z Z'):
-    ``(matrix, ridged)``."""
+    """The factor of the inverse of (weighted mean squared residual) times
+    (weighted Z Z'): ``(S, ridged)`` as ``centered_weight_matrix``."""
     if moment.residual_instrument is None:
         raise ParamError("acm-style weight matrix needs a residual x instrument moment")
-    theta = np.asarray(theta, dtype=np.float64)
-    e, z = moment.residual_instrument(sample.variables, theta)
-    s2 = float(weights @ (e * e))
-    zz = z.T @ (weights[:, None] * z)
-    return _weight_matrix(s2 * np.atleast_2d(zz))
+    e, z = moment.residual_instrument(sample.variables, np.asarray(theta, dtype=np.float64))
+    factor, ridged, errors = invert_psd((weights @ (e * e)) * (z.T @ (weights[:, None] * z))[None])
+    if errors:
+        raise errors[0]
+    return factor[0], bool(ridged[0])

@@ -81,7 +81,7 @@ def test_criterion_03_gmm_stacking_equivalence():
             two_step, _ = pb.gmm(moment, iv, w, mode="two-step")
             theta1, _ = pb.gmm(moment, iv, w, mode="one-step")
             init = pb.stacked_init(moment, iv, w, theta_init=theta1)
-            root, _ = pb.solve_z(stacked, iv, w, init=init)
+            root, _ = pb.gauss_newton(stacked, iv, w, init=init)
             worst = max(worst, abs(float(two_step[0]) - float(root[moment.n_params])))
         assert worst < 1e-6
 

@@ -655,17 +655,17 @@ def test_sparse_sample_keeps_the_weight_matrix():
             assert np.all(np.abs(res.draws - expected) <= 1e-12 * scale)
 
 
-def test_non_finite_estimates_are_failed_draws():
-    # a user moment for the mean that returns NaN once theta passes a cutoff
-    # and sanitizes a NaN theta to zeros: on draws whose weighted mean lies
-    # above the cutoff, Newton ends at theta = NaN with a zero residual
+def test_non_finite_estimates_are_failed_draws(monkeypatch):
+    # a user moment for the mean that returns NaN once theta passes a cutoff:
+    # on draws whose weighted mean lies above the cutoff, Gauss-Newton's
+    # Jacobian turns NaN and the draw fails; a ``gmm`` that returns a NaN
+    # theta there instead gives NonFiniteDraw failures
     s = random_dyadic_sample(np.random.default_rng(31), 6, columns=("y",))
     mean_draws = pb.run_bootstrap(s, MEAN, "bayes", n_draws=200, seed=32).draws[:, 0]
     cutoff = np.quantile(mean_draws, 0.9)
+    above = set(np.flatnonzero(mean_draws > cutoff))
 
     def fn(variables, theta):
-        if np.isnan(theta[0]):
-            return np.zeros((variables.shape[0], 1))
         if theta[0] > cutoff:
             return np.full((variables.shape[0], 1), np.nan)
         return (variables[:, 0] - theta[0])[:, None]
@@ -674,9 +674,20 @@ def test_non_finite_estimates_are_failed_draws():
         kind="gmm", gmm_mode="one-step", moment=pb.MomentFunction("capped-mean", 1, 1, fn)
     )
     res = pb.run_bootstrap(s, spec, "bayes", n_draws=200, seed=32)
-    non_finite = [b for b, reason in res.failures if reason.startswith("NonFiniteDraw")]
-    assert non_finite
-    assert set(b for b, _ in res.failures) <= set(np.flatnonzero(mean_draws > cutoff))
+    not_finite = "SolverError: Gauss-Newton objective or Jacobian is not finite"
+    assert res.failures and {b for b, _ in res.failures} <= above
+    assert {reason for _, reason in res.failures} == {not_finite}
+    gmm = estimators.gmm
+
+    def nan_past_cutoff(moment, sample, weights, *args):
+        if weights @ sample.variables[:, 0] > cutoff:
+            return np.full(1, np.nan), {}
+        return gmm(moment, sample, weights, *args)
+
+    monkeypatch.setattr(estimators, "gmm", nan_past_cutoff)
+    res = pb.run_bootstrap(s, spec, "bayes", n_draws=200, seed=32)
+    assert {b for b, _ in res.failures} == above
+    assert all(reason.startswith("NonFiniteDraw") for _, reason in res.failures)
     assert np.all(np.isfinite(res.draws))
     assert len(res.draw_metadata) == res.draws.shape[0] == 200 - res.failed_draw_count
     ci = pb.credible_interval(res, 0.9)

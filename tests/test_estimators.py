@@ -235,8 +235,8 @@ def two_point_sample(values):
 def test_centered_weight_matrix_unit_variance():
     s = two_point_sample([+1.0, -1.0])
     moment = pb.mean_moment(s.variable_names, "y")
-    omega = pb.centered_weight_matrix(moment, s, pb.uniform_weights(s), np.array([0.0]))
-    assert omega[0][0, 0] == pytest.approx(1.0, abs=1e-12)
+    factor, ridged = pb.centered_weight_matrix(moment, s, pb.uniform_weights(s), np.array([0.0]))
+    assert (factor @ factor.T)[0, 0] == pytest.approx(1.0, abs=1e-12) and not ridged
 
 
 def test_centered_weight_matrix_constant_psi_singular():
@@ -253,9 +253,9 @@ def test_centered_weight_matrix_homogeneity():
     c = 3.0
     scaled = pb.MomentFunction("scaled", 1, 1, lambda v, t: c * base.fn(v, t))
     w = pb.uniform_weights(s)
-    o1 = pb.centered_weight_matrix(base, s, w, np.array([0.0]))
-    o2 = pb.centered_weight_matrix(scaled, s, w, np.array([0.0]))
-    assert np.allclose(o2[0], o1[0] / c**2, rtol=1e-12)
+    s1 = pb.centered_weight_matrix(base, s, w, np.array([0.0]))[0]
+    s2 = pb.centered_weight_matrix(scaled, s, w, np.array([0.0]))[0]
+    assert np.allclose(s2 @ s2.T, s1 @ s1.T / c**2, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------- GMM
@@ -305,11 +305,11 @@ def test_two_step_matches_grid_oracle(iv_sample):
             return float(m @ m)
 
         t1 = oracles.grid_golden_minimize(obj_identity, -5.0, 8.0)
-        omega = pb.centered_weight_matrix(moment, iv_sample, w, np.array([t1]))
+        factor, _ = pb.centered_weight_matrix(moment, iv_sample, w, np.array([t1]))
 
         def obj_step2(t):
-            m = moment_mean(moment, variables, w, np.array([t]))
-            return float(m @ omega[0] @ m)
+            r = factor.T @ moment_mean(moment, variables, w, np.array([t]))
+            return float(r @ r)
 
         ref = oracles.grid_golden_minimize(obj_step2, -5.0, 8.0)
         theta, info = pb.gmm(moment, iv_sample, w, mode="two-step")
@@ -340,16 +340,14 @@ def test_iterated_fixed_point_and_foc(iv_sample):
         assert set(info) == {"iterations", "objective_trace"}
         assert len(trace) == info["iterations"] >= 1
         assert np.all(np.diff(trace) <= 1e-10)  # objective non-increasing
-        if style == "centered":
-            omega = pb.centered_weight_matrix(moment, iv_sample, w, theta)
-        else:
-            omega = pb.acm_weight_matrix(moment, iv_sample, w, theta)
+        reweight = pb.centered_weight_matrix if style == "centered" else pb.acm_weight_matrix
+        factor, _ = reweight(moment, iv_sample, w, theta)
         # a round restarted from the fixed point moves less than the tolerance
-        theta2 = pb.estimators._minimize_gmm(moment, iv_sample, w, omega[0], init=theta)
+        theta2, _ = pb.gauss_newton(moment, iv_sample, w, factor, init=theta)
         assert np.linalg.norm(theta2 - theta) < 1e-6
         m = moment_mean(moment, iv_sample.variables, w, theta)
         jac = pb.estimators.moment_mean_jacobian(moment, iv_sample.variables, w, theta)
-        assert np.max(np.abs(jac.T @ omega[0] @ m)) <= 1e-6
+        assert np.max(np.abs(jac.T @ factor @ (factor.T @ m))) <= 1e-6
 
 
 def test_gmm_rejects_unknown_mode_and_weight_style(iv_sample):
@@ -361,35 +359,38 @@ def test_gmm_rejects_unknown_mode_and_weight_style(iv_sample):
         pb.gmm(moment, iv_sample, w, mode="iterated", weight_style="identity")
 
 
-# -------------------------------------------------------------------- solve_z
+# --------------------------------------------------------------- gauss_newton
 
 
-def test_solve_z_mean_moment(dyad_sample):
+def test_gauss_newton_mean_moment(dyad_sample):
     w = rand_weights(dyad_sample, 101)
     moment = pb.mean_moment(dyad_sample.variable_names, "y")
-    theta, _ = pb.solve_z(moment, dyad_sample, w)
+    theta, _ = pb.gauss_newton(moment, dyad_sample, w)
     assert theta[0] == pytest.approx(weighted_mean(dyad_sample, w, "y"), abs=1e-10)
 
 
-def test_solve_z_agrees_with_ppml(monkeypatch):
+def test_gauss_newton_ppml_moment_matches_irls():
+    # the just-identified PPML moment's root, with no limit patched
     s = poisson_sample(seed=12)
-    w = rand_weights(s, 111)
+    x = pb.estimators.regressors(s, ("x",), intercept=True)
     moment = pb.ppml_moment(s.variable_names, "y", ("x",), intercept=True)
-    direct, _ = weighted_ppml(s, w, "y", ("x",), intercept=True)
-    monkeypatch.setattr(pb.estimators, "ROOT_TOL", 1e-11)
-    via_z, _ = pb.solve_z(moment, s, w, init=np.zeros(2))
-    assert np.max(np.abs(direct - via_z)) < 1e-8
+    for b in range(3):
+        w = rand_weights(s, 111, b)
+        theta, _ = pb.gauss_newton(moment, s, w)
+        expected = oracles.irls_ppml(s.column("y"), x, w)
+        assert np.all(np.abs(theta - expected) <= 1e-10 * np.abs(expected))
 
 
-def test_solve_z_linear_closed_form():
+def test_gauss_newton_linear_closed_form():
     rng = np.random.default_rng(13)
     s = random_dyadic_sample(rng, 5)
     w = rand_weights(s, 121)
     moment = pb.ols_moment(s.variable_names, "y", ("x",))
-    theta, _ = pb.solve_z(moment, s, w)
+    theta, iterations = pb.gauss_newton(moment, s, w)
     x, y = s.column("x"), s.column("y")
     ref = float((w * x * y).sum() / (w * x * x).sum())
     assert theta[0] == pytest.approx(ref, abs=1e-10)
+    assert iterations == 1  # a linear moment's first step lands on its root
 
 
 # ---------------------------------------------------------- stacking + misc
@@ -407,7 +408,7 @@ def test_stacked_system_matches_two_step(iv_sample):
         theta1, info = pb.gmm(moment, iv_sample, w, mode="one-step")
         assert info == {}
         init = pb.stacked_init(moment, iv_sample, w, theta_init=theta1)
-        root, _ = pb.solve_z(stacked, iv_sample, w, init=init)
+        root, _ = pb.gauss_newton(stacked, iv_sample, w, init=init)
         theta2, _ = pb.gmm(moment, iv_sample, w)
         assert abs(root[moment.n_params] - theta2[0]) < 1e-6
 
@@ -433,8 +434,8 @@ def test_analytic_jacobians_match_finite_differences():
 
 
 def test_gmm_point_estimate_converges_on_hard_iv_sample():
-    # With finite-difference Jacobians Gauss-Newton stalled here at
-    # |grad| 1.3e-8 > FOC_TOL; the analytic Jacobian reaches the minimum.
+    # With finite-difference Jacobians, per-row Gauss-Newton with an absolute
+    # gradient stop stalled here; the analytic Jacobian reaches the minimum.
     iv = overidentified_iv_sample(seed=8618596000576588736, n=30)
     for mode in ("two-step", "iterated"):
         spec = pb.EstimatorSpec(

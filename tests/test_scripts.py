@@ -37,9 +37,13 @@ def test_kernel_timing_runs(monkeypatch, capsys):
         ("iv two-step n=40 L=13 B=4 bayes", 40, 12, True, "two-step", "centered", "bayes", 4),
     ])
     monkeypatch.setattr(timing, "DRAW_SHAPES", [("draws n=5 B=4 prior n/2", 5, "prior", 2.5, 4)])
+    monkeypatch.setattr(timing, "USER_SHAPES", [
+        ("user ppml n=8 B=10 bayes", timing.GRAVITY, 8, 10),
+        ("user iv 2-step n=8 B=10 bayes", timing.IV_TWO_STEP, 8, 10),
+    ])
     timing.main(repeats=1)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 11 and lines[1].startswith("ols n=6 B=20 bayes")
+    assert len(lines) == 14 and lines[1].startswith("ols n=6 B=20 bayes")
     assert lines[2].split()[-2:] == ["block", "rows"]
     # both PPML jobs: the difference, then the rows of a block (20 draws fit in one)
     assert lines[3].startswith("ppml n=8 B=20 bayes") and lines[4].startswith("ppml n=8 B=20 prior")
@@ -53,6 +57,10 @@ def test_kernel_timing_runs(monkeypatch, capsys):
     # the draw inputs, checked against per-row substreams before they are timed
     assert lines[9].split() == ["shape", "log_draws", "ms", "us", "per", "draw"]
     assert lines[10].startswith("draws n=5 B=4 prior n/2") and len(lines[10].split()) == 7
+    # the builtin moments as user moments: IV to rounding, PPML to the builtin's absolute stop
+    assert lines[11].split()[1:4] == ["user", "moment", "ms"]
+    assert lines[12].startswith("user ppml n=8") and lines[13].startswith("user iv 2-step n=8")
+    assert float(lines[12].split()[-2]) < 1e-7 and float(lines[13].split()[-2]) < 1e-12
 
 
 def test_cli_peak_rss_runs(capsys):

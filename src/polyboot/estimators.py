@@ -35,7 +35,9 @@ from .gmm_weights import acm_weight_matrix, centered_weight_matrix
 
 COND_LIMIT = 1e12
 STEP_TOL = 1e-10  # gauss_newton: the largest step at a solution, relative to 1 + max|theta|
-STALLED = 1e3  # gauss_newton: a step within this many bounds ends the row if it does not descend
+# gauss_newton: a step within STALLED bounds ends the row if it does not descend, and a
+# root's moment must vanish to within STALLED * STEP_TOL of the size of its terms
+STALLED = 1e3
 MAX_ITER = 100  # Newton steps of PPML, Gauss-Newton steps of gauss_newton
 ITER_TOL = 1e-8  # iterated GMM: the largest change in theta at a fixed point
 ITER_MAX = 50  # iterated GMM: re-weighting rounds
@@ -318,32 +320,55 @@ def gauss_newton(moment, sample, weights, factor=None, init=None) -> tuple:
     ``(theta, iterations)``.
 
     Each step d is the least-squares solution of S'J d = -S'm, never forming
-    J' Omega J; with L = K and S = I it is the Newton step J d = -m, so a
-    just-identified moment is solved for its root. The row converges, taking
-    that last step, once max|d| <= STEP_TOL (1 + max|theta|), or once a step
-    within STALLED times that bound does not lower the objective: near a
-    minimum the fall of the objective is second order in d and sinks below
-    its rounding, while the step is still exact to first order. A longer
-    step is halved until the objective falls, and the row fails with
-    SolverError when 40 halvings do not lower it or after MAX_ITER steps.
+    J' Omega J; with L = K and S = I it is the Newton step J d = -m, solved
+    by LU, so a just-identified moment is solved for its root. A singular J
+    or rank-deficient S'J has no such step and fails the row with
+    SolverError. The row converges, taking that last step, once max|d| <=
+    STEP_TOL (1 + max|theta|), or once a step within STALLED times that
+    bound does not lower the objective: near a minimum the fall of the
+    objective is second order in d and sinks below its rounding, while the
+    step is still exact to first order. A longer step is halved until the
+    objective falls, and the row fails when 40 halvings do not lower it or
+    after MAX_ITER steps. A root search's answer must also zero m to within
+    STALLED STEP_TOL of the size of its terms, sum_n w_n |psi_n| +
+    |J| |theta|, or the row fails: a small step alone does not make a root.
     """
-    variables = sample.variables
-    st = np.eye(moment.n_moments) if factor is None else factor.T
+    variables, root = sample.variables, factor is None and moment.just_identified
 
     def residual(t):
-        r = st @ moment_mean(moment, variables, weights, t)
+        m = moment_mean(moment, variables, weights, t)
+        r = m if factor is None else factor.T @ m
         return r, float(r @ r) if np.all(np.isfinite(r)) else np.inf
+
+    def solution(t, jac, it):
+        if root:
+            psi = moment.fn(variables, t)
+            m, terms = weights @ psi, weights @ np.abs(psi) + np.abs(jac) @ np.abs(t)
+            if not np.all(np.abs(m) <= STALLED * STEP_TOL * terms):
+                norm = float(np.max(np.abs(m)))
+                raise SolverError(f"moment root not found (residual {norm:.3e})", residual=norm)
+        return t, it
 
     theta = np.zeros(moment.n_params) if init is None else np.array(init, dtype=np.float64)
     r, q = residual(theta)
     for it in range(MAX_ITER):
-        a = st @ moment_mean_jacobian(moment, variables, weights, theta)
+        a = moment_mean_jacobian(moment, variables, weights, theta)
+        a = a if factor is None else factor.T @ a
         if not (np.isfinite(q) and np.all(np.isfinite(a))):
             raise SolverError("Gauss-Newton objective or Jacobian is not finite")
-        d = np.linalg.lstsq(a, -r, rcond=None)[0]
+        if root:
+            try:
+                d = np.linalg.solve(a, -r)
+            except np.linalg.LinAlgError:
+                d = None
+        else:
+            d, _, rank, _ = np.linalg.lstsq(a, -r, rcond=None)
+            d = d if rank == moment.n_params else None
+        if d is None:
+            raise SolverError("Gauss-Newton Jacobian is rank deficient")
         step, bound = np.max(np.abs(d)), STEP_TOL * (1.0 + np.max(np.abs(theta)))
         if step <= bound:
-            return theta + d, it
+            return solution(theta + d, a, it)
         short = step <= STALLED * bound
         for t in 0.5 ** np.arange(1 if short else 40):
             r_new, q_new = residual(theta + t * d)
@@ -352,7 +377,7 @@ def gauss_newton(moment, sample, weights, factor=None, init=None) -> tuple:
                 break
         else:
             if short:
-                return theta + d, it
+                return solution(theta + d, a, it)
             raise SolverError(f"Gauss-Newton line search stalled (step {step:.3e})")
     raise SolverError(f"Gauss-Newton did not converge in {MAX_ITER} steps")
 

@@ -3,7 +3,9 @@ import pytest
 
 import polyboot as pb
 from polyboot.errors import DataError, ParamError, SingularDesign, SingularWeightMatrix, SolverError
-from polyboot.estimators import moment_mean, moment_mean_jacobian, observation_jacobian
+from polyboot.estimators import (
+    block_kernel, moment_mean, moment_mean_jacobian, observation_jacobian,
+)
 from polyboot.fixtures import overidentified_iv_sample
 from conftest import random_dyadic_sample, weighted_mean, weighted_ols, weighted_ppml
 import oracles
@@ -391,6 +393,43 @@ def test_gauss_newton_linear_closed_form():
     ref = float((w * x * y).sum() / (w * x * x).sum())
     assert theta[0] == pytest.approx(ref, abs=1e-10)
     assert iterations == 1  # a linear moment's first step lands on its root
+
+
+def square_moment(shift, analytic):
+    # m = c - theta^2, c the weighted mean of y + shift: J = -2 theta is zero at
+    # the zero start, whether or not c has a root
+    def fn(variables, theta):
+        return variables[:, :1] + shift - theta[0] ** 2
+
+    def jacobian(variables, theta):
+        return np.full((variables.shape[0], 1, 1), -2.0 * theta[0])
+
+    return pb.MomentFunction("c-minus-square", 1, 1, fn, jacobian if analytic else None)
+
+
+@pytest.mark.parametrize("analytic", [False, True], ids=["differences", "analytic"])
+@pytest.mark.parametrize("shift", [-5.0, 5.0])
+def test_gauss_newton_fails_where_the_jacobian_vanishes(dyad_sample, shift, analytic):
+    moment = square_moment(shift, analytic)
+    spec = pb.EstimatorSpec(kind="gmm", moment=moment)
+    rows = np.stack([rand_weights(dyad_sample, 141, b) for b in range(4)])
+    theta, errors, infos = block_kernel(spec, dyad_sample)[1](rows)
+    assert sorted(errors) == [0, 1, 2, 3] and np.all(np.isnan(theta)) and infos == {}
+    assert {str(e) for e in errors.values()} == {"Gauss-Newton Jacobian is rank deficient"}
+    if shift < 0:  # no root: a start beside the stationary point fails too
+        with pytest.raises(SolverError):
+            pb.gauss_newton(moment, dyad_sample, rows[0], init=[0.3])
+
+
+def test_gauss_newton_rejects_a_small_step_away_from_the_root(dyad_sample):
+    # a Jacobian 1e13 too steep makes the first step tiny: it is no root
+    def jacobian(variables, theta):
+        return np.full((variables.shape[0], 1, 1), -1e13)
+
+    mean = pb.mean_moment(dyad_sample.variable_names, "y")
+    moment = pb.MomentFunction("steep-mean", 1, 1, mean.fn, jacobian)
+    with pytest.raises(SolverError, match="moment root not found"):
+        pb.gauss_newton(moment, dyad_sample, rand_weights(dyad_sample, 151))
 
 
 # ---------------------------------------------------------- stacking + misc

@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import polyboot as pb
+from polyboot import fixtures
 from polyboot.coverage import _materialize
 from conftest import random_dyadic_sample
 import oracles
@@ -102,6 +104,38 @@ def test_generate_reproducible_across_calls():
     assert np.array_equal(a.variables, b.variables)
     c = pb.generate_synthetic(dgp, seed=5, r=4)
     assert not np.array_equal(a.variables, c.variables)
+
+
+def _digest(sample):
+    h = hashlib.sha256()
+    h.update(repr((sample.order, sample.unit_labels, sample.variable_names)).encode())
+    h.update(np.ascontiguousarray(sample.index, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(sample.variables, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the seeded synthetic samples; a change to any of them moves every
+# stored coverage figure and benchmark reference
+@pytest.mark.parametrize("make, seed, digest", [
+    (pb.mean_unit_effects_dgp, 1, "5db6f2f3b99dba878fe215191d297a76a60f750c6f70135524452f6710037e86"),
+    (pb.mean_unit_effects_dgp, 2, "ff8fdbfe4a2bbd9ed710605019770041edcdcf7e48d9900a9b4fc2dbb6b20217"),
+    (pb.ols_unit_effects_dgp, 1, "b362e582f0f4636de66a14ed0da9773786f9694b2ad9293883d4cf36f65d0416"),
+    (pb.ols_unit_effects_dgp, 2, "3ce51aa2b98ff9e28ac4b6b23386e2cd66dfeb940e51762f90d7e8603ac60e83"),
+], ids=["mean-1", "mean-2", "ols-1", "ols-2"])
+def test_synthetic_samples_keep_their_bytes(make, seed, digest):
+    assert _digest(pb.generate_synthetic(make(8), seed, 0)) == digest
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("exact_line_sample", "4aee8ee301f4469f2353a061d66eeac11dd2030fc812b13f6c45f790fae140a6"),
+    ("unit_effects_sample", "ca142b972e1b2c95b8e97184db195602d92093f0ac0192a4daf471ed58e4c6d2"),
+    ("overidentified_iv_sample", "ce1b376036830a0030e51f2711d9e86e4533e80b2195b2ab343988abffcb2c53"),
+    ("triadic_sample", "0f7ea3ae39a347be65b074c376091d833d4f1184e6618262b63f893f563b6ccd"),
+    ("gravity_sample", "3cc68359326de85f843a6ae11fab86f0733d0a15f3d912544cfd54aaa75c20e3"),
+    ("ratio_of_means_sample", "51f6b44568b2ce2a35c2627fd3aafd64772270429f1257104761f6fe4fab20f9"),
+])
+def test_fixture_samples_keep_their_bytes(name, digest):
+    assert _digest(getattr(fixtures, name)()) == digest
 
 
 def test_unit_effects_mean_sampling_sd_matches_closed_form():

@@ -25,6 +25,7 @@ from .coverage import (
     ols_unit_effects_dgp,
     pigeonhole_dgp_resample,
     run_coverage,
+    unit_sample,
 )
 from .data_model import (
     PolyadicSample,

@@ -311,8 +311,16 @@ def _cmd_counterfactual(args):
     return EXIT_OK
 
 
+def _is_number(v):
+    # exact int/float comparison: inf, nan and ints past the float range fail
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 _JSON_TYPES = {  # what a typed config value must be, and how its error names it
     "integer": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "number": (_is_number, "a finite number"),
+    "numbers": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                "a list of finite numbers"),
     "boolean": (lambda v: isinstance(v, bool), "true or false"),
     "strings": (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
                 "a list of strings"),
@@ -326,25 +334,24 @@ def _typed(cfg, key, kind, *default):
     check, name = _JSON_TYPES[kind]
     if not check(value):
         raise TypeError(f"{key!r} must be {name}, got {value!r}")
-    return tuple(value) if kind == "strings" else value
+    return tuple(value) if isinstance(value, list) else value
+
+
+_DGPS = {  # dgp type: its factory and the number parameters it takes after n
+    "unit-effects-mean": (mean_unit_effects_dgp, ("sigma_c", "sigma_eps")),
+    "unit-effects-ols": (
+        ols_unit_effects_dgp, ("slope", "sigma_a", "sigma_b", "sigma_nu", "sigma_eps")
+    ),
+}
 
 
 def _dgp_from_config(cfg):
     kind = cfg.get("type")
-    if kind == "unit-effects-mean":
-        return mean_unit_effects_dgp(
-            _typed(cfg, "n", "integer"), cfg.get("sigma_c", 1.0), cfg.get("sigma_eps", 0.3)
-        )
-    if kind == "unit-effects-ols":
-        return ols_unit_effects_dgp(
-            _typed(cfg, "n", "integer"),
-            cfg.get("slope", 1.0),
-            cfg.get("sigma_a", 1.0),
-            cfg.get("sigma_b", 1.0),
-            cfg.get("sigma_nu", 0.3),
-            cfg.get("sigma_eps", 0.3),
-        )
-    raise ParamError(f"unknown dgp type {kind!r}")
+    if not isinstance(kind, str) or kind not in _DGPS:
+        raise ParamError(f"unknown dgp type {kind!r}")
+    factory, keys = _DGPS[kind]
+    params = {key: _typed(cfg, key, "number") for key in keys if key in cfg}
+    return factory(_typed(cfg, "n", "integer"), **params)
 
 
 def _section(cfg, key):
@@ -402,8 +409,8 @@ def _cmd_coverage(args):
             methods=_typed(cfg, "methods", "strings"),
             n_replications=_typed(cfg, "replications", "integer"),
             n_bootstrap=_typed(cfg, "draws", "integer", 500),
-            level=float(cfg.get("level", 0.95)),
-            truth=tuple(map(float, cfg["truth"])) if "truth" in cfg else None,
+            level=_typed(cfg, "level", "number", 0.95),
+            truth=_typed(cfg, "truth", "numbers") if "truth" in cfg else None,
             target_index=_typed(cfg, "target_index", "integer", 0),
         )
     except KeyError as exc:

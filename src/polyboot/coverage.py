@@ -1,9 +1,10 @@
 """Monte Carlo coverage laboratory.
 
-Synthetic latent-variable DGPs (units carry iid latent draws; a dyad is a
-function of its two units' latents plus independent noise) and the
-pigeonhole-resampling DGP, with coverage evaluation of credible-interval
-and analytic-interval methods against a known truth.
+Synthetic DGPs are sample builders: ``build(generator, n)`` draws one
+polyadic sample of any order and index set over ``n`` units, so a DGP can
+share latents across dyads, triads or a gravity panel with dropped flows.
+Beside them sits the pigeonhole-resampling DGP, with coverage evaluation of
+credible-interval and analytic-interval methods against a known truth.
 """
 
 from __future__ import annotations
@@ -28,42 +29,42 @@ _TRUTH_UNITS = 1001  # full dyadic index set > 1e6 observations
 
 @dataclass(frozen=True)
 class SyntheticDGP:
-    """Latent-variable dyadic data generating process.
+    """A synthetic data generating process over ``n_units`` units.
 
-    ``latent_sampler(generator, n, d)`` draws the (n, d) unit latents;
-    ``link(c_i, c_j, eps)`` maps row-aligned latent pairs and (N, noise_dim)
-    standard-normal noise to the variable matrix.
+    ``build(generator, n)`` draws one ``PolyadicSample`` over ``n`` units
+    from a numpy Generator; ``analytic_truth`` is the parameter vector it
+    identifies, or None to estimate it on a large plug-in sample.
     """
 
     name: str
     n_units: int
-    latent_dim: int
-    noise_dim: int
-    variable_names: tuple
-    latent_sampler: object
-    link: object
+    build: object
     analytic_truth: tuple | None = None
+
+
+def unit_sample(n, index, columns, names, prefix="u") -> PolyadicSample:
+    """The sample of ``index`` over units ``{prefix}0..{prefix}{n-1}``, with
+    ``np.column_stack(columns)`` as its variables ``names``."""
+    return PolyadicSample(
+        order=index.shape[1],
+        unit_labels=tuple(f"{prefix}{i}" for i in range(n)),
+        index=index,
+        variables=np.column_stack(columns),
+        variable_names=names,
+    )
 
 
 def mean_unit_effects_dgp(n, sigma_c=1.0, sigma_eps=0.3) -> SyntheticDGP:
     """y_ij = C_i + C_j + eps_ij with iid normal unit effects; mean truth 0."""
 
-    def sampler(gen, n_units, d):
-        return sigma_c * gen.standard_normal((n_units, d))
+    def build(gen, n_units):
+        c = sigma_c * gen.standard_normal(n_units)
+        index = full_index_set(n_units, 2)
+        eps = gen.standard_normal(len(index))
+        i, j = index.T
+        return unit_sample(n_units, index, [c[i] + c[j] + sigma_eps * eps], ("y",))
 
-    def link(ci, cj, eps):
-        return (ci[:, 0] + cj[:, 0] + sigma_eps * eps[:, 0])[:, None]
-
-    return SyntheticDGP(
-        name="unit-effects-mean",
-        n_units=n,
-        latent_dim=1,
-        noise_dim=1,
-        variable_names=("y",),
-        latent_sampler=sampler,
-        link=link,
-        analytic_truth=(0.0,),
-    )
+    return SyntheticDGP("unit-effects-mean", n, build, analytic_truth=(0.0,))
 
 
 def ols_unit_effects_dgp(
@@ -72,43 +73,21 @@ def ols_unit_effects_dgp(
     """x has additive sender/receiver effects; y = slope * x plus its own
     unit effects and noise. Intercept truth 0, slope truth ``slope``."""
 
-    def sampler(gen, n_units, d):
-        scale = np.array([sigma_a, sigma_b])
-        return gen.standard_normal((n_units, d)) * scale
+    def build(gen, n_units):
+        a, b = (gen.standard_normal((n_units, 2)) * np.array([sigma_a, sigma_b])).T
+        index = full_index_set(n_units, 2)
+        nu, eps = gen.standard_normal((len(index), 2)).T  # row-major: the pairs interleave
+        i, j = index.T
+        x = a[i] + a[j] + sigma_nu * nu
+        y = slope * x + b[i] + b[j] + sigma_eps * eps
+        return unit_sample(n_units, index, [y, x], ("y", "x"))
 
-    def link(ci, cj, eps):
-        x = ci[:, 0] + cj[:, 0] + sigma_nu * eps[:, 0]
-        y = slope * x + ci[:, 1] + cj[:, 1] + sigma_eps * eps[:, 1]
-        return np.column_stack([y, x])
-
-    return SyntheticDGP(
-        name="unit-effects-ols",
-        n_units=n,
-        latent_dim=2,
-        noise_dim=2,
-        variable_names=("y", "x"),
-        latent_sampler=sampler,
-        link=link,
-        analytic_truth=(0.0, slope),
-    )
+    return SyntheticDGP("unit-effects-ols", n, build, analytic_truth=(0.0, slope))
 
 
 def generate_synthetic(dgp: SyntheticDGP, seed: int, r: int) -> PolyadicSample:
-    """Draw unit latents, fill the full dyadic index set, reproducibly in (seed, r)."""
-    gen = rng.substream(seed, rng.ROLE_SYNTHETIC_DGP, r)
-    c = np.asarray(dgp.latent_sampler(gen, dgp.n_units, dgp.latent_dim), dtype=np.float64)
-    index = full_index_set(dgp.n_units, 2)
-    eps = None
-    if dgp.noise_dim > 0:
-        eps = gen.standard_normal((index.shape[0], dgp.noise_dim))
-    variables = np.asarray(dgp.link(c[index[:, 0]], c[index[:, 1]], eps), dtype=np.float64)
-    return PolyadicSample(
-        order=2,
-        unit_labels=tuple(f"u{i}" for i in range(dgp.n_units)),
-        index=index,
-        variables=variables,
-        variable_names=dgp.variable_names,
-    )
+    """Build ``dgp``'s sample over its ``n_units``, reproducibly in (seed, r)."""
+    return dgp.build(rng.substream(seed, rng.ROLE_SYNTHETIC_DGP, r), dgp.n_units)
 
 
 def pigeonhole_dgp_resample(sample: PolyadicSample, seed: int, r: int) -> PolyadicSample:

@@ -10,26 +10,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import rng
-from .coverage import generate_synthetic, mean_unit_effects_dgp, ols_unit_effects_dgp
+from .coverage import generate_synthetic, mean_unit_effects_dgp, unit_sample
 from .data_model import PolyadicSample, full_index_set, write_csv
 from .errors import ParamError
 
 FIXTURE_VERSION = "v1"
-FIXTURE_NAMES = ("exact-line", "unit-effects", "overidentified-iv", "triadic", "gravity")
 
 
 def exact_line_sample(n=6, slope=2.0) -> PolyadicSample:
     """Dyads lying exactly on y = slope * x; any weighting recovers slope."""
     index = full_index_set(n, 2)
-    gen = rng.substream(12, rng.ROLE_SYNTHETIC_DGP, 0)
-    x = gen.uniform(0.5, 2.0, index.shape[0])
-    return PolyadicSample(
-        order=2,
-        unit_labels=tuple(f"u{i}" for i in range(n)),
-        index=index,
-        variables=np.column_stack([slope * x, x]),
-        variable_names=("y", "x"),
-    )
+    x = rng.substream(12, rng.ROLE_SYNTHETIC_DGP, 0).uniform(0.5, 2.0, index.shape[0])
+    return unit_sample(n, index, [slope * x, x], ("y", "x"))
 
 
 def unit_effects_sample(seed=7, n=40, sigma_c=1.0, sigma_eps=0.3) -> PolyadicSample:
@@ -52,13 +44,8 @@ def overidentified_iv_sample(seed=11, n=12, theta=1.5, extra=0) -> PolyadicSampl
     r = z1 + 0.5 * z2 + 0.3 * gen.standard_normal(n_obs)
     y = theta * r + b[i] + b[j] + 0.3 * gen.standard_normal(n_obs)
     more = z1[:, None] + gen.standard_normal((n_obs, extra))
-    return PolyadicSample(
-        order=2,
-        unit_labels=tuple(f"u{k}" for k in range(n)),
-        index=index,
-        variables=np.column_stack([y, r, z1, z2, z3, more]),
-        variable_names=("y", "r", "z1", "z2", "z3") + tuple(f"z{4 + k}" for k in range(extra)),
-    )
+    names = ("y", "r", "z1", "z2", "z3") + tuple(f"z{4 + k}" for k in range(extra))
+    return unit_sample(n, index, [y, r, z1, z2, z3, more], names)
 
 
 def triadic_sample(seed=3, n=6) -> PolyadicSample:
@@ -66,13 +53,7 @@ def triadic_sample(seed=3, n=6) -> PolyadicSample:
     gen = rng.substream(seed, rng.ROLE_SYNTHETIC_DGP, 2)
     c = gen.standard_normal(n)
     y = c[index[:, 0]] + c[index[:, 1]] + c[index[:, 2]] + 0.2 * gen.standard_normal(index.shape[0])
-    return PolyadicSample(
-        order=3,
-        unit_labels=tuple(f"u{i}" for i in range(n)),
-        index=index,
-        variables=y[:, None],
-        variable_names=("y",),
-    )
+    return unit_sample(n, index, [y], ("y",))
 
 
 def gravity_sample(seed=17, n=20) -> PolyadicSample:
@@ -89,16 +70,9 @@ def gravity_sample(seed=17, n=20) -> PolyadicSample:
     log_mu += quality[i] + quality[j]
     flow = gen.poisson(np.exp(log_mu)).astype(float)
     keep = flow > 0
-    variables = np.column_stack(
-        [flow, size[i], size[j], np.log(friction)]
-    )[keep]
-    return PolyadicSample(
-        order=2,
-        unit_labels=tuple(f"c{k}" for k in range(n)),
-        index=index[keep],
-        variables=variables,
-        variable_names=("flow", "size_origin", "size_destination", "log_friction"),
-    )
+    columns = [v[keep] for v in (flow, size[i], size[j], np.log(friction))]
+    names = ("flow", "size_origin", "size_destination", "log_friction")
+    return unit_sample(n, index[keep], columns, names, prefix="c")
 
 
 def ratio_of_means_sample(seed=5, n=4, symmetric=True) -> PolyadicSample:
@@ -121,13 +95,7 @@ def ratio_of_means_sample(seed=5, n=4, symmetric=True) -> PolyadicSample:
         yv = gen.uniform(-1.0, 3.0) * xv
         x[row], y[row] = xv, yv
         done[key] = (xv, yv)
-    return PolyadicSample(
-        order=2,
-        unit_labels=tuple(f"u{i}" for i in range(n)),
-        index=index,
-        variables=np.column_stack([y, x]),
-        variable_names=("y", "x"),
-    )
+    return unit_sample(n, index, [y, x], ("y", "x"))
 
 
 _BUILDERS = {
@@ -137,6 +105,7 @@ _BUILDERS = {
     "triadic": lambda seed: triadic_sample(seed=seed),
     "gravity": lambda seed: gravity_sample(seed=seed),
 }
+FIXTURE_NAMES = tuple(_BUILDERS)
 
 
 def make_fixture(name: str, seed: int, out_dir) -> str:

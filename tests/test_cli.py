@@ -195,6 +195,25 @@ ERROR_MATRIX = [
              {"estimator": {"kind": "linear-iv", "y": "y", "x": ["x"],
                             "instruments": "instruments"}}, None,
              "'instruments' must be a list of strings"),
+            ("dgp-sigma-c-string", {"dgp": {"type": "unit-effects-mean", "n": 6,
+                                            "sigma_c": "big"}}, None,
+             "'sigma_c' must be a finite number, got 'big'"),
+            ("dgp-sigma-c-null", {"dgp": {"type": "unit-effects-mean", "n": 6,
+                                          "sigma_c": None}}, None,
+             "'sigma_c' must be a finite number, got None"),
+            # JSON's 1e400 parses to inf, as the Infinity written here does
+            ("dgp-sigma-c-1e400", {"dgp": {"type": "unit-effects-mean", "n": 6,
+                                           "sigma_c": float("inf")}}, None,
+             "'sigma_c' must be a finite number, got inf"),
+            ("dgp-slope-list", {"dgp": {"type": "unit-effects-ols", "n": 6,
+                                        "slope": [1, 2]}}, None,
+             "'slope' must be a finite number, got [1, 2]"),
+            ("dgp-slope-true", {"dgp": {"type": "unit-effects-ols", "n": 6,
+                                        "slope": True}}, None,
+             "'slope' must be a finite number, got True"),
+            ("truth-string", {"truth": "12"}, None,
+             "'truth' must be a list of finite numbers, got '12'"),
+            ("level-string", {"level": "0.9"}, None, "'level' must be a finite number, got '0.9'"),
         )
     ],
     ("estimate-mean-without-column",

@@ -74,22 +74,28 @@ def test_pigeonhole_dgp_reproducible():
 # ----------------------------------------------------------- synthetic DGP
 
 
+def dyadic_dgp(name, n_units, latents, columns, names, truth=None):
+    """A DGP over the full dyadic index set: ``latents(gen, n)`` draws the unit
+    latents c, and ``columns(c_i, c_j)`` the variables of each dyad."""
+
+    def build(gen, n):
+        c = latents(gen, n)
+        index = pb.full_index_set(n, 2)
+        return pb.unit_sample(n, index, columns(c[index[:, 0]], c[index[:, 1]]), names)
+
+    return pb.SyntheticDGP(name, n_units, build, analytic_truth=truth)
+
+
 def test_constant_link_gives_constant_rows():
-    dgp = pb.SyntheticDGP(
-        name="const", n_units=4, latent_dim=1, noise_dim=0, variable_names=("y",),
-        latent_sampler=lambda g, n, d: g.standard_normal((n, d)),
-        link=lambda ci, cj, eps: np.full((len(ci), 1), 3.0),
-    )
+    dgp = dyadic_dgp("const", 4, lambda g, n: g.standard_normal(n),
+                     lambda ci, cj: [np.full(len(ci), 3.0)], ("y",))
     s = pb.generate_synthetic(dgp, seed=0, r=0)
     assert np.all(s.variables == 3.0)
 
 
 def test_sender_effect_only():
-    dgp = pb.SyntheticDGP(
-        name="sender", n_units=5, latent_dim=1, noise_dim=0, variable_names=("y",),
-        latent_sampler=lambda g, n, d: g.standard_normal((n, d)),
-        link=lambda ci, cj, eps: ci[:, :1],
-    )
+    dgp = dyadic_dgp("sender", 5, lambda g, n: g.standard_normal(n),
+                     lambda ci, cj: [ci], ("y",))
     s = pb.generate_synthetic(dgp, seed=0, r=0)
     y = s.column("y")
     for u in range(5):
@@ -153,14 +159,8 @@ def test_unit_effects_mean_sampling_sd_matches_closed_form():
 
 
 def test_exact_fit_coverage_is_one():
-    dgp = pb.SyntheticDGP(
-        name="line", n_units=5, latent_dim=1, noise_dim=0, variable_names=("y", "x"),
-        latent_sampler=lambda g, n, d: g.uniform(0.5, 1.5, (n, d)),
-        link=lambda ci, cj, eps: np.column_stack(
-            [2.0 * (ci[:, 0] + cj[:, 0]), ci[:, 0] + cj[:, 0]]
-        ),
-        analytic_truth=(2.0,),
-    )
+    dgp = dyadic_dgp("line", 5, lambda g, n: g.uniform(0.5, 1.5, n),
+                     lambda ci, cj: [2.0 * (ci + cj), ci + cj], ("y", "x"), truth=(2.0,))
     cfg = pb.CoverageConfig(
         estimator=pb.EstimatorSpec(kind="ols", y="y", x=("x",)),
         methods=("bayes",),
@@ -171,6 +171,33 @@ def test_exact_fit_coverage_is_one():
     )
     report = pb.run_coverage(cfg)
     assert report.method("bayes").coverage == 1.0
+
+
+def test_triadic_builder_runs_through_the_lab():
+    # y_ijk = C_i + C_j + C_k + eps_ijk: a unit's effect is shared by every
+    # triad that contains it, as triadic_sample builds them
+    def build(gen, n):
+        c = gen.standard_normal(n)
+        index = pb.full_index_set(n, 3)
+        y = c[index].sum(axis=1) + 0.2 * gen.standard_normal(len(index))
+        return pb.unit_sample(n, index, [y], ("y",))
+
+    dgp = pb.SyntheticDGP("triads", 6, build, analytic_truth=(0.0,))
+    assert pb.generate_synthetic(dgp, seed=14, r=0).index.shape == (120, 3)
+    cfg = pb.CoverageConfig(
+        estimator=pb.EstimatorSpec(kind="mean", column="y"),
+        methods=("bayes", "naive", "graham"),
+        n_replications=3,
+        n_bootstrap=40,
+        seed=14,
+        dgp=dgp,
+    )
+    report = pb.run_coverage(cfg)
+    for m in ("bayes", "naive"):
+        assert (report.method(m).n_evaluated, report.method(m).n_failures) == (3, 0)
+    graham = report.method("graham")
+    assert graham.n_evaluated == 0
+    assert graham.skipped_reason == "dyadic-robust variance requires dyadic data (P = 2)"
 
 
 def test_single_replication_coverage_in_unit_set():

@@ -1,5 +1,6 @@
-"""The scripts under ``scripts/`` import, and the kernel timing runs, so a
-renamed or re-shaped API fails here rather than in the script."""
+"""The scripts under ``scripts/`` import, and the kernel timing and the
+experiments run at tiny sizes, so a renamed or re-shaped API fails here
+rather than in the script."""
 
 import importlib.util
 from pathlib import Path
@@ -70,3 +71,23 @@ def test_cli_peak_rss_runs(capsys):
     assert lines[0].split() == ["call", "inherited", "MB", "pinned", "MB"]
     assert [line.split()[0] for line in lines[1:]] == ["variance", "bootstrap", "counterfactual"]
     assert all(float(mb) > 0 for line in lines[1:] for mb in line.split()[1:])
+
+
+def test_coverage_experiment_runs(monkeypatch, capsys):
+    experiment = load(next(p for p in SCRIPTS if p.stem == "coverage_experiment"))
+    monkeypatch.setattr("sys.argv", ["coverage_experiment.py", "--n", "6", "--reps", "2",
+                                     "--draws", "20", "--seed", "1"])
+    experiment.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("n=6  R=2  B=20  nominal=95%")
+    assert [line.split()[0] for line in lines[2:]] == ["bayes", "pigeonhole", "naive"]
+    assert all(0.0 <= float(line.split()[1]) <= 1.0 for line in lines[2:])
+
+
+def test_prior_limit_experiment_runs(monkeypatch, capsys):
+    experiment = load(next(p for p in SCRIPTS if p.stem == "prior_limit_experiment"))
+    monkeypatch.setattr("sys.argv", ["prior_limit_experiment.py", "--draws", "50", "--seed", "1"])
+    experiment.main()
+    out = capsys.readouterr().out
+    assert out.count("KS = ") == 4 and out.count("share of draws within 1e-3") == 3
+    assert "limiting atoms:" in out

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,9 @@ def _digest(sample):
     h.update(repr((sample.order, sample.unit_labels, sample.variable_names)).encode())
     h.update(np.ascontiguousarray(sample.index, dtype=np.int64).tobytes())
     h.update(np.ascontiguousarray(sample.variables, dtype=np.float64).tobytes())
+    if sample.cluster_ids is not None:
+        h.update(repr(sample.cluster_labels).encode())
+        h.update(np.ascontiguousarray(sample.cluster_ids, dtype=np.int64).tobytes())
     return h.hexdigest()
 
 
@@ -142,6 +146,59 @@ def test_synthetic_samples_keep_their_bytes(make, seed, digest):
 ])
 def test_fixture_samples_keep_their_bytes(name, digest):
     assert _digest(getattr(fixtures, name)()) == digest
+
+
+def clustered_source():
+    """exact_line_sample's dyads observed at two cluster levels, the second shifted."""
+    base = fixtures.exact_line_sample()
+    return pb.PolyadicSample(
+        order=2,
+        unit_labels=base.unit_labels,
+        index=np.vstack([base.index] * 2),
+        variables=np.vstack([base.variables, base.variables + 1.0]),
+        variable_names=base.variable_names,
+        cluster_ids=np.repeat([0, 1], base.n_obs),
+        cluster_labels=("t0", "t1"),
+    )
+
+
+PIGEONHOLE_SOURCES = {
+    "complete": lambda: fixtures.unit_effects_sample(n=8),
+    "gravity": fixtures.gravity_sample,
+    "clustered": clustered_source,
+}
+
+
+# sha256 over the pigeonhole-DGP resamples r = 0..4 of a complete, a gravity
+# (missing dyads) and a clustered source; a change moves every source-sample
+# coverage figure
+@pytest.mark.parametrize("source, seed, digest", [
+    ("complete", 1, "655501b7304d1af7e8a9b09f32d7e8b7d0de9b9f392a3db7b0d0d688fba370b6"),
+    ("complete", 2, "9f43c95be5a929a903d5491f211bdc77d8406f1d1215aeb0da6f14627a2f3c8d"),
+    ("gravity", 1, "2e808877d87f28b504dcf716fde255231874cd90288c155a82cf28c4f0f9a52d"),
+    ("gravity", 2, "1a18a5c60773b0b00d193de2cd2cb7fe917cb6bd51340788e6236a3410fab574"),
+    ("clustered", 1, "dd1f9980d436ec643addc7b9a093b2261f6cd93b2baaf45256207d518b5b2a16"),
+    ("clustered", 2, "e8255cda6584a23422e552b99e2d1b19d9f2f02f1c0ecc3bd9d3260e4dc41980"),
+], ids=["complete-1", "complete-2", "gravity-1", "gravity-2", "clustered-1", "clustered-2"])
+def test_pigeonhole_resamples_keep_their_bytes(source, seed, digest):
+    sample = PIGEONHOLE_SOURCES[source]()
+    digests = [_digest(pb.pigeonhole_dgp_resample(sample, seed, r)) for r in range(5)]
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == digest
+
+
+def test_source_coverage_report_keeps_its_bytes():
+    cfg = pb.CoverageConfig(
+        estimator=pb.EstimatorSpec(kind="mean", column="y"),
+        methods=("bayes", "pigeonhole", "graham", "naive"),
+        n_replications=3,
+        n_bootstrap=40,
+        seed=5,
+        source_sample=fixtures.unit_effects_sample(n=8),
+    )
+    text = json.dumps(pb.run_coverage(cfg).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8cfdcaafda865c8ab4adc545d63276f1b92da49a5aa2611136b590bb284f29f5"
+    )
 
 
 def test_unit_effects_mean_sampling_sd_matches_closed_form():

@@ -69,13 +69,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload, out_path):
-    """Write ``payload`` (a JSON-able object, or ready text) to ``out_path`` or stdout."""
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True)
+    """Write ``payload`` (a JSON-able object, or ready text) to ``out_path`` or
+    stdout. A non-finite float (a NaN coverage or skewness) is written as null."""
+    if not isinstance(payload, str):
+        try:
+            payload = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:  # re-read NaN and the infinities as null: strict JSON
+            nulled = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+            payload = json.dumps(nulled, indent=2, sort_keys=True)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(payload + "\n")
     else:
-        print(text)
+        print(payload)
 
 
 def _cache_dir() -> Path:

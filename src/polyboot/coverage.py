@@ -3,28 +3,26 @@
 Synthetic DGPs are sample builders: ``build(generator, n)`` draws one
 polyadic sample of any order and index set over ``n`` units, so a DGP can
 share latents across dyads, triads or a gravity panel with dropped flows.
-Beside them sits the pigeonhole-resampling DGP, with coverage evaluation of
-credible-interval and analytic-interval methods against a known truth.
+Beside them sits the pigeonhole-resampling DGP, which resamples the units of
+an observed dyadic source. Credible-interval and analytic-interval methods
+are scored against a given truth: the config's ``truth``, else the source
+sample's estimate, else the DGP's analytic truth.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import rng
 from .bootstrap import check_level, credible_interval, run_bootstrap
 from .data_model import PolyadicSample, full_index_set
-from .errors import DataError, DgpError, ParamError, PolybootError, Unsupported
+from .errors import REPLICATION_FAILURES, DataError, DgpError, ParamError, Unsupported
 from .estimators import EstimatorSpec, build_moment, evaluate_estimator
 from .variance import delta_method_interval, graham_variance, naive_dyad_robust
 from .weights import uniform_weights
-
-# reserved replication index for the large plug-in truth sample
-_TRUTH_INDEX = 2**32
-_TRUTH_UNITS = 1001  # full dyadic index set > 1e6 observations
 
 
 @dataclass(frozen=True)
@@ -33,7 +31,7 @@ class SyntheticDGP:
 
     ``build(generator, n)`` draws one ``PolyadicSample`` over ``n`` units
     from a numpy Generator; ``analytic_truth`` is the parameter vector it
-    identifies, or None to estimate it on a large plug-in sample.
+    identifies. A DGP without one runs only under a config ``truth``.
     """
 
     name: str
@@ -112,37 +110,29 @@ def pigeonhole_dgp_resample(sample: PolyadicSample, seed: int, r: int) -> Polyad
 
 
 def _materialize(sample, counts):
-    copy_ids = {}
-    labels = []
-    for u in range(sample.n_units):
-        ids = []
-        for c in range(counts[u]):
-            ids.append(len(labels))
-            base = sample.unit_labels[u]
-            labels.append(base if counts[u] == 1 else f"{base}.{c}")
-        copy_ids[u] = ids
-    if len(labels) < 2:
+    """``sample`` with ``counts[u]`` copies of unit u, or None for fewer than two
+    copies or no row: row (i, j) becomes counts[i] * counts[j] rows, the copy
+    of i outer and the copy of j inner."""
+    labels = tuple(
+        base if k == 1 else f"{base}.{c}"
+        for base, k in zip(sample.unit_labels, counts.tolist())
+        for c in range(k)
+    )
+    per_row = counts[sample.index].prod(axis=1)
+    rows = np.repeat(np.arange(sample.n_obs), per_row)
+    if len(labels) < 2 or not len(rows):
         return None
-    index_rows, var_rows, cluster_rows = [], [], []
-    has_cluster = sample.cluster_ids is not None
-    for row in range(sample.n_obs):
-        i, j = sample.index[row]
-        for ci in copy_ids[int(i)]:
-            for cj in copy_ids[int(j)]:
-                index_rows.append((ci, cj))
-                var_rows.append(sample.variables[row])
-                if has_cluster:
-                    cluster_rows.append(sample.cluster_ids[row])
-    if not index_rows:
-        return None
+    source = sample.index[rows]
+    within = np.arange(len(rows)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    first = np.cumsum(counts) - counts  # the id of each unit's first copy
     try:
         return PolyadicSample(
             order=2,
-            unit_labels=tuple(labels),
-            index=np.array(index_rows, dtype=np.int64),
-            variables=np.array(var_rows, dtype=np.float64),
+            unit_labels=labels,
+            index=first[source] + np.column_stack(np.divmod(within, counts[source[:, 1]])),
+            variables=sample.variables[rows],
             variable_names=sample.variable_names,
-            cluster_ids=np.array(cluster_rows, dtype=np.int64) if has_cluster else None,
+            cluster_ids=None if sample.cluster_ids is None else sample.cluster_ids[rows],
             cluster_labels=sample.cluster_labels,
         )
     except DataError:
@@ -182,6 +172,8 @@ class CoverageConfig:
             raise ParamError(f"target_index must be in [0, {k}), got {self.target_index}")
         if self.truth is not None and np.size(self.truth) <= self.target_index:
             raise ParamError(f"truth has no entry at target_index {self.target_index}")
+        if self.truth is None and self.dgp is not None and self.dgp.analytic_truth is None:
+            raise ParamError(f"dgp {self.dgp.name!r} has no analytic truth; configure a truth")
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ParamError(f"unknown method {m!r}")
@@ -239,20 +231,14 @@ class CoverageReport:
 
 
 def _resolve_truth(config) -> float:
-    if config.truth is not None:
-        return float(np.asarray(config.truth).ravel()[config.target_index])
-    if config.source_sample is not None:
-        theta, _ = evaluate_estimator(
-            config.estimator, config.source_sample, uniform_weights(config.source_sample)
-        )
-        return float(theta[config.target_index])
-    if config.dgp.analytic_truth is not None:
-        return float(config.dgp.analytic_truth[config.target_index])
-    reference = generate_synthetic(
-        dataclasses.replace(config.dgp, n_units=_TRUTH_UNITS), config.seed, _TRUTH_INDEX
-    )
-    theta, _ = evaluate_estimator(config.estimator, reference, uniform_weights(reference))
-    return float(theta[config.target_index])
+    """The config's truth, else the source sample's estimate, else the DGP's analytic truth."""
+    truth = config.truth
+    if truth is None and config.source_sample is not None:
+        source = config.source_sample
+        truth, _ = evaluate_estimator(config.estimator, source, uniform_weights(source))
+    elif truth is None:
+        truth = config.dgp.analytic_truth
+    return float(np.asarray(truth).ravel()[config.target_index])
 
 
 def _interval(method, config, sample, rep_seed):
@@ -280,16 +266,18 @@ def _interval(method, config, sample, rep_seed):
 def run_coverage(config: CoverageConfig, progress=None) -> CoverageReport:
     """Generate R datasets, run every method on each, and aggregate coverage.
 
-    A method that is inapplicable to the data shape (e.g. the dyadic-robust
-    variance with missing dyads) is skipped with its reason recorded; other
-    per-replication failures are counted and excluded.
+    A method that is inapplicable to the data (``Unsupported``: e.g. the
+    dyadic-robust variance with missing dyads or an over-identified moment)
+    is skipped from then on, with its reason recorded. A replication that
+    fails numerically (a ``BootstrapError`` or a solver error) is counted as
+    a failure of that method and excluded. Any other error, such as a
+    ``DataError`` for a column the data lack or a ``ParamError``, is a
+    misconfigured experiment and propagates.
     """
     truth = _resolve_truth(config)
-    covered = {m: 0 for m in config.methods}
-    evaluated = {m: 0 for m in config.methods}
-    failures = {m: 0 for m in config.methods}
-    widths = {m: 0.0 for m in config.methods}
-    skipped = {m: None for m in config.methods}
+    tally = {m: SimpleNamespace(method=m, intervals=[], failures=0, skipped=None)
+             for m in config.methods}
+    tallies = [tally[m] for m in config.methods]  # a method listed twice shares its tally
 
     for r in range(config.n_replications):
         if config.dgp is not None:
@@ -297,34 +285,31 @@ def run_coverage(config: CoverageConfig, progress=None) -> CoverageReport:
         else:
             sample = pigeonhole_dgp_resample(config.source_sample, config.seed, r)
         rep_seed = rng.derive_seed(config.seed, rng.ROLE_COVERAGE, r)
-        for m in config.methods:
-            if skipped[m] is not None:
+        for t in tallies:
+            if t.skipped is not None:
                 continue
             try:
-                lo, hi = _interval(m, config, sample, rep_seed)
+                t.intervals.append(_interval(t.method, config, sample, rep_seed))
             except Unsupported as exc:
-                skipped[m] = str(exc)
-                continue
-            except PolybootError:
-                failures[m] += 1
-                continue
-            evaluated[m] += 1
-            widths[m] += hi - lo
-            if lo <= truth <= hi:
-                covered[m] += 1
+                t.skipped = str(exc)
+            except REPLICATION_FAILURES:
+                t.failures += 1
         if progress is not None:
             progress(r + 1, config.n_replications)
 
     methods = tuple(
         MethodCoverage(
-            method=m,
-            n_covered=covered[m],
-            n_evaluated=evaluated[m],
-            n_failures=failures[m],
-            mean_width=widths[m] / evaluated[m] if evaluated[m] else float("nan"),
-            skipped_reason=skipped[m],
+            method=t.method,
+            n_covered=sum(lo <= truth <= hi for lo, hi in t.intervals),
+            n_evaluated=len(t.intervals),
+            n_failures=t.failures,
+            mean_width=(
+                sum(hi - lo for lo, hi in t.intervals) / len(t.intervals)
+                if t.intervals else float("nan")
+            ),
+            skipped_reason=t.skipped,
         )
-        for m in config.methods
+        for t in tallies
     )
     return CoverageReport(
         methods=methods,

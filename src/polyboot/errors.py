@@ -80,5 +80,7 @@ class DgpError(_NumericalError):
     """Synthetic data generation failed."""
 
 
-# the failures that end one resampling draw, recorded rather than raised
+# the failures that end one resampling draw, or one coverage replication of a
+# method, recorded rather than raised
 DRAW_FAILURES = (DegenerateDraw, SolverError, SingularWeightMatrix, SingularDesign)
+REPLICATION_FAILURES = (BootstrapError, _NumericalError)

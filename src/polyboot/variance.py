@@ -71,7 +71,7 @@ def graham_variance(moment, sample: PolyadicSample, theta_hat) -> VarianceEstima
     if not sample.has_full_index_set():
         raise Unsupported("dyadic-robust variance requires the full index set (no missing dyads)")
     if not moment.just_identified:
-        raise ParamError("dyadic-robust variance requires a just-identified moment")
+        raise Unsupported("dyadic-robust variance requires a just-identified moment")
     theta = np.asarray(theta_hat, dtype=np.float64)
     n = sample.n_units
     k = moment.n_params
@@ -107,7 +107,7 @@ def graham_variance(moment, sample: PolyadicSample, theta_hat) -> VarianceEstima
 def naive_dyad_robust(moment, sample: PolyadicSample, theta_hat) -> VarianceEstimate:
     """Sandwich treating all observed dyads as independent."""
     if not moment.just_identified:
-        raise ParamError("naive variance requires a just-identified moment")
+        raise Unsupported("naive variance requires a just-identified moment")
     theta = np.asarray(theta_hat, dtype=np.float64)
     n_obs = sample.n_obs
     sigma1 = _mean_jacobian(moment, sample, theta)

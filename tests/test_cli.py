@@ -216,6 +216,21 @@ ERROR_MATRIX = [
             ("level-string", {"level": "0.9"}, None, "'level' must be a finite number, got '0.9'"),
         )
     ],
+    # a column the data lack is the experiment's fault, not R failed replications
+    ("coverage-config-estimator-column-missing",
+     lambda tmp: ["coverage-sim", "--config",
+                  _coverage_config(tmp, estimator={"kind": "mean", "column": "nope"}),
+                  "--seed", "1"],
+     2, "data error: unknown variable column 'nope'"),
+    *[
+        (f"variance-{method}-overidentified",
+         lambda tmp, method=method: [
+             "variance", "--data", make_fixture("overidentified-iv", 11, tmp), "--estimator",
+             "linear-iv", "--y", "y", "--x", "r", "--instruments", "z1", "z2", "z3",
+             "--method", method],
+         4, f"configuration error: {text} requires a just-identified moment")
+        for method, text in (("graham", "dyadic-robust variance"), ("naive", "naive variance"))
+    ],
     ("estimate-mean-without-column",
      lambda tmp: ["estimate", "--data", make_fixture("exact-line", 0, tmp), "--estimator", "mean"],
      4, "--estimator mean requires --column"),
@@ -491,6 +506,29 @@ def test_coverage_csv_format(capsys, tmp_path):
     )
     assert code == 0
     assert out.splitlines()[0].startswith("method,coverage")
+
+
+def test_coverage_json_is_strict_json(capsys, tmp_path):
+    # graham is skipped on the gravity fixture's missing dyads: nothing is
+    # evaluated, so its coverage and mean width are null, not NaN
+    cfg = {
+        "source": {"data": make_fixture("gravity", 17, tmp_path)},
+        "estimator": {"kind": "mean", "column": "flow"},
+        "methods": ["graham", "naive"],
+        "replications": 2,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, _ = run(capsys, "coverage-sim", "--config", str(cfg_path), "--seed", "3")
+    assert code == 0
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    graham, naive = json.loads(out, parse_constant=refuse)["methods"]
+    assert graham["skipped_reason"] is not None
+    assert (graham["coverage"], graham["mean_width"], graham["evaluated"]) == (None, None, 0)
+    assert naive["evaluated"] == 2 and naive["mean_width"] > 0
 
 
 def test_marginal_prior_atoms_cli(capsys, tmp_path):

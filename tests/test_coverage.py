@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -9,6 +8,7 @@ import pytest
 import polyboot as pb
 from polyboot import fixtures
 from polyboot.coverage import _materialize
+from polyboot.errors import DataError, ParamError
 from conftest import random_dyadic_sample
 import oracles
 
@@ -57,6 +57,62 @@ def test_counts_products_give_multiplicities():
     assert not any({a0, a1} == {i, j} for i, j in out.index.tolist())
 
 
+def clustered_source():
+    """exact_line_sample's dyads observed at two cluster levels, the second shifted."""
+    base = fixtures.exact_line_sample()
+    return pb.PolyadicSample(
+        order=2,
+        unit_labels=base.unit_labels,
+        index=np.vstack([base.index] * 2),
+        variables=np.vstack([base.variables, base.variables + 1.0]),
+        variable_names=base.variable_names,
+        cluster_ids=np.repeat([0, 1], base.n_obs),
+        cluster_labels=("t0", "t1"),
+    )
+
+
+PIGEONHOLE_SOURCES = {
+    "complete": lambda: fixtures.unit_effects_sample(n=8),
+    "gravity": fixtures.gravity_sample,
+    "clustered": clustered_source,
+}
+
+
+def materialize_by_loop(sample, counts):
+    """Reference: copy the source rows one copy pair at a time."""
+    copy_ids, labels = [], []
+    for u, base in enumerate(sample.unit_labels):
+        copy_ids.append(range(len(labels), len(labels) + counts[u]))
+        labels += [base if counts[u] == 1 else f"{base}.{c}" for c in range(counts[u])]
+    rows = [(r, ci, cj) for r, (i, j) in enumerate(sample.index.tolist())
+            for ci in copy_ids[i] for cj in copy_ids[j]]
+    if len(labels) < 2 or not rows:
+        return None
+    r, ci, cj = (np.array(v, dtype=np.int64) for v in zip(*rows))
+    return (tuple(labels), np.column_stack([ci, cj]), sample.variables[r],
+            None if sample.cluster_ids is None else sample.cluster_ids[r])
+
+
+@pytest.mark.parametrize("source", ["complete", "gravity", "clustered"])
+def test_materialize_matches_the_row_loop(source):
+    sample = PIGEONHOLE_SOURCES[source]()
+    gen = np.random.default_rng(31)
+    for _ in range(40):
+        counts = gen.multinomial(sample.n_units, np.full(sample.n_units, 1 / sample.n_units))
+        if gen.random() < 0.2:  # mass on few units: rows vanish, some draws have none
+            counts = np.zeros(sample.n_units, dtype=np.int64)
+            counts[gen.choice(sample.n_units, 2, replace=False)] = gen.integers(0, 3, 2)
+        out, expected = _materialize(sample, counts), materialize_by_loop(sample, counts)
+        if expected is None:
+            assert out is None
+            continue
+        labels, index, variables, clusters = expected
+        assert out.unit_labels == labels
+        assert np.array_equal(out.index, index) and np.array_equal(out.variables, variables)
+        assert (out.cluster_ids is None) == (clusters is None)
+        assert clusters is None or np.array_equal(out.cluster_ids, clusters)
+
+
 def test_pigeonhole_dgp_retries_until_usable():
     s = two_unit_sample()
     out = pb.pigeonhole_dgp_resample(s, seed=1, r=0)
@@ -85,6 +141,18 @@ def dyadic_dgp(name, n_units, latents, columns, names, truth=None):
         return pb.unit_sample(n, index, columns(c[index[:, 0]], c[index[:, 1]]), names)
 
     return pb.SyntheticDGP(name, n_units, build, analytic_truth=truth)
+
+
+def triad_mean_dgp(n_units, truth=None):
+    """y_ijk = C_i + C_j + C_k + eps_ijk over the full triadic index set."""
+
+    def build(gen, n):
+        c = gen.standard_normal(n)
+        index = pb.full_index_set(n, 3)
+        y = c[index].sum(axis=1) + 0.2 * gen.standard_normal(len(index))
+        return pb.unit_sample(n, index, [y], ("y",))
+
+    return pb.SyntheticDGP("triads", n_units, build, analytic_truth=truth)
 
 
 def test_constant_link_gives_constant_rows():
@@ -146,27 +214,6 @@ def test_synthetic_samples_keep_their_bytes(make, seed, digest):
 ])
 def test_fixture_samples_keep_their_bytes(name, digest):
     assert _digest(getattr(fixtures, name)()) == digest
-
-
-def clustered_source():
-    """exact_line_sample's dyads observed at two cluster levels, the second shifted."""
-    base = fixtures.exact_line_sample()
-    return pb.PolyadicSample(
-        order=2,
-        unit_labels=base.unit_labels,
-        index=np.vstack([base.index] * 2),
-        variables=np.vstack([base.variables, base.variables + 1.0]),
-        variable_names=base.variable_names,
-        cluster_ids=np.repeat([0, 1], base.n_obs),
-        cluster_labels=("t0", "t1"),
-    )
-
-
-PIGEONHOLE_SOURCES = {
-    "complete": lambda: fixtures.unit_effects_sample(n=8),
-    "gravity": fixtures.gravity_sample,
-    "clustered": clustered_source,
-}
 
 
 # sha256 over the pigeonhole-DGP resamples r = 0..4 of a complete, a gravity
@@ -231,15 +278,9 @@ def test_exact_fit_coverage_is_one():
 
 
 def test_triadic_builder_runs_through_the_lab():
-    # y_ijk = C_i + C_j + C_k + eps_ijk: a unit's effect is shared by every
-    # triad that contains it, as triadic_sample builds them
-    def build(gen, n):
-        c = gen.standard_normal(n)
-        index = pb.full_index_set(n, 3)
-        y = c[index].sum(axis=1) + 0.2 * gen.standard_normal(len(index))
-        return pb.unit_sample(n, index, [y], ("y",))
-
-    dgp = pb.SyntheticDGP("triads", 6, build, analytic_truth=(0.0,))
+    # a unit's effect is shared by every triad that contains it, as
+    # triadic_sample builds them
+    dgp = triad_mean_dgp(6, truth=(0.0,))
     assert pb.generate_synthetic(dgp, seed=14, r=0).index.shape == (120, 3)
     cfg = pb.CoverageConfig(
         estimator=pb.EstimatorSpec(kind="mean", column="y"),
@@ -317,18 +358,63 @@ def test_pigeonhole_truth_is_source_estimate():
     assert report.truth == pytest.approx(float(source.variables.mean()))
 
 
-def test_plugin_truth_for_dgp_without_analytic_value():
-    dgp = dataclasses.replace(pb.mean_unit_effects_dgp(8), analytic_truth=None)
+def test_dgp_without_analytic_truth_needs_a_configured_truth():
+    # no plug-in estimate: at 1001 units an order-3 sample would be ~1e9 rows
+    with pytest.raises(ParamError, match="'triads' has no analytic truth"):
+        pb.CoverageConfig(
+            estimator=pb.EstimatorSpec(kind="mean", column="y"),
+            methods=("naive",),
+            n_replications=1,
+            seed=12,
+            dgp=triad_mean_dgp(6),
+        )
+
+
+def test_configured_truth_is_the_reported_truth():
     cfg = pb.CoverageConfig(
         estimator=pb.EstimatorSpec(kind="mean", column="y"),
         methods=("naive",),
-        n_replications=1,
+        n_replications=2,
         seed=12,
-        dgp=dgp,
+        dgp=triad_mean_dgp(6),
+        truth=(0.25,),
     )
     report = pb.run_coverage(cfg)
-    # plug-in reference at ~1e6 dyads: SD of the mean is about 2/sqrt(1001)
-    assert abs(report.truth) < 0.2
+    assert report.truth == 0.25
+    assert report.method("naive").n_evaluated == 2
+
+
+def test_overidentified_moment_skips_the_sandwiches():
+    # K = 1, L = 3: both sandwiches need a just-identified moment, which is a
+    # property of the estimator, not a per-replication failure
+    cfg = pb.CoverageConfig(
+        estimator=pb.EstimatorSpec(kind="gmm", builtin_moment="linear-iv", y="y", x=("r",),
+                                   instruments=("z1", "z2", "z3")),
+        methods=("graham", "naive"),
+        n_replications=3,
+        seed=15,
+        dgp=pb.SyntheticDGP(
+            "iv", 8,
+            lambda gen, n: fixtures.overidentified_iv_sample(seed=int(gen.integers(2**31)), n=n),
+            analytic_truth=(1.5,),
+        ),
+    )
+    report = pb.run_coverage(cfg)
+    for m in ("graham", "naive"):
+        assert report.method(m).skipped_reason.endswith("requires a just-identified moment")
+        assert (report.method(m).n_evaluated, report.method(m).n_failures) == (0, 0)
+
+
+def test_misconfigured_estimator_propagates():
+    cfg = pb.CoverageConfig(
+        estimator=pb.EstimatorSpec(kind="mean", column="nope"),
+        methods=("naive",),
+        n_replications=2,
+        seed=16,
+        dgp=pb.mean_unit_effects_dgp(6),
+    )
+    with pytest.raises(DataError, match="unknown variable column 'nope'"):
+        pb.run_coverage(cfg)
 
 
 def test_truth_recovery_over_replications():

@@ -80,8 +80,12 @@ def test_coverage_experiment_runs(monkeypatch, capsys):
     experiment.main()
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("n=6  R=2  B=20  nominal=95%")
+    assert lines[1].split() == ["method", "coverage", "mc", "se", "mean", "width", "failures"]
     assert [line.split()[0] for line in lines[2:]] == ["bayes", "pigeonhole", "naive"]
-    assert all(0.0 <= float(line.split()[1]) <= 1.0 for line in lines[2:])
+    for line in lines[2:]:
+        _, coverage, se, *_ = line.split()
+        p = float(coverage)  # 2 replications: p in {0, 0.5, 1}, se sqrt(p(1 - p) / 2)
+        assert 0.0 <= p <= 1.0 and float(se) == pytest.approx((p * (1 - p) / 2) ** 0.5, abs=5e-4)
 
 
 def test_prior_limit_experiment_runs(monkeypatch, capsys):

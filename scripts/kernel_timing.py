@@ -54,7 +54,7 @@ import numpy as np
 from polyboot import EstimatorSpec, build_moment, coverage, linear_iv, rng, run_bootstrap, weights
 from polyboot.estimators import linear_statistic, regressors
 from polyboot.fixtures import gravity_sample, overidentified_iv_sample
-from polyboot.ppml import PPML_ROW_FLOATS, ppml_newton
+from polyboot.ppml import ppml_newton
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import oracles  # noqa: E402 - the per-row PPML Newton lives with the tests
@@ -130,7 +130,7 @@ def batched(solve, rows, step):
 
 def iv_weight_rows(spec, sample, scheme, seed, n_draws):
     solve = linear_iv.linear_iv_gmm(spec, sample)[0]
-    step = weights.block_rows(n_draws, linear_iv.IV_ROW_FLOATS * sample.n_obs)
+    step = weights.block_rows(n_draws, weights.ROW_FLOATS * sample.n_obs)
     return np.concatenate([
         solve(weights.weights_for_block(sample, scheme, seed, b0, min(b0 + step, n_draws)))[0]
         for b0 in range(0, n_draws, step)
@@ -200,7 +200,7 @@ def main(repeats=5):
         rows = weights.weights_for_block(sample, scheme, 7, 0, n_draws, alpha)
         ms_row, a = timed(ppml_per_row, repeats, sample, rows)
         solve = ppml_newton(GRAVITY, sample)
-        step = weights.block_rows(n_draws, PPML_ROW_FLOATS * sample.n_obs)
+        step = weights.block_rows(n_draws, weights.ROW_FLOATS * sample.n_obs)
         ms_batch, b = timed(batched, repeats, solve, rows, step)
         print_pair(label, ms_row, ms_batch, a, b, f" {step:11d}")
     print(f"{'shape':32} {'weight-row ms':>16} {'factorized ms':>14} {'max rel diff':>13}")

@@ -45,8 +45,6 @@ from .estimators import (
     mean_moment,
     ols_moment,
     ppml_moment,
-    stacked_init,
-    stacked_two_step_moment,
 )
 from .gmm_weights import acm_weight_matrix, centered_weight_matrix
 from .variance import (

@@ -174,9 +174,13 @@ class CoverageConfig:
             raise ParamError(f"truth has no entry at target_index {self.target_index}")
         if self.truth is None and self.dgp is not None and self.dgp.analytic_truth is None:
             raise ParamError(f"dgp {self.dgp.name!r} has no analytic truth; configure a truth")
-        for m in self.methods:
+        if not self.methods:
+            raise ParamError("need at least one method")
+        for i, m in enumerate(self.methods):
             if m not in KNOWN_METHODS:
                 raise ParamError(f"unknown method {m!r}")
+            if m in self.methods[:i]:
+                raise ParamError(f"method {m!r} is listed twice")
 
 
 @dataclass(frozen=True)
@@ -275,9 +279,8 @@ def run_coverage(config: CoverageConfig, progress=None) -> CoverageReport:
     misconfigured experiment and propagates.
     """
     truth = _resolve_truth(config)
-    tally = {m: SimpleNamespace(method=m, intervals=[], failures=0, skipped=None)
-             for m in config.methods}
-    tallies = [tally[m] for m in config.methods]  # a method listed twice shares its tally
+    tallies = [SimpleNamespace(method=m, intervals=[], failures=0, skipped=None)
+               for m in config.methods]
 
     for r in range(config.n_replications):
         if config.dgp is not None:

@@ -109,29 +109,6 @@ class PolyadicSample:
             return self.n_obs == n_per_level * self.n_cluster_levels
         return self.n_obs == math.perm(self.n_units, self.order)
 
-    def relabeled(self, permutation) -> "PolyadicSample":
-        """Return the sample with unit ids permuted (labels follow)."""
-        perm = np.asarray(permutation, dtype=np.int64)
-        if sorted(perm.tolist()) != list(range(self.n_units)):
-            raise ParamError("not a permutation of unit ids")
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(self.n_units)
-        labels = tuple(self.unit_labels[inverse[i]] for i in range(self.n_units))
-        groups = None
-        if self.group_of_unit is not None:
-            groups = tuple(self.group_of_unit[inverse[i]] for i in range(self.n_units))
-        return PolyadicSample(
-            order=self.order,
-            unit_labels=labels,
-            index=perm[self.index],
-            variables=self.variables,
-            variable_names=self.variable_names,
-            group_of_unit=groups,
-            cluster_ids=self.cluster_ids,
-            cluster_labels=self.cluster_labels,
-            group_labels=self.group_labels,
-        )
-
 
 def _check_sample(s: PolyadicSample):
     if s.order < 2:

@@ -32,6 +32,7 @@ from .errors import (
     SolverError,
 )
 from .gmm_weights import acm_weight_matrix, centered_weight_matrix
+from .weights import ROW_FLOATS
 
 COND_LIMIT = 1e12
 STEP_TOL = 1e-10  # gauss_newton: the largest step at a solution, relative to 1 + max|theta|
@@ -427,75 +428,6 @@ def gmm(moment, sample, weights, mode="two-step", weight_style="centered") -> tu
 
 
 # ---------------------------------------------------------------------------
-# stacked just-identified representation of two-step GMM
-
-
-def stacked_two_step_moment(moment) -> MomentFunction:
-    """The two-step GMM estimator as one just-identified system.
-
-    Parameters are packed as [theta1 (K), theta2 (K), m (L), Omega (L*L,
-    the centered moment covariance at theta1), G1 (L*K), G2 (L*K)]. The
-    final block imposes the step-2 first-order condition
-    G2' Omega^{-1} psi(theta2) = 0, so the theta2 component of the root
-    reproduces two-step GMM.
-    """
-    L, K = moment.n_moments, moment.n_params
-    dim = 2 * K + L + L * L + 2 * L * K
-
-    def unpack(params):
-        i = 0
-        theta1 = params[i : i + K]
-        i += K
-        theta2 = params[i : i + K]
-        i += K
-        m = params[i : i + L]
-        i += L
-        omega = params[i : i + L * L].reshape(L, L)
-        i += L * L
-        g1 = params[i : i + L * K].reshape(L, K)
-        i += L * K
-        g2 = params[i : i + L * K].reshape(L, K)
-        return theta1, theta2, m, omega, g1, g2
-
-    def fn(variables, params):
-        theta1, theta2, m, omega, g1, g2 = unpack(params)
-        n = variables.shape[0]
-        psi1 = moment.fn(variables, theta1)
-        psi2 = moment.fn(variables, theta2)
-        j1 = observation_jacobian(moment, variables, theta1)
-        j2 = observation_jacobian(moment, variables, theta2)
-        omega_s = 0.5 * (omega + omega.T)
-        try:
-            a = np.linalg.solve(omega_s, g2)
-        except np.linalg.LinAlgError:
-            raise SolverError("stacked system: covariance block not invertible") from None
-        centered = psi1 - m
-        blocks = [
-            (g1[None, :, :] - j1).reshape(n, L * K),
-            psi1 @ g1,
-            centered,
-            (omega[None, :, :] - centered[:, :, None] * centered[:, None, :]).reshape(n, L * L),
-            (g2[None, :, :] - j2).reshape(n, L * K),
-            psi2 @ a,
-        ]
-        return np.concatenate(blocks, axis=1)
-
-    return MomentFunction(f"stacked({moment.name})", dim, dim, fn)
-
-
-def stacked_init(moment, sample, weights, theta_init=None) -> np.ndarray:
-    """Consistent starting point for the stacked system at a given theta."""
-    K, L = moment.n_params, moment.n_moments
-    theta = np.zeros(K) if theta_init is None else np.asarray(theta_init, dtype=np.float64)
-    psi = moment.fn(sample.variables, theta)
-    m = weights @ psi
-    centered = psi - m
-    omega = centered.T @ (weights[:, None] * centered)
-    g = moment_mean_jacobian(moment, sample.variables, weights, theta)
-    return np.concatenate([theta, theta, m, omega.ravel(), g.ravel(), g.ravel()])
-
-
-# ---------------------------------------------------------------------------
 # dispatch
 
 
@@ -522,7 +454,8 @@ def block_kernel(spec: EstimatorSpec, sample: PolyadicSample) -> tuple:
     other rows' theta and info are estimates; infos maps a row to its solver
     metadata, {} when absent. A row's result is fixed for a fixed block
     (``bootstrap`` module docstring). ``row_floats`` is the float64 values a
-    block budgets per row and observation. ``linear`` is the factorized
+    block budgets per row and observation: ``weights.ROW_FLOATS`` for PPML
+    and the builtin linear IV, 1 otherwise. ``linear`` is the factorized
     form ``(features, finish)``, features (N, F) or, for linear IV, a
     function that builds them only when ``weights.dense_features`` takes the
     sample (the point estimate never does): ``finish(sums, weights_of)``
@@ -531,16 +464,16 @@ def block_kernel(spec: EstimatorSpec, sample: PolyadicSample) -> tuple:
     ``linear_statistic``'s for mean and OLS, ``linear_iv_gmm``'s for linear
     IV when its dense features fit, and None otherwise.
     """
-    from .linear_iv import IV_ROW_FLOATS, linear_iv_gmm  # these kernels build on this module
-    from .ppml import PPML_ROW_FLOATS, ppml_newton
+    from .linear_iv import linear_iv_gmm  # these kernels build on this module
+    from .ppml import ppml_newton
 
     if spec.kind in ("mean", "ols"):
         features, finish = linear = linear_statistic(spec, sample)
         return 1, lambda weights: finish(weights @ features), linear
     if spec.kind == "ppml":
-        return PPML_ROW_FLOATS, ppml_newton(spec, sample), None
+        return ROW_FLOATS, ppml_newton(spec, sample), None
     if spec.moment is None:  # the builtin linear IV
-        return IV_ROW_FLOATS, *linear_iv_gmm(spec, sample)
+        return ROW_FLOATS, *linear_iv_gmm(spec, sample)
     return 1, _per_row_gmm(spec, sample), None
 
 

@@ -19,6 +19,8 @@ engine takes from ``weights.product_sums``; the two forms share one round
 loop. The expansion cancels when a row's weight piles onto a few
 observations: a row whose expanded covariance diagonal keeps less than
 CANCELLATION of its terms' magnitudes is solved from its weight row.
+The engine sizes the weight-row kernel's blocks by the one row budget of
+the weight-row kernels, ``weights.ROW_FLOATS``.
 """
 
 from __future__ import annotations
@@ -30,12 +32,6 @@ from .data_model import PolyadicSample
 from .errors import ParamError, SingularDesign, SolverError
 from .estimators import COND_LIMIT, EstimatorSpec, regressors
 from .gmm_weights import invert_psd
-
-# float64 values a block of weight rows budgets per draw and observation:
-# the kernel holds at most three (rows, N) arrays. Measured at N = 870
-# (solver-mix, before it took the factorized form): 4 ran up to 15% faster
-# with 0.7 MB more peak RSS, 16 up to 20% slower.
-IV_ROW_FLOATS = 8
 
 CANCELLATION = 1e-2  # the share of its terms' magnitudes an expanded diagonal must keep
 # a covariance diagonal within this share of its terms' magnitudes is rounding: zero

@@ -5,6 +5,8 @@ solves a block of weight rows at once and returns their thetas, errors and
 infos; the point estimate is the one-row case. Each row follows the rules
 it would follow alone: the same start, stopping rule, step halvings and
 failure reasons, applied to sums that round with the rows of its block.
+The engine sizes its blocks by the one row budget of the weight-row
+kernels, ``weights.ROW_FLOATS``.
 """
 
 from __future__ import annotations
@@ -16,9 +18,6 @@ from .data_model import PolyadicSample
 from .errors import DataError, SingularDesign, SolverError
 from .estimators import EstimatorSpec, normal_equations, regressors
 
-# float64 values a block budgets per draw and observation: its (rows, N) weights, their
-# live copy and w exp(x'theta). 8 ran solver-mix's PPML jobs faster than 24, 12 or 6.
-PPML_ROW_FLOATS = 8
 
 def _max_norm(m):
     """Each row's max |m|, or inf where the row is not finite."""

@@ -41,6 +41,14 @@ MIN_GAMMA_SHAPE = 1e-6
 # sample's shape.
 BLOCK_BYTES = 4 * 2**20
 
+# float64 values a block of weight rows budgets per draw and observation in
+# the PPML and builtin linear-IV kernels. PPML holds its (rows, N) weights,
+# their live copy and w exp(x'theta): 8 ran solver-mix's PPML jobs faster
+# than 24, 12 or 6. Linear IV holds at most three (rows, N) arrays: measured
+# at N = 870 (solver-mix, before it took the factorized form), 4 ran up to
+# 15% faster with 0.7 MB more peak RSS, 16 up to 20% slower.
+ROW_FLOATS = 8
+
 # Below this normalizer a row's scaled product sums may have lost relative
 # precision to underflow, so ``product_sums`` builds that row's weights.
 MIN_NORMALIZER = np.exp(-600.0)

@@ -6,13 +6,21 @@ IRLS loop and a damped Newton on one weight row, the shared-unit cross term
 is a literal triple loop, and the GMM oracles are a grid search plus
 golden-section refinement and a closed-form linear-IV GMM built from direct
 weighted sums over the observations, in floats and, for one and two steps,
-in exact rational arithmetic.
+in exact rational arithmetic. The stacked just-identified system is an
+independent formulation of two-step GMM built on the package's moment
+functions: its root, found by the package's ``gauss_newton``, reproduces
+``gmm``'s two-step estimate (acceptance criterion 3). ``relabeled`` permutes
+a sample's unit ids for the invariance tests.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from polyboot.errors import SolverError
+from polyboot.estimators import MomentFunction, moment_mean_jacobian, observation_jacobian
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -162,6 +170,71 @@ def exact_linear_gmm(y, r, z, w, mode="two-step"):
     return np.array([float(t) for t in theta])
 
 
+def stacked_two_step_moment(moment) -> MomentFunction:
+    """The two-step GMM estimator as one just-identified system.
+
+    Parameters are packed as [theta1 (K), theta2 (K), m (L), Omega (L*L,
+    the centered moment covariance at theta1), G1 (L*K), G2 (L*K)]. The
+    final block imposes the step-2 first-order condition
+    G2' Omega^{-1} psi(theta2) = 0, so the theta2 component of the root
+    reproduces two-step GMM.
+    """
+    L, K = moment.n_moments, moment.n_params
+    dim = 2 * K + L + L * L + 2 * L * K
+
+    def unpack(params):
+        i = 0
+        theta1 = params[i : i + K]
+        i += K
+        theta2 = params[i : i + K]
+        i += K
+        m = params[i : i + L]
+        i += L
+        omega = params[i : i + L * L].reshape(L, L)
+        i += L * L
+        g1 = params[i : i + L * K].reshape(L, K)
+        i += L * K
+        g2 = params[i : i + L * K].reshape(L, K)
+        return theta1, theta2, m, omega, g1, g2
+
+    def fn(variables, params):
+        theta1, theta2, m, omega, g1, g2 = unpack(params)
+        n = variables.shape[0]
+        psi1 = moment.fn(variables, theta1)
+        psi2 = moment.fn(variables, theta2)
+        j1 = observation_jacobian(moment, variables, theta1)
+        j2 = observation_jacobian(moment, variables, theta2)
+        omega_s = 0.5 * (omega + omega.T)
+        try:
+            a = np.linalg.solve(omega_s, g2)
+        except np.linalg.LinAlgError:
+            raise SolverError("stacked system: covariance block not invertible") from None
+        centered = psi1 - m
+        blocks = [
+            (g1[None, :, :] - j1).reshape(n, L * K),
+            psi1 @ g1,
+            centered,
+            (omega[None, :, :] - centered[:, :, None] * centered[:, None, :]).reshape(n, L * L),
+            (g2[None, :, :] - j2).reshape(n, L * K),
+            psi2 @ a,
+        ]
+        return np.concatenate(blocks, axis=1)
+
+    return MomentFunction(f"stacked({moment.name})", dim, dim, fn)
+
+
+def stacked_init(moment, sample, weights, theta_init=None) -> np.ndarray:
+    """Consistent starting point for the stacked system at a given theta."""
+    K, L = moment.n_params, moment.n_moments
+    theta = np.zeros(K) if theta_init is None else np.asarray(theta_init, dtype=np.float64)
+    psi = moment.fn(sample.variables, theta)
+    m = weights @ psi
+    centered = psi - m
+    omega = centered.T @ (weights[:, None] * centered)
+    g = moment_mean_jacobian(moment, sample.variables, weights, theta)
+    return np.concatenate([theta, theta, m, omega.ravel(), g.ravel(), g.ravel()])
+
+
 def phi_tilde_matrix(moment, sample, theta):
     """Direction-symmetrized moment contributions via an explicit dict lookup."""
     phi = moment.fn(sample.variables, np.asarray(theta, dtype=float))
@@ -232,3 +305,18 @@ def grid_golden_minimize(objective, lo, hi, n_grid=400, tol=1e-12):
 def exchangeable_mean_variance(n, sigma_c, sigma_eps):
     """Variance of the dyadic mean when y_ij = C_i + C_j + eps_ij."""
     return 4.0 * sigma_c**2 / n + sigma_eps**2 / (n * (n - 1))
+
+
+def relabeled(sample, permutation):
+    """``sample`` with unit u renamed ``permutation[u]``; labels and groups follow."""
+    perm = np.asarray(permutation, dtype=np.int64)
+    assert sorted(perm.tolist()) == list(range(sample.n_units)), "not a permutation"
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(sample.n_units)
+    groups = sample.group_of_unit
+    return dataclasses.replace(
+        sample,
+        unit_labels=tuple(sample.unit_labels[u] for u in inverse),
+        index=perm[sample.index],
+        group_of_unit=None if groups is None else tuple(groups[u] for u in inverse),
+    )

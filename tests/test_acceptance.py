@@ -74,13 +74,13 @@ def test_criterion_03_gmm_stacking_equivalence():
             instruments=("z1", "z2", "z3"),
         )
         moment = pb.build_moment(spec, iv)
-        stacked = pb.stacked_two_step_moment(moment)
+        stacked = oracles.stacked_two_step_moment(moment)
         worst = 0.0
         for b in range(20):
             w = pb.weights_for_draw(iv, "bayes", seed=1003, b=b)
             two_step, _ = pb.gmm(moment, iv, w, mode="two-step")
             theta1, _ = pb.gmm(moment, iv, w, mode="one-step")
-            init = pb.stacked_init(moment, iv, w, theta_init=theta1)
+            init = oracles.stacked_init(moment, iv, w, theta_init=theta1)
             root, _ = pb.gauss_newton(stacked, iv, w, init=init)
             worst = max(worst, abs(float(two_step[0]) - float(root[moment.n_params])))
         assert worst < 1e-6

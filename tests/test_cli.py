@@ -106,6 +106,12 @@ def _draw_args(tmp_path):
             "--column", "y", "--draws", "20", "--seed", "1"]
 
 
+def _csv(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    return str(path)
+
+
 def _not_utf8_csv(tmp_path):
     path = tmp_path / "latin.csv"
     path.write_bytes(b"u1,u2,y\n\xff\xfe,B,1\nB,\xff\xfe,2\n")
@@ -131,6 +137,20 @@ ERROR_MATRIX = [
          4, repr(key.rpartition(".")[2]))
         for key in ("replications", "methods", "estimator", "dgp.n")
     ],
+    *[
+        (f"data-{name}",
+         lambda tmp, text=text: ["estimate", "--data", _csv(tmp, text), "--estimator", "mean",
+                                 "--column", "y"],
+         2, f"data error: {message}\n")
+        for name, text, message in (
+            ("without-u2", "u1,y\nA,1\n", "missing unit column 'u2'"),
+            ("without-variables", "u1,u2,group\nA,B,g\n", "no variable columns"),
+            ("empty-unit-label", "u1,u2,y\nA,B,1\nA, ,2\n", "line 3: empty unit label in 'u2'"),
+            ("conflicting-group", "u1,u2,group,y\nA,B,g1,1\nA,C,g2,2\n",
+             "line 3: conflicting group for unit 'A'"),
+            ("header-only", "u1,u2,y\n", "no observations"),
+        )
+    ],
     ("data-not-utf8",
      lambda tmp: ["estimate", "--data", _not_utf8_csv(tmp), "--estimator", "mean",
                   "--column", "y"],
@@ -147,6 +167,13 @@ ERROR_MATRIX = [
      lambda tmp: ["coverage-sim", "--config", _coverage_config(tmp, "dgp", source={"data": 0}),
                   "--seed", "1"],
      4, "config value of the wrong type"),
+    ("coverage-config-without-dgp-or-source",
+     lambda tmp: ["coverage-sim", "--config", _coverage_config(tmp, "dgp"), "--seed", "1"],
+     4, "configuration error: config needs a 'dgp' or 'source' section\n"),
+    ("coverage-config-unknown-dgp-type",
+     lambda tmp: ["coverage-sim", "--config",
+                  _coverage_config(tmp, dgp={"type": "nope", "n": 6}), "--seed", "1"],
+     4, "configuration error: unknown dgp type 'nope'\n"),
     ("coverage-config-not-an-object",
      lambda tmp: ["coverage-sim", "--config", _write_json(tmp, [1, 2]), "--seed", "1"],
      4, "config must be a JSON object"),
@@ -244,6 +271,9 @@ ERROR_MATRIX = [
     ("unknown-flag-value",
      lambda tmp: ["estimate", "--data", str(tmp), "--estimator", "nope"],
      4, "invalid choice"),
+    ("bootstrap-prior-without-alpha",
+     lambda tmp: ["bootstrap", *_draw_args(tmp), "--method", "prior"],
+     4, "configuration error: --method prior requires --alpha\n"),
     ("bootstrap-prior-alpha-inf",
      lambda tmp: ["bootstrap", *_draw_args(tmp), "--method", "prior", "--alpha", "inf"],
      4, "alpha must be > 0"),
@@ -266,6 +296,7 @@ ERROR_MATRIX = [
             ("identity:0", "identity needs a positive integer dimension"),
             ("identity:-1", "identity needs a positive integer dimension"),
             ("toy-growth", "toy-growth needs a column"),
+            ("nope", "configuration error: unknown counterfactual 'nope'\n"),
         )
     ],
 ]
@@ -354,9 +385,11 @@ def test_a_malformed_json_config_exits_4_with_the_decoder_message(capsys, tmp_pa
         ({"draws": 0, "methods": ["bayes"]}, "need at least 2 bootstrap draws for an interval"),
         ({"truth": []}, "truth has no entry at target_index 0"),
         ({"truth": ["a"]}, "config value of the wrong type"),
+        ({"methods": ["naive", "naive"]}, "method 'naive' is listed twice"),
+        ({"methods": []}, "need at least one method"),
     ],
     ids=["level-1.5", "target-index-past-the-end", "target-index-negative", "draws-0",
-         "truth-too-short", "truth-not-a-number"],
+         "truth-too-short", "truth-not-a-number", "methods-duplicate", "methods-empty"],
 )
 def test_coverage_config_values_out_of_range_exit_4(capsys, tmp_path, values, text):
     # the mean DGP's estimator has one parameter
@@ -450,6 +483,37 @@ def test_variance_zero_residual_zero_se(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["se"][0] == pytest.approx(0.0, abs=1e-12)
     assert "sigma1" in payload["components"]
+
+
+def test_bootstrap_histogram_bins_every_draw_of_each_parameter(capsys, tmp_path):
+    code, out, _ = run(
+        capsys, "bootstrap", "--data", make_fixture("gravity", 3, tmp_path), "--estimator",
+        "ols", "--y", "flow", "--x", "log_friction", "--intercept", "--draws", "40", "--seed", "3",
+        "--histogram-bins", "5", "--emit-draws",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    draws = np.array(payload["draws"])
+    assert len(payload["histogram"]) == len(payload["param_names"]) == 2
+    for k, hist in enumerate(payload["histogram"]):
+        counts, edges = np.histogram(draws[:, k], bins=5)
+        assert hist == {"edges": edges.tolist(), "counts": counts.tolist()}
+        assert sum(hist["counts"]) == 40
+
+
+def test_counterfactual_thresholds_give_exceedance_and_draws(capsys, tmp_path):
+    code, out, _ = run(
+        capsys, "counterfactual", *_draw_args(tmp_path), "--counterfactual", "identity",
+        "--threshold", "0", "--threshold", "2.4", "--emit-draws",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    draws = np.array(payload["draws"])
+    assert draws.shape == (20, 1)
+    assert list(payload["exceedance"]) == ["0.0", "2.4"]
+    for key, exceed in payload["exceedance"].items():
+        p = float(np.mean(draws[:, 0] > float(key)))
+        assert exceed == {"probability": [p], "mc_se": [np.sqrt(p * (1 - p) / 20)]}
 
 
 def test_counterfactual_identity_matches_theta(capsys, tmp_path):

@@ -405,6 +405,39 @@ def test_overidentified_moment_skips_the_sandwiches():
         assert (report.method(m).n_evaluated, report.method(m).n_failures) == (0, 0)
 
 
+@pytest.mark.parametrize(
+    "methods, text",
+    [(("naive", "naive"), "method 'naive' is listed twice"), ((), "need at least one method")],
+    ids=["duplicate", "empty"],
+)
+def test_duplicate_or_empty_methods_are_refused(methods, text):
+    # a method listed twice would run twice per replication into one tally
+    with pytest.raises(ParamError, match=text):
+        pb.CoverageConfig(
+            estimator=pb.EstimatorSpec(kind="mean", column="y"),
+            methods=methods,
+            n_replications=3,
+            dgp=pb.mean_unit_effects_dgp(6),
+        )
+
+
+def test_a_failed_replication_is_counted_and_excluded():
+    # with two units a pigeonhole draw that picks one unit twice weights no
+    # dyad; such draws fail every replication's bootstrap, bayes draws none
+    cfg = pb.CoverageConfig(
+        estimator=pb.EstimatorSpec(kind="mean", column="y"),
+        methods=("pigeonhole", "bayes"),
+        n_replications=4,
+        n_bootstrap=50,
+        seed=17,
+        dgp=pb.mean_unit_effects_dgp(2),
+    )
+    report = pb.run_coverage(cfg)
+    pig, bayes = report.method("pigeonhole"), report.method("bayes")
+    assert (pig.n_failures, pig.n_evaluated, pig.skipped_reason) == (4, 0, None)
+    assert (bayes.n_failures, bayes.n_evaluated) == (0, 4)
+
+
 def test_misconfigured_estimator_propagates():
     cfg = pb.CoverageConfig(
         estimator=pb.EstimatorSpec(kind="mean", column="nope"),

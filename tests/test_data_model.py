@@ -7,6 +7,7 @@ import polyboot as pb
 from polyboot import data_model
 from polyboot.errors import DataError
 from conftest import random_dyadic_sample
+import oracles
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -242,7 +243,7 @@ def test_empty_sample_rejected():
 def test_relabeling_leaves_estimators_unchanged(perm, seed):
     rng = np.random.default_rng(seed)
     s = random_dyadic_sample(rng, 5)
-    relabeled = s.relabeled(perm)
+    relabeled = oracles.relabeled(s, perm)
     spec = pb.EstimatorSpec(kind="ols", y="y", x=("x",), intercept=True)
     w1 = pb.uniform_weights(s)
     w2 = pb.uniform_weights(relabeled)

@@ -16,8 +16,7 @@ from polyboot import bootstrap, estimators, rng, weights
 from polyboot.errors import DegenerateDraw, SingularDesign, SolverError
 from polyboot.estimators import linear_statistic
 from polyboot.fixtures import gravity_sample
-from polyboot.linear_iv import IV_ROW_FLOATS
-from polyboot.ppml import PPML_ROW_FLOATS, ppml_newton
+from polyboot.ppml import ppml_newton
 from conftest import random_dyadic_sample, row_of
 import oracles
 
@@ -265,9 +264,9 @@ def test_draws_byte_identical_for_any_threads(spec, combo, seed):
     outputs = set()
     with pytest.MonkeyPatch.context() as mp:
         # 30 draws in 3 (mean), 5 (factorized linear IV), 8 (GMM, PPML) or 15 (OLS) blocks
-        row_floats = PPML_ROW_FLOATS if spec is PPML else 1
-        if spec.builtin_moment == "linear-iv":
-            row_floats = IV_ROW_FLOATS
+        row_floats = 1
+        if spec is PPML or spec.builtin_moment == "linear-iv":
+            row_floats = weights.ROW_FLOATS
         mp.setattr(weights, "BLOCK_BYTES", 8 * 4 * s.n_obs * row_floats)
         for threads in (None, 1, 2, 4):
             res = pb.run_bootstrap(
@@ -511,7 +510,7 @@ def test_batched_ppml_equals_per_row_newton(scheme):
     alpha = s.n_units / 2 if scheme == "prior" else None
     with pytest.MonkeyPatch.context() as mp:
         # 40 draws in blocks of 7
-        mp.setattr(weights, "BLOCK_BYTES", 8 * s.n_obs * PPML_ROW_FLOATS * 7)
+        mp.setattr(weights, "BLOCK_BYTES", 8 * s.n_obs * weights.ROW_FLOATS * 7)
         res = pb.run_bootstrap(s, GRAVITY_PPML, scheme, n_draws=40, seed=9, alpha=alpha)
     assert_newton_oracle(res, s, GRAVITY_PPML, scheme, 40, 9, alpha)
 
@@ -521,7 +520,7 @@ def test_batched_ppml_equals_per_row_newton_at_the_benchmark_shape(scheme):
     # solver-mix's gravity jobs: n = 40, B = 200, the default block budget
     s = gravity_sample(seed=3, n=40)
     alpha = s.n_units / 2 if scheme == "prior" else None
-    assert weights.block_rows(200, PPML_ROW_FLOATS * s.n_obs) < 200  # more than one block
+    assert weights.block_rows(200, weights.ROW_FLOATS * s.n_obs) < 200  # more than one block
     res = pb.run_bootstrap(s, GRAVITY_PPML, scheme, n_draws=200, seed=5, alpha=alpha)
     assert_newton_oracle(res, s, GRAVITY_PPML, scheme, 200, 5, alpha)
 

@@ -441,12 +441,12 @@ def test_stacked_system_matches_two_step(iv_sample):
         instruments=("z1", "z2", "z3"),
     )
     moment = pb.build_moment(spec, iv_sample)
-    stacked = pb.stacked_two_step_moment(moment)
+    stacked = oracles.stacked_two_step_moment(moment)
     for b in range(3):
         w = rand_weights(iv_sample, 131, b)
         theta1, info = pb.gmm(moment, iv_sample, w, mode="one-step")
         assert info == {}
-        init = pb.stacked_init(moment, iv_sample, w, theta_init=theta1)
+        init = oracles.stacked_init(moment, iv_sample, w, theta_init=theta1)
         root, _ = pb.gauss_newton(stacked, iv_sample, w, init=init)
         theta2, _ = pb.gmm(moment, iv_sample, w)
         assert abs(root[moment.n_params] - theta2[0]) < 1e-6
@@ -492,7 +492,7 @@ def test_permutation_invariance_of_gmm(iv_sample):
         instruments=("z1", "z2", "z3"),
     )
     perm = list(range(iv_sample.n_units))[::-1]
-    relabeled = iv_sample.relabeled(perm)
+    relabeled = oracles.relabeled(iv_sample, perm)
     t1, _ = pb.evaluate_estimator(spec, iv_sample, pb.uniform_weights(iv_sample))
     t2, _ = pb.evaluate_estimator(spec, relabeled, pb.uniform_weights(relabeled))
     assert np.allclose(t1, t2, atol=1e-8)

@@ -104,7 +104,7 @@ def test_batched_linear_iv_equals_per_row_gmm_and_oracle(scheme, mode, style):
     for s, n_draws, dense in samples:
         alpha = s.n_units / 2 if scheme == "prior" else None
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(weights, "BLOCK_BYTES", 8 * 7 * linear_iv.IV_ROW_FLOATS * s.n_obs)
+            mp.setattr(weights, "BLOCK_BYTES", 8 * 7 * weights.ROW_FLOATS * s.n_obs)
             built = estimators.block_kernel(spec, s)
             linear = built[2]
             factorized = linear is not None and weights.dense_features(s, linear[0]) is not None

@@ -46,7 +46,7 @@ from .estimators import (
     ols_moment,
     ppml_moment,
 )
-from .gmm_weights import acm_weight_matrix, centered_weight_matrix
+from .gmm_weights import weight_factor
 from .variance import (
     VarianceEstimate,
     delta_method_interval,

@@ -217,12 +217,6 @@ class CoverageReport:
     n_replications: int
     seed: int
 
-    def method(self, name) -> MethodCoverage:
-        for m in self.methods:
-            if m.method == name:
-                return m
-        raise ParamError(f"no method {name!r} in report")
-
     def to_dict(self) -> dict:
         return {
             "truth": self.truth,

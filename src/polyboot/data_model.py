@@ -17,6 +17,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +47,9 @@ class PolyadicSample:
     cluster_ids : ndarray or None, shape (N,)
         Level id per observation for the extra clustering dimension.
     cluster_labels : tuple of str or None
-        Level labels; the level count T is their number.
+        Distinct level labels; the level count T is their number.
+    group_labels : tuple of str or None
+        Distinct labels, one per group id; None names group g by ``str(g)``.
     """
 
     order: int
@@ -60,24 +63,19 @@ class PolyadicSample:
     group_labels: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "unit_labels", tuple(self.unit_labels))
-        object.__setattr__(self, "variable_names", tuple(self.variable_names))
-        index = np.ascontiguousarray(np.asarray(self.index, dtype=np.int64))
-        variables = np.ascontiguousarray(np.asarray(self.variables, dtype=np.float64))
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "variables", variables)
+        ints, floats = (partial(np.ascontiguousarray, dtype=t) for t in (np.int64, np.float64))
+        for name, convert in (
+            ("unit_labels", tuple), ("variable_names", tuple), ("index", ints), ("variables", floats),
+            ("group_of_unit", lambda v: tuple(map(int, v))), ("group_labels", tuple),
+            ("cluster_ids", ints), ("cluster_labels", tuple),
+        ):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, convert(value))
         _check_sample(self)
-        index.setflags(write=False)
-        variables.setflags(write=False)
-        if self.cluster_ids is not None:
-            cids = np.ascontiguousarray(np.asarray(self.cluster_ids, dtype=np.int64))
-            cids.setflags(write=False)
-            object.__setattr__(self, "cluster_ids", cids)
-            object.__setattr__(self, "cluster_labels", tuple(self.cluster_labels))
-        if self.group_of_unit is not None:
-            object.__setattr__(self, "group_of_unit", tuple(int(g) for g in self.group_of_unit))
-            if self.group_labels is not None:
-                object.__setattr__(self, "group_labels", tuple(self.group_labels))
+        for array in (self.index, self.variables, self.cluster_ids):
+            if array is not None:
+                array.setflags(write=False)
 
     @property
     def n_units(self) -> int:
@@ -116,8 +114,10 @@ def _check_sample(s: PolyadicSample):
     n = len(s.unit_labels)
     if n < 2:
         raise DataError(f"need at least 2 units, got {n}")
-    if len(set(s.unit_labels)) != n:
-        raise DataError("unit labels must be distinct")
+    for kind, labels in (("unit", s.unit_labels), ("cluster", s.cluster_labels),
+                         ("group", s.group_labels)):
+        if labels is not None and len(set(labels)) != len(labels):
+            raise DataError(f"{kind} labels must be distinct")
     if s.index.ndim != 2 or s.index.shape[1] != s.order:
         raise DataError(f"index must have shape (N, {s.order})")
     if s.index.shape[0] == 0:
@@ -154,6 +154,8 @@ def _check_sample(s: PolyadicSample):
             raise DataError("group_of_unit must have one entry per unit")
         if min(s.group_of_unit) < 0:
             raise DataError("group ids must be nonnegative")
+    if s.group_labels is not None and len(s.group_labels) != s.n_groups:
+        raise DataError("group_labels must have one label per group")
 
 
 def full_index_set(n: int, order: int) -> np.ndarray:

@@ -46,10 +46,9 @@ class DegenerateDraw(_NumericalError):
 class SolverError(_NumericalError):
     """An iterative solver failed to converge."""
 
-    def __init__(self, message, residual=None, trace=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.trace = trace
 
 
 class SingularDesign(_NumericalError):

@@ -11,10 +11,10 @@ weighted product per evaluation (``ppml.ppml_newton``), and the builtin
 linear IV one exact weighted solve per re-weighting round
 (``linear_iv.linear_iv_gmm``). ``gmm`` is the per-row GMM of user moments,
 one-step, two-step or iterated, with the weight matrices of
-``gmm_weights``; each of its minimizations, and a just-identified moment's
-root, is one least-squares Gauss-Newton (``gauss_newton``) with a stop
-relative to theta. The solvers' tolerances and limits are the module
-constants below.
+``gmm_weights.weight_factor``; each of its minimizations, and a
+just-identified moment's root, is one least-squares Gauss-Newton
+(``gauss_newton``) with a stop relative to theta. The solvers' tolerances
+and limits are the module constants below.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     SingularDesign,
     SolverError,
 )
-from .gmm_weights import acm_weight_matrix, centered_weight_matrix
+from .gmm_weights import weight_factor
 from .weights import ROW_FLOATS
 
 COND_LIMIT = 1e12
@@ -40,6 +40,7 @@ STEP_TOL = 1e-10  # gauss_newton: the largest step at a solution, relative to 1 
 # root's moment must vanish to within STALLED * STEP_TOL of the size of its terms
 STALLED = 1e3
 MAX_ITER = 100  # Newton steps of PPML, Gauss-Newton steps of gauss_newton
+PPML_TOL = 1e-8  # PPML: the largest |moment| at a solution
 ITER_TOL = 1e-8  # iterated GMM: the largest change in theta at a fixed point
 ITER_MAX = 50  # iterated GMM: re-weighting rounds
 
@@ -388,8 +389,8 @@ def gmm(moment, sample, weights, mode="two-step", weight_style="centered") -> tu
 
     Every minimization is ``gauss_newton``. One-step minimizes with the
     identity weight matrix. Each re-weighting round then re-estimates the
-    weight matrix's factor at the latest theta and minimizes again from
-    there: two-step GMM is one centered round (info:
+    weight matrix's factor at the latest theta (``weight_factor``) and
+    minimizes again from there: two-step GMM is one centered round (info:
     ``weight_matrix_ridged``), iterated GMM runs up to ITER_MAX rounds with
     the ``weight_style`` (centered or acm) matrix until theta moves by at
     most ITER_TOL (info: ``iterations``, ``objective_trace``, each round's
@@ -402,8 +403,6 @@ def gmm(moment, sample, weights, mode="two-step", weight_style="centered") -> tu
     if mode not in ("one-step", "two-step", "iterated") or weight_style not in ("centered", "acm"):
         raise ParamError(f"unknown gmm mode {mode!r} or weight style {weight_style!r}")
     iterated, just = mode == "iterated", moment.just_identified
-    if iterated and weight_style == "acm" and moment.residual_instrument is None and not just:
-        raise ParamError("acm-style iteration needs a residual x instrument moment")
     theta, iters = gauss_newton(moment, sample, weights)
     if just:
         if iterated:
@@ -411,10 +410,9 @@ def gmm(moment, sample, weights, mode="two-step", weight_style="centered") -> tu
         return theta, {"iterations": iters} if mode == "two-step" else {}
     if mode == "one-step":
         return theta, {}
-    reweight = acm_weight_matrix if iterated and weight_style == "acm" else centered_weight_matrix
-    trace = []
+    style, trace = weight_style if iterated else "centered", []
     for it in range(1, (ITER_MAX if iterated else 1) + 1):
-        factor, ridged = reweight(moment, sample, weights, theta)
+        factor, ridged = weight_factor(moment, sample, weights, theta, style)
         theta_new, _ = gauss_newton(moment, sample, weights, factor, init=theta)
         if not iterated:
             return theta_new, {"weight_matrix_ridged": ridged}
@@ -424,7 +422,7 @@ def gmm(moment, sample, weights, mode="two-step", weight_style="centered") -> tu
         theta = theta_new
         if delta <= ITER_TOL:
             return theta, {"iterations": it, "objective_trace": trace}
-    raise SolverError("iterated GMM did not reach a fixed point", trace=trace)
+    raise SolverError("iterated GMM did not reach a fixed point")
 
 
 # ---------------------------------------------------------------------------

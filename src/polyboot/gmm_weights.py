@@ -1,9 +1,9 @@
 """GMM weight matrices Omega = S S': a moment covariance inverted with its
 eigenvalues floored at RIDGE_FLOOR times the largest, kept as its factor S.
 ``invert_psd`` is the one rule, over a stack of covariances; the per-row
-``centered_weight_matrix`` and ``acm_weight_matrix`` are its one-row case,
-and ``linear_iv`` applies it to the covariances that each closed-form round
-builds for a block of draws.
+``weight_factor``, centered or acm, is its one-row case, and ``linear_iv``
+applies it to the covariances that each closed-form round builds for a
+block of draws.
 """
 
 from __future__ import annotations
@@ -37,26 +37,24 @@ def invert_psd(cov) -> tuple:
     return factor, (eigval < floor).any(axis=1), errors
 
 
-def centered_weight_matrix(moment, sample, weights, theta) -> tuple:
-    """The factor of the inverse of the moment covariance centered at the
-    weighted moment mean, for the weight vector ``weights`` (N,): ``(S,
-    ridged)``, ridged when an eigenvalue was floored; raises its
-    SingularWeightMatrix."""
-    psi = moment.fn(sample.variables, np.asarray(theta, dtype=np.float64))
-    centered = psi - weights @ psi
-    factor, ridged, errors = invert_psd((centered.T @ (weights[:, None] * centered))[None])
-    if errors:
-        raise errors[0]
-    return factor[0], bool(ridged[0])
-
-
-def acm_weight_matrix(moment, sample, weights, theta) -> tuple:
-    """The factor of the inverse of (weighted mean squared residual) times
-    (weighted Z Z'): ``(S, ridged)`` as ``centered_weight_matrix``."""
-    if moment.residual_instrument is None:
-        raise ParamError("acm-style weight matrix needs a residual x instrument moment")
-    e, z = moment.residual_instrument(sample.variables, np.asarray(theta, dtype=np.float64))
-    factor, ridged, errors = invert_psd((weights @ (e * e)) * (z.T @ (weights[:, None] * z))[None])
+def weight_factor(moment, sample, weights, theta, style="centered") -> tuple:
+    """The factor of the inverse of the moment covariance for the weight vector
+    ``weights`` (N,), centered at the weighted moment mean or, acm, the weighted
+    mean squared residual times the weighted Z Z': ``(S, ridged)``, ridged when
+    an eigenvalue was floored; raises its SingularWeightMatrix."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if style == "centered":
+        psi = moment.fn(sample.variables, theta)
+        centered = psi - weights @ psi
+        cov = centered.T @ (weights[:, None] * centered)
+    elif style == "acm":
+        if moment.residual_instrument is None:
+            raise ParamError("acm-style weight matrix needs a residual x instrument moment")
+        e, z = moment.residual_instrument(sample.variables, theta)
+        cov = (weights @ (e * e)) * (z.T @ (weights[:, None] * z))
+    else:
+        raise ParamError(f"unknown weight style {style!r}")
+    factor, ridged, errors = invert_psd(cov[None])
     if errors:
         raise errors[0]
     return factor[0], bool(ridged[0])

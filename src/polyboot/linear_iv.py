@@ -115,6 +115,8 @@ def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
                     cov -= psibar[:, :, None] * psibar[:, None, :]
                 zero = (np.diagonal(cov, axis1=1, axis2=2) <= ROUNDING * size).all(axis=1)
             factor, ridged, bad = invert_psd(cov)
+            if bad:  # a singular row's factor is not finite: as 0, its S'A is singular
+                factor[list(bad)] = 0.0
             new, failed = _argmin(al, bl, factor)
             failed.update(bad)
             if zero.any():  # a finite zero covariance: every objective is 0 at d
@@ -138,8 +140,8 @@ def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
             keep[list(failed)] = False
             live = live[keep]
         if mode == "iterated" and l > k:
-            unfixed = "iterated GMM did not reach a fixed point"
-            errors.update((int(i), SolverError(unfixed, trace=traces[i])) for i in live)
+            errors.update((int(i), SolverError("iterated GMM did not reach a fixed point"))
+                          for i in live)
         return center + d, errors, infos
 
     def solve(block):

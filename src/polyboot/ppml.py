@@ -46,10 +46,10 @@ def ppml_newton(spec: EstimatorSpec, sample: PolyadicSample):
     ``estimators.block_kernel``, info ``iterations``.
 
     A row starts at the weighted OLS of log(y + 1) on the regressors, stops
-    once its moment residual's max norm is at most 1e-8, and halves a Newton
-    step up to 40 times until that norm falls; it fails after
-    ``estimators.MAX_ITER`` steps. Rows leave the block as they converge or
-    fail, so each follows its own rules. An evaluation is one product of
+    once its moment residual's max norm is at most ``estimators.PPML_TOL``,
+    and halves a Newton step up to 40 times until that norm falls; it fails
+    after ``estimators.MAX_ITER`` steps. Rows leave the block as they
+    converge or fail, so each follows its own rules. An evaluation is one product of
     w exp(x'theta) with [x | x_a x_b, a <= b]: sum w y x (taken with the start)
     less its first K columns is the moment, its others the Jacobian, mirrored.
     """
@@ -64,7 +64,7 @@ def ppml_newton(spec: EstimatorSpec, sample: PolyadicSample):
     start = np.column_stack([start, x * y[:, None]])  # the start's sums, then sum w y x
     i, j = np.triu_indices(k)
     design, xt = np.column_stack([x, x[:, i] * x[:, j]]), np.ascontiguousarray(x.T)
-    max_iter, tol = estimators.MAX_ITER, 1e-8
+    max_iter, tol = estimators.MAX_ITER, estimators.PPML_TOL
 
     def evaluate(w, wyx, theta):  # the moments and the Jacobians' upper triangles
         wmu = theta @ xt

@@ -10,7 +10,8 @@ in exact rational arithmetic. The stacked just-identified system is an
 independent formulation of two-step GMM built on the package's moment
 functions: its root, found by the package's ``gauss_newton``, reproduces
 ``gmm``'s two-step estimate (acceptance criterion 3). ``relabeled`` permutes
-a sample's unit ids for the invariance tests.
+a sample's unit ids for the invariance tests, and ``method`` picks one
+method's tally from a coverage report.
 """
 
 import dataclasses
@@ -320,3 +321,9 @@ def relabeled(sample, permutation):
         index=perm[sample.index],
         group_of_unit=None if groups is None else tuple(groups[u] for u in inverse),
     )
+
+
+def method(report, name):
+    """The ``CoverageReport``'s tally of the method ``name``."""
+    (tally,) = (m for m in report.methods if m.method == name)
+    return tally

@@ -117,9 +117,9 @@ def test_criterion_05_coverage_contrast():
             dgp=pb.mean_unit_effects_dgp(40, sigma_c=1.0, sigma_eps=0.3),
         )
         report = pb.run_coverage(config)
-        bayes = report.method("bayes").coverage
-        naive = report.method("naive").coverage
-        pigeon = report.method("pigeonhole").coverage
+        bayes = oracles.method(report, "bayes").coverage
+        naive = oracles.method(report, "naive").coverage
+        pigeon = oracles.method(report, "pigeonhole").coverage
         print(f"    coverage: bayes={bayes:.3f} pigeonhole={pigeon:.3f} naive={naive:.3f}")
         assert bayes >= 0.90
         assert naive <= 0.80

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,36 @@ def test_round_trip_with_groups_and_clusters(tmp_path):
         assert getattr(back, name) == getattr(s, name)
     for name in ("index", "variables", "cluster_ids"):
         assert np.array_equal(getattr(back, name), getattr(s, name))
+    for seed in range(3):  # the groups and levels, and so the draws, survive the trip
+        assert np.array_equal(pb.weights_for_draw(back, "bayes", seed=seed, b=0),
+                              pb.weights_for_draw(s, "bayes", seed=seed, b=0))
+
+
+def test_cluster_ids_may_be_a_list():
+    s = grouped_clustered_sample(np.zeros((4, 2)))
+    listed = dataclasses.replace(s, cluster_ids=s.cluster_ids.tolist())
+    assert listed.cluster_ids.dtype == np.int64 and not listed.cluster_ids.flags.writeable
+    assert np.array_equal(listed.cluster_ids, s.cluster_ids)
+    with pytest.raises(DataError, match="one level per observation"):
+        dataclasses.replace(s, cluster_ids=[0, 1])
+
+
+@pytest.mark.parametrize("labels", [("g0",), ("g0", "g1", "g2")])
+def test_group_labels_name_every_group_once(labels):
+    s = grouped_clustered_sample(np.zeros((4, 2)))
+    with pytest.raises(DataError, match="one label per group"):
+        dataclasses.replace(s, group_labels=labels)
+    with pytest.raises(DataError, match="one label per group"):
+        dataclasses.replace(s, group_of_unit=None)
+
+
+@pytest.mark.parametrize("field", ["group_labels", "cluster_labels"])
+def test_duplicate_labels_rejected(field):
+    # write_csv -> load_csv would merge the two groups or levels
+    s = grouped_clustered_sample(np.zeros((4, 2)))
+    with pytest.raises(DataError, match="labels must be distinct"):
+        dataclasses.replace(s, **{field: ("t", "t")})
+
 
 def test_validate_clean(tmp_path):
     rng = np.random.default_rng(1)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -237,7 +239,7 @@ def two_point_sample(values):
 def test_centered_weight_matrix_unit_variance():
     s = two_point_sample([+1.0, -1.0])
     moment = pb.mean_moment(s.variable_names, "y")
-    factor, ridged = pb.centered_weight_matrix(moment, s, pb.uniform_weights(s), np.array([0.0]))
+    factor, ridged = pb.weight_factor(moment, s, pb.uniform_weights(s), np.array([0.0]))
     assert (factor @ factor.T)[0, 0] == pytest.approx(1.0, abs=1e-12) and not ridged
 
 
@@ -245,7 +247,7 @@ def test_centered_weight_matrix_constant_psi_singular():
     s = two_point_sample([2.0, 2.0])
     moment = pb.mean_moment(s.variable_names, "y")
     with pytest.raises(SingularWeightMatrix):
-        pb.centered_weight_matrix(moment, s, pb.uniform_weights(s), np.array([0.0]))
+        pb.weight_factor(moment, s, pb.uniform_weights(s), np.array([0.0]))
 
 
 def test_centered_weight_matrix_homogeneity():
@@ -255,8 +257,8 @@ def test_centered_weight_matrix_homogeneity():
     c = 3.0
     scaled = pb.MomentFunction("scaled", 1, 1, lambda v, t: c * base.fn(v, t))
     w = pb.uniform_weights(s)
-    s1 = pb.centered_weight_matrix(base, s, w, np.array([0.0]))[0]
-    s2 = pb.centered_weight_matrix(scaled, s, w, np.array([0.0]))[0]
+    s1 = pb.weight_factor(base, s, w, np.array([0.0]))[0]
+    s2 = pb.weight_factor(scaled, s, w, np.array([0.0]))[0]
     assert np.allclose(s2 @ s2.T, s1 @ s1.T / c**2, rtol=1e-12)
 
 
@@ -307,7 +309,7 @@ def test_two_step_matches_grid_oracle(iv_sample):
             return float(m @ m)
 
         t1 = oracles.grid_golden_minimize(obj_identity, -5.0, 8.0)
-        factor, _ = pb.centered_weight_matrix(moment, iv_sample, w, np.array([t1]))
+        factor, _ = pb.weight_factor(moment, iv_sample, w, np.array([t1]))
 
         def obj_step2(t):
             r = factor.T @ moment_mean(moment, variables, w, np.array([t]))
@@ -342,14 +344,33 @@ def test_iterated_fixed_point_and_foc(iv_sample):
         assert set(info) == {"iterations", "objective_trace"}
         assert len(trace) == info["iterations"] >= 1
         assert np.all(np.diff(trace) <= 1e-10)  # objective non-increasing
-        reweight = pb.centered_weight_matrix if style == "centered" else pb.acm_weight_matrix
-        factor, _ = reweight(moment, iv_sample, w, theta)
+        factor, _ = pb.weight_factor(moment, iv_sample, w, theta, style)
         # a round restarted from the fixed point moves less than the tolerance
         theta2, _ = pb.gauss_newton(moment, iv_sample, w, factor, init=theta)
         assert np.linalg.norm(theta2 - theta) < 1e-6
         m = moment_mean(moment, iv_sample.variables, w, theta)
         jac = pb.estimators.moment_mean_jacobian(moment, iv_sample.variables, w, theta)
         assert np.max(np.abs(jac.T @ factor @ (factor.T @ m))) <= 1e-6
+
+
+def test_acm_needs_a_residual_instrument_moment(iv_sample):
+    bare = pb.linear_iv_moment(iv_sample.variable_names, "y", ("r",), ("z1", "z2"))
+    bare = dataclasses.replace(bare, residual_instrument=None)
+    w = pb.uniform_weights(iv_sample)
+    with pytest.raises(ParamError, match="residual x instrument"):
+        pb.gmm(bare, iv_sample, w, "iterated", "acm")
+    with pytest.raises(ParamError, match="residual x instrument"):
+        pb.weight_factor(bare, iv_sample, w, np.zeros(1), "acm")
+    with pytest.raises(ParamError, match="unknown weight style"):
+        pb.weight_factor(bare, iv_sample, w, np.zeros(1), "identity")
+    # a just-identified moment's estimate is its root under every weight matrix
+    just = dataclasses.replace(
+        pb.linear_iv_moment(iv_sample.variable_names, "y", ("r",), ("z1",)),
+        residual_instrument=None,
+    )
+    theta, info = pb.gmm(just, iv_sample, w, "iterated", "acm")
+    assert info == {"iterations": 1, "objective_trace": []}
+    assert np.array_equal(theta, pb.gmm(just, iv_sample, w, "one-step")[0])
 
 
 def test_gmm_rejects_unknown_mode_and_weight_style(iv_sample):

@@ -3,6 +3,7 @@ draws against the closed-form oracle and per-row ``gmm``, and its failure
 paths, each crafted row alone and inside a block."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -300,6 +301,29 @@ def test_crafted_rows_fail_as_they_would_alone(monkeypatch, name):
                 assert got == GAUSS_NEWTON[name]
             else:
                 assert_same_outcome(got, kernel(spec, s, w[None])(0), 1e-12)
+
+
+def test_a_singular_weight_matrix_fails_its_row_without_a_warning(monkeypatch):
+    # invert_psd marks row 1 of the block singular and leaves its factor infinite
+    s = overidentified_iv_sample(n=5)
+    solve = linear_iv.linear_iv_gmm(pb.EstimatorSpec(**IV), s)[0]
+    rows = pb.weights_for_block(s, "bayes", 3, 0, 3)
+    theta, errors, infos = solve(rows)
+    invert_psd = linear_iv.invert_psd
+
+    def one_row_bad(cov):
+        factor, ridged, bad = invert_psd(cov)
+        factor[1], bad[1] = np.inf, SingularWeightMatrix("marked")
+        return factor, ridged, bad
+
+    monkeypatch.setattr(linear_iv, "invert_psd", one_row_bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_theta, got_errors, got_infos = solve(rows)
+    assert errors == {} and list(got_errors) == [1] and str(got_errors[1]) == "marked"
+    assert isinstance(got_errors[1], SingularWeightMatrix)
+    assert np.array_equal(got_theta[[0, 2]], theta[[0, 2]])
+    assert all(got_infos[r] == infos[r] for r in (0, 2))
 
 
 def test_duplicated_instruments_solve_alike_alone_and_in_a_block():

@@ -6,7 +6,8 @@ Two experiments on a fixed synthetic dyadic sample:
 1. Kolmogorov-Smirnov distance between Gamma(alpha/n) prior draws and the
    Bayesian bootstrap posterior as alpha rises to n (they coincide there).
 2. Concentration of the prior draws on the discrete limiting atoms as
-   alpha falls toward zero, compared against the computed atom locations.
+   alpha falls toward zero, compared against the computed atom locations
+   (OLS without an intercept on asymmetric dyads).
 
 Usage: python scripts/prior_limit_experiment.py [--draws 10000] [--seed 7]
 """
@@ -34,14 +35,9 @@ def ks_chain(draws, seed):
 
 
 def atom_concentration(draws, seed):
-    sample = ratio_of_means_sample(n=4, symmetric=True)
+    sample = ratio_of_means_sample(n=4, symmetric=False)
     spec = pb.EstimatorSpec(kind="ols", y="y", x=("x",))
-    x, y = sample.column("x"), sample.column("y")
-    atoms = pb.limiting_prior_atoms(
-        sample,
-        rho=lambda v: np.column_stack([x * x, x * y]),
-        chi=lambda a: np.array([a[1] / a[0]]),
-    )
+    atoms = pb.limiting_prior_atoms(sample, spec)
     print("\nlimiting atoms:", np.sort(atoms.locations[:, 0]).round(4).tolist())
     for alpha_scale in (1e-1, 1e-3, 1e-6):
         res = pb.run_bootstrap(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import PolyadicSample
-from .errors import BootstrapError, DegenerateDraw, EvalError, ParamError, Unsupported
+from .errors import BootstrapError, DegenerateDraw, ParamError, SolverError, Unsupported
 from .estimators import EstimatorSpec, block_kernel, evaluate_estimator
 from .weights import (
     block_rows,
@@ -97,12 +97,7 @@ class DiscreteAtomSet:
     """Atoms (locations with masses) of a discrete distribution."""
 
     locations: np.ndarray  # (A, K)
-    masses: np.ndarray  # (A,)
-
-    def __post_init__(self):
-        m = np.asarray(self.masses, dtype=np.float64)
-        if np.any(m < 0) or abs(m.sum() - 1.0) > 1e-12:
-            raise ParamError("masses must be nonnegative and sum to 1")
+    masses: np.ndarray  # (A,), summing to 1
 
 
 def _block_estimator(sample, n_draws, kernel):
@@ -230,42 +225,47 @@ def credible_interval(result: BootstrapResult, level: float) -> CredibleInterval
     return equal_tailed_interval(result.draws, level)
 
 
-def limiting_prior_atoms(sample: PolyadicSample, rho, chi) -> DiscreteAtomSet:
-    """Atoms of the limiting marginal prior for estimators chi(E[rho(X)]).
+def limiting_prior_atoms(sample: PolyadicSample, spec: EstimatorSpec) -> DiscreteAtomSet:
+    """Atoms of the estimator's limiting marginal prior: the weak limit of
+    ``prior`` draws as alpha falls to zero.
 
-    Each unordered pair with both directions observed contributes an atom at
-    the midpoint of its two one-observation evaluations; a pair with a
-    single observed direction contributes that evaluation alone. Masses are
-    uniform over contributing pairs.
+    Such a draw puts all its weight on the pair of units with the two
+    largest Gamma values, half on each of the pair's two dyads, so unordered
+    pair i < j is an atom at the estimate of log unit values 0 at i and j
+    and -inf elsewhere. Those rows run in blocks through the draws' own
+    kernel: mean, OLS and linear IV solve from the sums (f_ij + f_ji) / 2,
+    PPML and user moments from weights 1/2, 1/2. On a complete index set
+    every pair is equally likely, so each atom has mass 1/A.
+
+    ``Unsupported``: an order other than 2; a cluster dimension (the levels'
+    C_t stay random, so the limit has no atoms); unit groups, which the
+    ``prior`` scheme refuses; and missing dyads, where a pair's limit mass
+    is the chance that E_i + E_j is least among the observed pairs (E iid
+    Exp(1)), not uniform. A pair whose estimate fails raises the kernel's
+    error, naming both units.
     """
     if sample.order != 2:
         raise Unsupported("limiting prior atoms are defined for dyadic samples")
-    feats = np.asarray(rho(sample.variables), dtype=np.float64)
-    if feats.ndim == 1:
-        feats = feats[:, None]
-    row_of = {}
-    for r, (i, j) in enumerate(sample.index.tolist()):
-        row_of[(i, j)] = r
-
-    def chi_at(row, pair):
-        value = np.atleast_1d(np.asarray(chi(feats[row]), dtype=np.float64))
-        if not np.all(np.isfinite(value)):
-            labels = (sample.unit_labels[pair[0]], sample.unit_labels[pair[1]])
-            raise EvalError(f"chi undefined at the observation for pair {labels}")
-        return value
-
+    if sample.cluster_ids is not None:
+        raise Unsupported("limiting prior atoms do not exist with a cluster dimension")
+    if sample.group_of_unit is not None:
+        raise Unsupported("the prior scheme does not support unit groups")
+    if not sample.has_full_index_set():
+        raise Unsupported("limiting prior atoms require the full index set (no missing dyads)")
+    pairs = np.argwhere(np.triu(np.ones((sample.n_units,) * 2, dtype=bool), 1))
+    step, for_block = _block_estimator(sample, len(pairs), block_kernel(spec, sample))
     locations = []
-    seen = set()
-    for (i, j), r in row_of.items():
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            continue
-        seen.add(key)
-        r_back = row_of.get((j, i))
-        if r_back is None:
-            locations.append(chi_at(r, (i, j)))
-        else:
-            locations.append(0.5 * (chi_at(r, (i, j)) + chi_at(r_back, (j, i))))
-    locations = np.asarray(locations)
-    masses = np.full(len(locations), 1.0 / len(locations))
-    return DiscreteAtomSet(locations, masses)
+    for b0 in range(0, len(pairs), step):
+        block = pairs[b0 : b0 + step]
+        log_units = np.full((len(block), sample.n_units), -np.inf)
+        np.put_along_axis(log_units, block, 0.0, axis=1)
+        theta, errors, _ = for_block(log_units, None, {})
+        failed = {*errors, *np.flatnonzero(~np.isfinite(theta).all(axis=1)).tolist()}
+        if failed:
+            r = min(failed)
+            exc = errors.get(r) or SolverError(NON_FINITE)
+            i, j = (sample.unit_labels[u] for u in block[r])
+            raise type(exc)(f"the estimate on the pair ({i!r}, {j!r}) failed: {exc}") from exc
+        locations.append(theta)
+    locations = np.concatenate(locations)
+    return DiscreteAtomSet(locations, np.full(len(locations), 1.0 / len(locations)))

@@ -295,7 +295,9 @@ def _cmd_variance(args):
 
 def _cmd_counterfactual(args):
     # a bad level or counterfactual fails before the draws are made
-    sample, spec = _draw_inputs(args, args.level[:1])
+    if len(args.level) > 1:
+        raise ParamError("counterfactual takes one --level")
+    sample, spec = _draw_inputs(args, args.level)
     name, _, arg = args.counterfactual.partition(":")
     if name == "identity" and not arg:
         g = resolve_counterfactual(f"identity:{len(spec.param_names())}")
@@ -453,27 +455,12 @@ def _cmd_coverage(args):
 
 def _cmd_prior_atoms(args):
     sample = _load_sample(args.data, args.order)
-    name, _, rest = args.functional.partition(":")
-    if name != "ratio-of-means":
-        raise ParamError("supported functional: ratio-of-means:<ycol>:<xcol>")
-    ycol, _, xcol = rest.partition(":")
-    if not ycol or not xcol:
-        raise ParamError("functional needs both columns: ratio-of-means:<ycol>:<xcol>")
-    y = sample.column(ycol)
-    x = sample.column(xcol)
-
-    def rho(variables):
-        return np.column_stack([x * x, x * y])
-
-    def chi(a):
-        if a[0] == 0:
-            return np.array([np.nan])
-        return np.array([a[1] / a[0]])
-
-    atoms = limiting_prior_atoms(sample, rho, chi)
+    spec = _spec_from_args(args)
+    atoms = limiting_prior_atoms(sample, spec)
     _emit(
         {
-            "functional": args.functional,
+            "estimator": args.estimator,
+            "param_names": list(spec.param_names()),
             "locations": atoms.locations.tolist(),
             "masses": atoms.masses.tolist(),
         },
@@ -531,9 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("marginal-prior-atoms", help="limiting marginal prior atoms")
     _add_data_args(p)
-    p.add_argument(
-        "--functional", required=True, help="estimator as chi(E[rho]); ratio-of-means:<ycol>:<xcol>"
-    )
+    _add_estimator_args(p)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_prior_atoms)
 

@@ -95,10 +95,14 @@ def pigeonhole_dgp_resample(sample: PolyadicSample, seed: int, r: int) -> Polyad
     (copy of k, copy of l) pair, so it appears count_k * count_l times. Each
     sampled copy becomes a distinct synthetic unit, and copies of the same
     source unit share no dyad (the source has no self-dyads). Draws whose
-    copies cover no observed dyad are retried up to 100 times.
+    copies cover no observed dyad are retried up to 100 times. A sample of
+    another order, or with unit groups (which no copy would keep), is
+    ``Unsupported``.
     """
     if sample.order != 2:
         raise Unsupported("the pigeonhole DGP is defined for dyadic samples")
+    if sample.group_of_unit is not None:
+        raise Unsupported("the pigeonhole DGP does not carry unit groups")
     n = sample.n_units
     for attempt in range(100):
         gen = rng.substream(seed, rng.ROLE_PIGEONHOLE_DGP, r, lane=attempt)

@@ -8,7 +8,7 @@ Each class carries the CLI's exit code and the label of its stderr line,
     ParamError, Unsupported                        4  configuration error
     DegenerateDraw, SolverError, SingularDesign,   3  solver error
     SingularWeightMatrix, SingularJacobian,
-    CounterfactualError, EvalError, DgpError
+    CounterfactualError, DgpError
 
 A path the CLI cannot read or write (an OSError) is a data error, exit 2.
 """
@@ -69,10 +69,6 @@ class BootstrapError(PolybootError):
 
 class CounterfactualError(_NumericalError):
     """Counterfactual function failed at the point estimate."""
-
-
-class EvalError(_NumericalError):
-    """A pointwise evaluation was undefined (e.g. division by zero)."""
 
 
 class DgpError(_NumericalError):

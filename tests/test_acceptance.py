@@ -175,15 +175,7 @@ def test_criterion_08_limiting_prior_atoms():
         result = pb.run_bootstrap(
             sample, spec, "prior", alpha=1e-6 * sample.n_units, n_draws=10_000, seed=77
         )
-        x, y = sample.column("x"), sample.column("y")
-
-        def rho(variables):
-            return np.column_stack([x * x, x * y])
-
-        def chi(a):
-            return np.array([a[1] / a[0]])
-
-        atoms = pb.limiting_prior_atoms(sample, rho, chi)
+        atoms = pb.limiting_prior_atoms(sample, spec)
         dist = np.min(
             np.abs(result.draws[:, 0][:, None] - atoms.locations[:, 0][None, :]), axis=1
         )

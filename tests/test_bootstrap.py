@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyboot as pb
-from polyboot.errors import BootstrapError, EvalError, ParamError
+from polyboot.errors import BootstrapError, ParamError, SingularDesign
+from polyboot.fixtures import overidentified_iv_sample, ratio_of_means_sample, triadic_sample
 from conftest import random_dyadic_sample
 
 
@@ -231,17 +232,7 @@ def test_prior_alpha_n_close_to_bayes():
 # ------------------------------------------------------- limiting prior atoms
 
 
-def ratio_rho_chi(sample):
-    x = sample.column("x")
-    y = sample.column("y")
-
-    def rho(variables):
-        return np.column_stack([x * x, x * y])
-
-    def chi(a):
-        return np.array([a[1] / a[0]])
-
-    return rho, chi
+RATIO = pb.EstimatorSpec(kind="ols", y="y", x=("x",))  # sum(wxy) / sum(wx^2)
 
 
 def test_atoms_single_pair_midpoint():
@@ -252,12 +243,15 @@ def test_atoms_single_pair_midpoint():
         variables=np.array([[2.0, 1.0], [12.0, 2.0]]),
         variable_names=("y", "x"),
     )
-    rho, chi = ratio_rho_chi(s)
-    atoms = pb.limiting_prior_atoms(s, rho, chi)
-    # one-observation slopes are 2 and 6; the single atom sits at their midpoint
+    atoms = pb.limiting_prior_atoms(s, RATIO)
+    # the one atom is the estimate on weights 1/2, 1/2: (2 + 24) / (1 + 4), not
+    # the midpoint 4 of the one-observation slopes 2 and 6
     assert atoms.locations.shape == (1, 1)
-    assert atoms.locations[0, 0] == pytest.approx(4.0)
+    assert atoms.locations[0, 0] == pytest.approx(5.2)
     assert atoms.masses[0] == pytest.approx(1.0)
+    # both dyads of a 2-unit sample weigh V_a V_b, so every prior draw is the atom
+    res = pb.run_bootstrap(s, RATIO, "prior", alpha=0.5, n_draws=50, seed=3)
+    assert np.allclose(res.draws, 5.2, rtol=1e-12)
 
 
 def test_atoms_three_units_hand_evaluation():
@@ -268,64 +262,93 @@ def test_atoms_three_units_hand_evaluation():
         variables=np.column_stack([s.column("y"), np.abs(s.column("x")) + 0.5]),
         variable_names=("y", "x"),
     )
-    rho, chi = ratio_rho_chi(s)
-    atoms = pb.limiting_prior_atoms(s, rho, chi)
+    atoms = pb.limiting_prior_atoms(s, RATIO)
     y, x = s.column("y"), s.column("x")
-    slopes = y / x
     lookup = {(i, j): r for r, (i, j) in enumerate(s.index.tolist())}
-    expected = sorted(
-        0.5 * (slopes[lookup[(i, j)]] + slopes[lookup[(j, i)]])
-        for i, j in [(0, 1), (0, 2), (1, 2)]
-    )
-    assert np.allclose(sorted(atoms.locations[:, 0]), expected, atol=1e-12)
+    expected = []
+    for i, j in [(0, 1), (0, 2), (1, 2)]:
+        rows = [lookup[(i, j)], lookup[(j, i)]]
+        expected.append((x[rows] @ y[rows]) / (x[rows] @ x[rows]))
+    assert np.allclose(atoms.locations[:, 0], expected, rtol=1e-12, atol=0)
     assert np.allclose(atoms.masses, 1.0 / 3.0)
 
 
 def test_atoms_symmetric_data_single_values():
-    from polyboot.fixtures import ratio_of_means_sample
-
     s = ratio_of_means_sample(n=3, symmetric=True)
-    rho, chi = ratio_rho_chi(s)
-    atoms = pb.limiting_prior_atoms(s, rho, chi)
+    atoms = pb.limiting_prior_atoms(s, RATIO)
     y, x = s.column("y"), s.column("x")
-    assert np.allclose(sorted(atoms.locations[:, 0]), sorted(set(np.round(y / x, 12))))
+    # the one-observation slope of each pair, where the midpoint rule put the atom
+    slopes = {tuple(sorted(ij)): y[r] / x[r] for r, ij in enumerate(s.index.tolist())}
+    expected = [slopes[pair] for pair in sorted(slopes)]
+    assert np.allclose(atoms.locations[:, 0], expected, rtol=0, atol=1e-12)
 
 
-def test_atoms_missing_direction_uses_single_evaluation():
+def refused_samples():
+    """Samples without limiting atoms: order 3, a cluster dimension, unit
+    groups and a missing dyad."""
+    s = pb.generate_synthetic(pb.ols_unit_effects_dgp(4), seed=1, r=0)
+    fields = dict(order=2, unit_labels=s.unit_labels, variable_names=s.variable_names)
+    return {
+        "order-3": triadic_sample(n=4),
+        "clusters": pb.PolyadicSample(
+            index=np.tile(s.index, (2, 1)), variables=np.tile(s.variables, (2, 1)),
+            cluster_ids=np.repeat([0, 1], s.n_obs), cluster_labels=("t0", "t1"), **fields
+        ),
+        "groups": pb.PolyadicSample(
+            index=s.index, variables=s.variables, group_of_unit=(0, 0, 1, 1), **fields
+        ),
+        "missing-dyad": pb.PolyadicSample(
+            index=s.index[1:], variables=s.variables[1:], **fields
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(refused_samples()))
+def test_atoms_refused(case):
+    s = refused_samples()[case]
+    spec = pb.EstimatorSpec(kind="mean", column=s.variable_names[0])
+    with pytest.raises(pb.errors.Unsupported):
+        pb.limiting_prior_atoms(s, spec)
+
+
+def test_atoms_failed_pair_names_both_units():
     s = pb.PolyadicSample(
         order=2,
         unit_labels=("a", "b", "c"),
-        index=np.array([[0, 1], [1, 0], [0, 2]]),  # (2, 0) unobserved
-        variables=np.array([[2.0, 1.0], [12.0, 2.0], [9.0, 3.0]]),
+        index=pb.full_index_set(3, 2),  # (a, b) (a, c) (b, a) (b, c) (c, a) (c, b)
+        # x is 1 on both dyads of (a, b): its pair regression has a singular Gram
+        variables=np.array([[1.0, 1.0], [2.0, 1.0], [3.0, 1.0], [1.0, 5.0], [2.0, 3.0],
+                            [4.0, 2.0]]),
         variable_names=("y", "x"),
     )
-    rho, chi = ratio_rho_chi(s)
-    atoms = pb.limiting_prior_atoms(s, rho, chi)
-    assert sorted(atoms.locations[:, 0]) == [3.0, 4.0]
-    assert np.allclose(atoms.masses, 0.5)
+    spec = pb.EstimatorSpec(kind="ols", y="y", x=("x",), intercept=True)
+    with pytest.raises(SingularDesign, match=r"pair \('a', 'b'\)"):
+        pb.limiting_prior_atoms(s, spec)
 
 
-def test_atoms_eval_error_names_pair():
-    s = pb.PolyadicSample(
-        order=2,
-        unit_labels=("a", "b"),
-        index=np.array([[0, 1], [1, 0]]),
-        variables=np.array([[2.0, 0.0], [12.0, 2.0]]),  # x = 0 breaks chi
-        variable_names=("y", "x"),
-    )
-    rho, chi = ratio_rho_chi(s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(EvalError, match="'a'"):
-            pb.limiting_prior_atoms(s, rho, chi)
+@pytest.mark.parametrize(
+    "s, spec",
+    [
+        (ratio_of_means_sample(n=4, symmetric=False), RATIO),
+        (overidentified_iv_sample(n=12), pb.EstimatorSpec(kind="mean", column="y")),
+        (overidentified_iv_sample(n=12),
+         pb.EstimatorSpec(kind="ols", y="y", x=("r",), intercept=True)),
+    ],
+    ids=["asymmetric-ols", "iv-mean", "iv-ols-intercept"],
+)
+def test_tiny_alpha_prior_draws_sit_on_the_atoms(s, spec):
+    atoms = pb.limiting_prior_atoms(s, spec).locations
+    res = pb.run_bootstrap(s, spec, "prior", alpha=1e-6 * s.n_units, n_draws=2000, seed=15)
+    # within 1e-6 max(1, |theta|) of an atom, in max norms
+    gap = np.abs(res.draws[:, None, :] - atoms[None]).max(axis=2)
+    tol = 1e-6 * np.maximum(1.0, np.abs(atoms).max(axis=1))
+    assert np.mean((gap <= tol).any(axis=1)) >= 0.99
 
 
 def test_prior_draws_concentrate_near_atoms_for_tiny_alpha():
-    from polyboot.fixtures import ratio_of_means_sample
-
     s = ratio_of_means_sample(n=4, symmetric=True)
     spec = pb.EstimatorSpec(kind="ols", y="y", x=("x",))
     res = pb.run_bootstrap(s, spec, "prior", alpha=1e-6 * s.n_units, n_draws=2000, seed=14)
-    rho, chi = ratio_rho_chi(s)
-    atoms = pb.limiting_prior_atoms(s, rho, chi)
+    atoms = pb.limiting_prior_atoms(s, RATIO)
     dist = np.min(np.abs(res.draws[:, 0][:, None] - atoms.locations[:, 0][None, :]), axis=1)
     assert np.mean(dist < 1e-3) >= 0.95

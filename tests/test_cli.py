@@ -325,8 +325,7 @@ EXIT_TABLE = {  # errors.py's table: each class's exit code and stderr label
     "Unsupported": (4, "configuration error"),
     **dict.fromkeys(
         ["_NumericalError", "DegenerateDraw", "SolverError", "SingularDesign",
-         "SingularWeightMatrix", "SingularJacobian", "CounterfactualError", "EvalError",
-         "DgpError"],
+         "SingularWeightMatrix", "SingularJacobian", "CounterfactualError", "DgpError"],
         (3, "solver error"),
     ),
 }
@@ -408,6 +407,7 @@ def test_coverage_config_values_out_of_range_exit_4(capsys, tmp_path, values, te
         ("bootstrap", ["--level", "0.9", "--level", "0"]),
         ("counterfactual", ["--counterfactual", "identity", "--level", "1.5"]),
         ("counterfactual", ["--counterfactual", "identity:x"]),
+        ("counterfactual", ["--counterfactual", "identity", "--level", "0.9", "--level", "0.5"]),
     ],
 )
 def test_bad_level_or_counterfactual_exits_before_the_draws(
@@ -599,13 +599,34 @@ def test_marginal_prior_atoms_cli(capsys, tmp_path):
     p = tmp_path / "pairs.csv"
     p.write_text("u1,u2,y,x\nA,B,2,1\nB,A,12,2\n")
     code, out, _ = run(
-        capsys, "marginal-prior-atoms", "--data", str(p),
-        "--functional", "ratio-of-means:y:x",
+        capsys, "marginal-prior-atoms", "--data", str(p), "--estimator", "ols", "--y", "y",
+        "--x", "x",
     )
     assert code == 0
-    payload = json.loads(out)
-    assert payload["locations"] == [[4.0]]
-    assert payload["masses"] == [1.0]
+    # the estimate on weights 1/2, 1/2: (2 + 24) / (1 + 4)
+    assert json.loads(out) == {
+        "estimator": "ols", "param_names": ["x"], "locations": [[5.2]], "masses": [1.0]
+    }
+
+
+@pytest.mark.parametrize(
+    "text, order, expected, message",
+    [
+        ("u1,u2,u3,y\nA,B,C,1\nB,A,C,2\n", 3, 4,
+         "configuration error: limiting prior atoms are defined for dyadic samples"),
+        ("u1,u2,y,x\nA,B,1,1\nB,A,2,1\nA,C,3,2\nC,A,1,5\nB,C,2,3\nC,B,4,2\n", 2, 3,
+         "solver error: the estimate on the pair ('A', 'B') failed"),
+    ],
+    ids=["order-3", "failed-pair"],
+)
+def test_marginal_prior_atoms_cli_errors(capsys, tmp_path, text, order, expected, message):
+    p = tmp_path / "data.csv"
+    p.write_text(text)
+    code, _, err = run(
+        capsys, "marginal-prior-atoms", "--data", str(p), "--order", str(order),
+        "--estimator", "ols", "--y", "y", "--x", "x", "--intercept",
+    )
+    assert code == expected and err.startswith(message)
 
 
 def test_make_fixture_cli(capsys, tmp_path):
@@ -648,20 +669,22 @@ def test_import_does_not_load_scipy():
 # -- the parsed-sample cache ---------------------------------------------------
 
 OLS_FLAGS = ["--estimator", "ols", "--y", "y", "--x", "x"]
-CSV_COMMANDS = {  # command -> (flags, cluster levels of its data)
-    "estimate": (OLS_FLAGS, 2),
-    "bootstrap": ([*OLS_FLAGS, "--draws", "30", "--seed", "3", "--emit-draws"], 2),
-    "variance": (OLS_FLAGS, 1),  # the dyadic-robust variance takes no cluster column
+CSV_COMMANDS = {  # command -> (flags, cluster levels of its data, whether it has unit groups)
+    "estimate": (OLS_FLAGS, 2, True),
+    "bootstrap": ([*OLS_FLAGS, "--draws", "30", "--seed", "3", "--emit-draws"], 2, True),
+    "variance": (OLS_FLAGS, 1, True),  # the dyadic-robust variance takes no cluster column
     "counterfactual": (
-        [*OLS_FLAGS, "--counterfactual", "toy-growth:x", "--draws", "30", "--seed", "3"], 2
+        [*OLS_FLAGS, "--counterfactual", "toy-growth:x", "--draws", "30", "--seed", "3"], 2, True
     ),
-    "marginal-prior-atoms": (["--functional", "ratio-of-means:y:x"], 2),
+    # the limiting prior has atoms only without cluster levels or unit groups
+    "marginal-prior-atoms": (OLS_FLAGS, 1, False),
 }
 
 
-def grouped_csv(tmp_path, levels=2, name="grouped.csv"):
-    """A CSV from ``write_csv`` with unit groups and, for levels > 1, a
-    cluster column: every field of a sample goes through the cache."""
+def grouped_csv(tmp_path, levels=2, name="grouped.csv", groups=True):
+    """A CSV from ``write_csv`` with unit groups (unless ``groups`` is false)
+    and, for levels > 1, a cluster column: every field of a sample goes
+    through the cache."""
     rng = np.random.default_rng(5)
     index = np.tile(pb.full_index_set(5, 2), (levels, 1))
     clusters = {}
@@ -670,7 +693,8 @@ def grouped_csv(tmp_path, levels=2, name="grouped.csv"):
                         cluster_labels=tuple(str(2000 + t) for t in range(levels)))
     sample = pb.PolyadicSample(
         2, [f"c{i}" for i in range(5)], index, rng.standard_normal((len(index), 2)) + [0, 3],
-        ("y", "x"), group_of_unit=(0, 1, 0, 1, 1), group_labels=("east", "west"), **clusters,
+        ("y", "x"), **clusters,
+        **(dict(group_of_unit=(0, 1, 0, 1, 1), group_labels=("east", "west")) if groups else {}),
     )
     pb.write_csv(sample, tmp_path / name)
     return str(tmp_path / name)
@@ -691,8 +715,8 @@ def forbid_parsing(monkeypatch):
 def test_cache_gives_the_same_out_cold_warm_and_without_a_cache(
     monkeypatch, capsys, tmp_path, command
 ):
-    flags, levels = CSV_COMMANDS[command]
-    data = grouped_csv(tmp_path, levels)
+    flags, levels, groups = CSV_COMMANDS[command]
+    data = grouped_csv(tmp_path, levels, groups=groups)
 
     def out_bytes(name):
         out = tmp_path / f"{name}.json"
@@ -717,6 +741,12 @@ def test_cache_gives_the_same_out_cold_warm_and_without_a_cache(
     monkeypatch.setattr(cli.Path, "home", no_home)
     assert out_bytes("no-home") == cold
     assert cache_entries(tmp_path) == [entry]
+
+
+def test_coverage_on_a_grouped_source_exits_4(capsys, tmp_path):
+    cfg = _coverage_config(tmp_path, "dgp", source={"data": grouped_csv(tmp_path, levels=1)})
+    code, _, err = run(capsys, "coverage-sim", "--config", cfg, "--seed", "1")
+    assert (code, err) == (4, "configuration error: the pigeonhole DGP does not carry unit groups\n")
 
 
 def test_coverage_source_reads_the_cache(monkeypatch, capsys, tmp_path):

@@ -119,6 +119,17 @@ def test_pigeonhole_dgp_retries_until_usable():
     assert out.n_obs >= 1
 
 
+def test_pigeonhole_dgp_refuses_unit_groups():
+    # a resample would keep no groups, so bayes on it would draw one flat
+    # Dirichlet where the source draws one per group
+    s = pb.PolyadicSample(
+        2, [f"u{i}" for i in range(6)], pb.full_index_set(6, 2), np.ones((30, 1)), ("y",),
+        group_of_unit=(0, 0, 0, 1, 1, 1),
+    )
+    with pytest.raises(pb.errors.Unsupported, match="unit groups"):
+        pb.pigeonhole_dgp_resample(s, seed=1, r=0)
+
+
 def test_pigeonhole_dgp_reproducible():
     rng = np.random.default_rng(1)
     s = random_dyadic_sample(rng, 5, columns=("y",))

@@ -20,18 +20,19 @@ def invert_psd(cov) -> tuple:
     symmetrized, its eigenvalues floored at RIDGE_FLOOR times the largest:
     ``(factors S = V diag(max(eigval, floor))^(-1/2), ridged (R,), errors)``,
     where ``errors`` maps a row whose covariance is not finite or has no
-    positive eigenvalue to its SingularWeightMatrix (its factor is meaningless)."""
+    positive eigenvalue to its SingularWeightMatrix (its factor is meaningless);
+    a largest eigenvalue so small that its floor underflows to 0 counts as none."""
     cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
     finite = np.isfinite(cov).all(axis=(1, 2))
     eigval, eigvec = np.linalg.eigh(np.where(finite[:, None, None], cov, 0.0))
+    floor = RIDGE_FLOOR * eigval[:, -1:]
     errors = {
         int(r): SingularWeightMatrix(
             "moment covariance has no positive eigenvalue" if finite[r]
             else "non-finite moment covariance"
         )
-        for r in np.flatnonzero(~finite | ~(eigval[:, -1] > 0))
+        for r in np.flatnonzero(~finite | ~(floor[:, 0] > 0))
     }
-    floor = RIDGE_FLOOR * eigval[:, -1:]
     with np.errstate(divide="ignore", invalid="ignore"):  # only rows in errors divide by 0
         factor = eigvec / np.sqrt(np.maximum(eigval, floor))[:, None, :]
     return factor, (eigval < floor).any(axis=1), errors

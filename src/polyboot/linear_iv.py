@@ -71,7 +71,10 @@ def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
     ``info`` keys and the weight matrices are those of ``estimators.gmm``,
     and a just-identified system solves A d = b. Each minimization is
     exact; a row whose weighted design S'A is numerically singular fails
-    with SingularDesign.
+    with SingularDesign. Iterated acm's covariance (sum w e^2) sum w z z'
+    depends on d only through its scalar, which leaves the minimizer where
+    round 1 put it: later rounds keep that d, so the rounds stop at round 2
+    on both forms rather than on rounding that the weight matrix magnifies.
     """
     mode, iter_tol = spec.gmm_mode, estimators.ITER_TOL
     acm = mode == "iterated" and spec.weight_style == "acm"
@@ -117,7 +120,10 @@ def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
             factor, ridged, bad = invert_psd(cov)
             if bad:  # a singular row's factor is not finite: as 0, its S'A is singular
                 factor[list(bad)] = 0.0
-            new, failed = _argmin(al, bl, factor)
+            if acm and it > 1:  # sum w e^2 only scales sum w z z': round 1's d stays
+                new, failed = dl, {}
+            else:
+                new, failed = _argmin(al, bl, factor)
             failed.update(bad)
             if zero.any():  # a finite zero covariance: every objective is 0 at d
                 zero &= np.isfinite(cov).all(axis=(1, 2))

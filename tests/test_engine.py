@@ -376,6 +376,27 @@ def assert_iv_draws_match_weight_rows(sample, spec, scheme, seed, alpha):
         assert infos[b].get("weight_matrix_ridged") == expected_infos[b].get("weight_matrix_ridged")
 
 
+def test_iterated_acm_stops_at_round_two_on_both_forms():
+    # the rounds of this block moved row 10's theta by rounding that a
+    # near-singular sum w z z' magnifies past ITER_TOL, so the factorized form
+    # and the weight-row kernel stopped on rounds 38 and 20; acm's covariance
+    # moves with theta only through its scalar sum w e^2, so every row keeps
+    # round 1's minimizer and stops by round 2 on both (an exact fit at 1)
+    spec = dataclasses.replace(IV_ITERATED, weight_style="acm", intercept=True)
+    s = factorized_sample("missing", 6, 43095 % 1019, ("y", "x", "z1", "z2", "z3"))
+    blocks = bootstrap._block_estimator(s, 16, estimators.block_kernel(spec, s))
+    _, errors, infos = bootstrap._run_draws(s, "prior", 16, 43095, 0.01, None, blocks)
+    block = pb.weights_for_block(s, "prior", 43095, 0, 16, 0.01, failed={})
+    _, expected_errors, expected_infos = estimators.block_kernel(spec, s)[1](block)
+    solved = set(range(16)) - set(errors)
+    assert set(expected_errors) == set(errors) and len(solved) >= 8
+    for b in solved:
+        assert infos[b]["iterations"] == expected_infos[b]["iterations"] <= 2
+        assert len(infos[b]["objective_trace"]) == infos[b]["iterations"]
+    assert infos[10]["iterations"] == 2
+    assert_iv_draws_match_weight_rows(s, spec, "prior", 43095, 0.01)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.sampled_from([MEAN, OLS, *IV_SPECS]),

@@ -326,6 +326,17 @@ def test_a_singular_weight_matrix_fails_its_row_without_a_warning(monkeypatch):
     assert all(got_infos[r] == infos[r] for r in (0, 2))
 
 
+def test_a_covariance_whose_floor_underflows_has_no_positive_eigenvalue():
+    # a centered covariance that is rounding near the subnormals: its largest
+    # eigenvalue 3e-314 floors at 0, which left its factor infinite and
+    # _argmin's product invalid (two-step, "missing", prior 0.01, n = 3, seed 500)
+    cov = np.stack([np.eye(3), np.diag([-4.9e-32, 0.0, 3.3e-314])])
+    factor, _, bad = linear_iv.invert_psd(cov)
+    assert list(bad) == [1] and isinstance(bad[1], SingularWeightMatrix)
+    assert str(bad[1]) == "moment covariance has no positive eigenvalue"
+    assert np.array_equal(factor[0], np.eye(3))
+
+
 def test_duplicated_instruments_solve_alike_alone_and_in_a_block():
     # z3 = z2: the centered covariance is singular and the weight matrix
     # ridged, which left Gauss-Newton's outcome to rounding

@@ -41,10 +41,6 @@ from .estimators import (
     evaluate_estimator,
     gauss_newton,
     gmm,
-    linear_iv_moment,
-    mean_moment,
-    ols_moment,
-    ppml_moment,
 )
 from .gmm_weights import weight_factor
 from .variance import (

@@ -6,6 +6,8 @@ explicit --seed and is a pure function of its flags, so re-running
 reproduces output byte for byte. Exit codes: 0 ok, 2 data error (a path
 that cannot be read or written is one), 3 solver or numerical error, 4
 configuration error; each error class carries its code (``errors.py``).
+A command whose reader closes its stdout (``| head``) stops silently with
+141, as a shell reports a writer ended by SIGPIPE.
 
 A command parses its input CSV once per content: the parsed sample is kept
 as an uncompressed ``.npz`` entry under ``$XDG_CACHE_HOME/polyboot``, else
@@ -54,6 +56,7 @@ from .variance import graham_variance, naive_dyad_robust
 from .weights import uniform_weights
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 CACHE_ENTRIES = 16  # parsed samples the cache keeps; the least recently used goes first
 _CACHE_FAULTS = (OSError, EOFError, KeyError, TypeError, ValueError, RuntimeError,
@@ -81,7 +84,7 @@ def _emit(payload, out_path):
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
     else:
-        print(payload)
+        print(payload, flush=True)  # a closed stdout raises here, inside main
 
 
 def _cache_dir() -> Path:
@@ -541,6 +544,9 @@ def main(argv=None) -> int:
     except PolybootError as exc:  # each error class carries its code (errors.py)
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:  # the reader closed stdout: the exit's flush writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except OSError as exc:  # a path that cannot be read or written
         print(f"{DataError.label}: {exc}", file=sys.stderr)
         return DataError.exit_code

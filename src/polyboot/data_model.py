@@ -152,8 +152,8 @@ def _check_sample(s: PolyadicSample):
     if s.group_of_unit is not None:
         if len(s.group_of_unit) != n:
             raise DataError("group_of_unit must have one entry per unit")
-        if min(s.group_of_unit) < 0:
-            raise DataError("group ids must be nonnegative")
+        if set(s.group_of_unit) != set(range(s.n_groups)):
+            raise DataError("group ids must be dense: 0 .. number of groups - 1, each with a unit")
     if s.group_labels is not None and len(s.group_labels) != s.n_groups:
         raise DataError("group_labels must have one label per group")
 
@@ -310,11 +310,6 @@ def validate(sample: PolyadicSample) -> list:
     for j, name in enumerate(sample.variable_names):
         if np.ptp(sample.variables[:, j]) == 0.0:
             diagnostics.append(f"zero variance column: {name!r}")
-    if sample.group_of_unit is not None:
-        present = set(sample.group_of_unit)
-        for g in range(max(present) + 1):
-            if g not in present:
-                diagnostics.append(f"empty group level: {g}")
     if sample.cluster_ids is not None:
         present = set(sample.cluster_ids.tolist())
         for t in range(sample.n_cluster_levels):

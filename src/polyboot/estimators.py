@@ -1,8 +1,8 @@
 """Weighted structural estimators: mean, OLS, PPML, and the GMM family.
 
-Every builtin moment is a residual times an instrument, psi = (y - mu) z:
-the mean is y - theta (z = 1), OLS (y - x'theta) x, PPML (y - exp(x'theta)) x
-and linear-IV GMM (y - r'theta) z. Every estimator is a pure function of a
+Every builtin moment is a residual times an instrument, psi = (y - mu) z,
+and ``build_moment`` is the one builder of each from an ``EstimatorSpec``
+(its docstring has the formulas). Every estimator is a pure function of a
 sample and a normalized weight vector (N,), with one block form over R
 weight rows at once, ``block_kernel``; the ``bootstrap`` module docstring
 tells how the engine applies it. Mean and OLS are closed forms in weighted
@@ -193,40 +193,28 @@ def _residual_instrument_moment(
     return MomentFunction(name, n_mom, k, fn, jacobian=jac, residual_instrument=resid_instr)
 
 
-def mean_moment(variable_names, column) -> MomentFunction:
-    """psi = x - theta (the intercept-only OLS); the root is the weighted mean."""
-    return _residual_instrument_moment("mean", variable_names, column, (), None, True)
-
-
-def ols_moment(variable_names, y, x_columns, intercept=False) -> MomentFunction:
-    """psi = (y - x'theta) x."""
-    return _residual_instrument_moment("ols", variable_names, y, x_columns, None, intercept)
-
-
-def ppml_moment(variable_names, y, x_columns, intercept=False) -> MomentFunction:
-    """psi = (y - exp(x'theta)) x, the pseudo-Poisson first-order condition."""
-    return _residual_instrument_moment("ppml", variable_names, y, x_columns, None, intercept, True)
-
-
-def linear_iv_moment(variable_names, y, regressors, instruments, intercept=False) -> MomentFunction:
-    """psi = (y - r'theta) z with L = len(instruments) (+ intercept)."""
-    return _residual_instrument_moment(
-        "linear-iv", variable_names, y, regressors, instruments, intercept
-    )
-
-
 def build_moment(spec: EstimatorSpec, sample: PolyadicSample) -> MomentFunction:
     """Resolve the estimator's moment equations against the sample's columns:
-    ``spec.kind``, or for GMM a ready ``spec.moment`` or the builtin linear IV."""
+    ``spec.kind``, or for GMM a ready ``spec.moment`` or the builtin linear IV.
+
+    The builtins are ``_residual_instrument_moment``'s: the mean psi = y -
+    theta (z = 1, the intercept-only OLS; its root is the weighted mean),
+    OLS psi = (y - x'theta) x, PPML psi = (y - exp(x'theta)) x (the
+    pseudo-Poisson first-order condition) and linear IV psi = (y - r'theta) z
+    with L = len(instruments) (+ intercept).
+    """
     if spec.kind == "gmm" and spec.moment is not None:
         return spec.moment
     names = sample.variable_names
     if spec.kind == "mean":
-        return mean_moment(names, spec.column)
-    if spec.kind in ("ols", "ppml"):
-        build = ols_moment if spec.kind == "ols" else ppml_moment
-        return build(names, spec.y, spec.x, spec.intercept)
-    return linear_iv_moment(names, spec.y, spec.x, spec.instruments, spec.intercept)
+        return _residual_instrument_moment("mean", names, spec.column, (), None, True)
+    if spec.kind == "gmm":
+        return _residual_instrument_moment(
+            "linear-iv", names, spec.y, spec.x, spec.instruments, spec.intercept
+        )
+    return _residual_instrument_moment(
+        spec.kind, names, spec.y, spec.x, None, spec.intercept, spec.kind == "ppml"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +377,15 @@ def gmm(moment, sample, weights, mode="two-step", weight_style="centered") -> tu
 
     Every minimization is ``gauss_newton``. One-step minimizes with the
     identity weight matrix. Each re-weighting round then re-estimates the
-    weight matrix's factor at the latest theta (``weight_factor``) and
-    minimizes again from there: two-step GMM is one centered round (info:
-    ``weight_matrix_ridged``), iterated GMM runs up to ITER_MAX rounds with
-    the ``weight_style`` (centered or acm) matrix until theta moves by at
-    most ITER_TOL (info: ``iterations``, ``objective_trace``, each round's
-    |S'm|^2). A just-identified system's one-step estimate is its moment
-    root, which every weight matrix keeps (info: the root's Gauss-Newton
-    ``iterations`` for two-step). ``evaluate_estimator`` and the bootstrap
-    solve the builtin linear-IV moment in closed form with
-    ``linear_iv.linear_iv_gmm`` instead.
+    weight matrix's factor at the latest theta, in the ``weight_style``
+    (``weight_factor``: centered or acm), and minimizes again from there:
+    two-step GMM is one round (info: ``weight_matrix_ridged``), iterated GMM
+    runs up to ITER_MAX rounds until theta moves by at most ITER_TOL (info:
+    ``iterations``, ``objective_trace``, each round's |S'm|^2). A
+    just-identified system's one-step estimate is its moment root, which
+    every weight matrix keeps (info: the root's Gauss-Newton ``iterations``
+    for two-step). ``evaluate_estimator`` and the bootstrap solve the builtin
+    linear-IV moment in closed form with ``linear_iv.linear_iv_gmm`` instead.
     """
     if mode not in ("one-step", "two-step", "iterated") or weight_style not in ("centered", "acm"):
         raise ParamError(f"unknown gmm mode {mode!r} or weight style {weight_style!r}")
@@ -410,9 +397,9 @@ def gmm(moment, sample, weights, mode="two-step", weight_style="centered") -> tu
         return theta, {"iterations": iters} if mode == "two-step" else {}
     if mode == "one-step":
         return theta, {}
-    style, trace = weight_style if iterated else "centered", []
+    trace = []
     for it in range(1, (ITER_MAX if iterated else 1) + 1):
-        factor, ridged = weight_factor(moment, sample, weights, theta, style)
+        factor, ridged = weight_factor(moment, sample, weights, theta, weight_style)
         theta_new, _ = gauss_newton(moment, sample, weights, factor, init=theta)
         if not iterated:
             return theta_new, {"weight_matrix_ridged": ridged}

@@ -76,8 +76,7 @@ def linear_iv_gmm(spec: EstimatorSpec, sample: PolyadicSample):
     round 1 put it: later rounds keep that d, so the rounds stop at round 2
     on both forms rather than on rounding that the weight matrix magnifies.
     """
-    mode, iter_tol = spec.gmm_mode, estimators.ITER_TOL
-    acm = mode == "iterated" and spec.weight_style == "acm"
+    mode, iter_tol, acm = spec.gmm_mode, estimators.ITER_TOL, spec.weight_style == "acm"
     y, r = sample.column(spec.y), regressors(sample, spec.x, spec.intercept)
     z = regressors(sample, spec.instruments, spec.intercept)
     k, l = r.shape[1], z.shape[1]

@@ -138,9 +138,6 @@ def _grouped_log_units(sample, seed, b0, b1, failed):
     is recorded in ``failed`` (row -> reason)."""
     groups = np.asarray(sample.group_of_unit)
     members = [np.flatnonzero(groups == g_id) for g_id in range(sample.n_groups)]
-    for g_id, m in enumerate(members):
-        if m.size < 1:
-            raise ParamError(f"group {g_id} has no units")
     streams = rng.Substreams(seed, rng.ROLE_UNIT)
     log_units = np.empty((b1 - b0, sample.n_units))
     for g_id, m in enumerate(members):

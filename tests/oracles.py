@@ -101,7 +101,7 @@ def linear_gmm(y, r, z, w, mode="two-step", style="centered", iter_tol=1e-8, ite
     Each minimization is theta = (A' Omega A)^{-1} A' Omega b with
     A = sum w z r' and b = sum w z y. The weight matrix is rebuilt from the
     observations at the latest theta: the inverse of sum w (psi - psibar)
-    (psi - psibar)', or for iterated acm of (sum w e^2) sum w z z'. Iterated
+    (psi - psibar)', or for acm of (sum w e^2) sum w z z'. Iterated
     rounds stop once theta moves by at most iter_tol; None when they never do.
     """
     a, b = z.T @ (w[:, None] * r), z.T @ (w * y)
@@ -111,7 +111,7 @@ def linear_gmm(y, r, z, w, mode="two-step", style="centered", iter_tol=1e-8, ite
 
     def omega_at(theta):
         e = y - r @ theta
-        if mode == "iterated" and style == "acm":
+        if style == "acm":
             return np.linalg.inv((w @ (e * e)) * (z.T @ (w[:, None] * z)))
         psi = e[:, None] * z
         centered = psi - w @ psi

@@ -94,10 +94,11 @@ def test_criterion_04_graham_sigma2_oracle():
             n = int(rng.integers(4, 13))
             s = random_dyadic_sample(rng, n)
             if trial % 2 == 0:
-                moment = pb.mean_moment(s.variable_names, "y")
+                moment = pb.build_moment(pb.EstimatorSpec(kind="mean", column="y"), s)
                 theta = np.array([float(s.variables[:, 0].mean())])
             else:
-                moment = pb.ols_moment(s.variable_names, "y", ("x",), intercept=True)
+                spec = pb.EstimatorSpec(kind="ols", y="y", x=("x",), intercept=True)
+                moment = pb.build_moment(spec, s)
                 theta = weighted_ols(s, pb.uniform_weights(s), "y", ("x",), intercept=True)
             est = pb.graham_variance(moment, s, theta)
             ref = oracles.triple_loop_sigma2(oracles.phi_tilde_matrix(moment, s, theta))

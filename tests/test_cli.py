@@ -660,6 +660,19 @@ def test_console_entry_point():
     assert "bootstrap" in proc.stdout
 
 
+def test_a_reader_that_closes_stdout_ends_the_command_silently_with_141(tmp_path):
+    # 5,000 emitted draws are about 190 KB of JSON, well past the 64 KB a pipe holds
+    argv = ["bootstrap", "--data", unit_effects_csv(tmp_path), "--estimator", "mean",
+            "--column", "y", "--draws", "5000", "--seed", "1", "--emit-draws"]
+    with subprocess.Popen([sys.executable, "-m", "polyboot.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""  # no "data error", no "Exception ignored" at the exit's flush
+
+
 def test_import_does_not_load_scipy():
     check = "import sys, polyboot, polyboot.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, check=True)

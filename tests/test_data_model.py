@@ -244,19 +244,23 @@ def test_validate_constant_column(dyad_sample):
 
 
 def test_validate_empty_group_and_cluster_levels():
-    s = pb.PolyadicSample(
+    fields = dict(
         order=2,
         unit_labels=("a", "b", "c"),
         index=pb.full_index_set(3, 2),
         variables=np.arange(6.0)[:, None],
         variable_names=("y",),
-        group_of_unit=(0, 2, 2),  # group 1 has no units
+    )
+    s = pb.PolyadicSample(
+        **fields,
         cluster_ids=np.zeros(6, dtype=np.int64),
         cluster_labels=("t0", "t1"),  # level t1 never observed
     )
-    diags = pb.validate(s)
-    assert any("empty group level" in d for d in diags)
-    assert any("empty cluster level" in d for d in diags)
+    assert any("empty cluster level" in d for d in pb.validate(s))
+    # an empty group level is refused at construction: group ids are dense
+    for groups in ((0, 2, 2), (-1, 0, 0)):  # group 1 has no units; -1 is no group id
+        with pytest.raises(DataError, match="group ids must be dense"):
+            pb.PolyadicSample(**fields, group_of_unit=groups)
 
 
 def test_empty_sample_rejected():

@@ -150,7 +150,7 @@ def test_rekeyed_stream_equals_substream(role, seed, index, lane, n):
 
 MEAN = pb.EstimatorSpec(kind="mean", column="y")
 OLS = pb.EstimatorSpec(kind="ols", y="y", x=("x",), intercept=True)
-GMM_OLS = pb.EstimatorSpec(kind="gmm", moment=pb.ols_moment(("y", "x"), "y", ("x",), True))
+GMM_OLS = pb.EstimatorSpec(kind="gmm", moment=pb.build_moment(OLS, shaped_sample("plain", 3, 0)))
 PPML = pb.EstimatorSpec(kind="ppml", y="y", x=("x",), intercept=True)
 IV_TWO_STEP, IV_ITERATED = (
     pb.EstimatorSpec(

@@ -13,6 +13,15 @@ from conftest import random_dyadic_sample, weighted_mean, weighted_ols, weighted
 import oracles
 
 
+MEAN_Y = pb.EstimatorSpec(kind="mean", column="y")
+OLS = pb.EstimatorSpec(kind="ols", y="y", x=("x",))
+OLS_INTERCEPT = dataclasses.replace(OLS, intercept=True)
+PPML_INTERCEPT = pb.EstimatorSpec(kind="ppml", y="y", x=("x",), intercept=True)
+IV = pb.EstimatorSpec(
+    kind="gmm", builtin_moment="linear-iv", y="y", x=("r",), instruments=("z1", "z2")
+)
+
+
 def rand_weights(sample, seed, b=0):
     return pb.weights_for_draw(sample, "bayes", seed=seed, b=b)
 
@@ -136,7 +145,7 @@ def test_ppml_matches_irls_oracle():
     design = np.column_stack([np.ones(s.n_obs), s.column("x")])
     ref = oracles.irls_ppml(s.column("y"), design, w)
     assert np.max(np.abs(theta - ref)) < 1e-6
-    moment = pb.ppml_moment(s.variable_names, "y", ("x",), intercept=True)
+    moment = pb.build_moment(PPML_INTERCEPT, s)
     resid = moment_mean(moment, s.variables, w, theta)
     assert np.max(np.abs(resid)) <= 1e-8
 
@@ -168,15 +177,19 @@ def test_builtin_moments_are_residual_times_instrument(kind, intercept):
         return np.column_stack(ones + [v[:, list(cols)]])
 
     if kind == "mean":
-        moment = pb.mean_moment(names, "c")
+        spec = pb.EstimatorSpec(kind="mean", column="c")
         y, r, z = v[:, 3], np.ones((40, 1)), np.ones((40, 1))
     elif kind == "linear-iv":
-        moment = pb.linear_iv_moment(names, "y", ("a",), ("b", "c", "d"), intercept)
+        spec = pb.EstimatorSpec(
+            kind="gmm", builtin_moment="linear-iv", y="y", x=("a",), instruments=("b", "c", "d"),
+            intercept=intercept,
+        )
         y, r, z = v[:, 0], design(1), design(2, 3, 4)
     else:
-        build = pb.ols_moment if kind == "ols" else pb.ppml_moment
-        moment = build(names, "y", ("a", "b"), intercept)
+        spec = pb.EstimatorSpec(kind=kind, y="y", x=("a", "b"), intercept=intercept)
         y, r, z = v[:, 0], design(1, 2), design(1, 2)
+    # the moment reads only the sample's column names, so any sample with them serves
+    moment = pb.build_moment(spec, random_dyadic_sample(np.random.default_rng(0), 2, names))
     assert (moment.name, moment.n_moments, moment.n_params) == (kind, z.shape[1], r.shape[1])
     theta = np.linspace(-0.4, 0.5, moment.n_params)
     mu = np.exp(r @ theta) if kind == "ppml" else r @ theta
@@ -193,13 +206,13 @@ def test_builtin_moments_are_residual_times_instrument(kind, intercept):
 
 @pytest.mark.parametrize("intercept", [False, True])
 def test_linear_iv_needs_as_many_instruments_as_regressors(intercept):
-    with pytest.raises(ParamError, match="at least as many instruments as regressors"):
-        pb.linear_iv_moment(("y", "a", "b", "c"), "y", ("a", "b"), ("c",), intercept)
     s = random_dyadic_sample(np.random.default_rng(3), 4, columns=("y", "a", "b", "c"))
     spec = pb.EstimatorSpec(
         kind="gmm", builtin_moment="linear-iv", y="y", x=("a", "b"), instruments=("c",),
         intercept=intercept,
     )
+    with pytest.raises(ParamError, match="at least as many instruments as regressors"):
+        pb.build_moment(spec, s)
     with pytest.raises(ParamError, match="at least as many instruments as regressors"):
         pb.evaluate_estimator(spec, s, pb.uniform_weights(s))
 
@@ -238,14 +251,14 @@ def two_point_sample(values):
 
 def test_centered_weight_matrix_unit_variance():
     s = two_point_sample([+1.0, -1.0])
-    moment = pb.mean_moment(s.variable_names, "y")
+    moment = pb.build_moment(MEAN_Y, s)
     factor, ridged = pb.weight_factor(moment, s, pb.uniform_weights(s), np.array([0.0]))
     assert (factor @ factor.T)[0, 0] == pytest.approx(1.0, abs=1e-12) and not ridged
 
 
 def test_centered_weight_matrix_constant_psi_singular():
     s = two_point_sample([2.0, 2.0])
-    moment = pb.mean_moment(s.variable_names, "y")
+    moment = pb.build_moment(MEAN_Y, s)
     with pytest.raises(SingularWeightMatrix):
         pb.weight_factor(moment, s, pb.uniform_weights(s), np.array([0.0]))
 
@@ -253,7 +266,7 @@ def test_centered_weight_matrix_constant_psi_singular():
 def test_centered_weight_matrix_homogeneity():
     rng = np.random.default_rng(7)
     s = random_dyadic_sample(rng, 5, columns=("y",))
-    base = pb.mean_moment(s.variable_names, "y")
+    base = pb.build_moment(MEAN_Y, s)
     c = 3.0
     scaled = pb.MomentFunction("scaled", 1, 1, lambda v, t: c * base.fn(v, t))
     w = pb.uniform_weights(s)
@@ -269,7 +282,7 @@ def test_two_step_just_identified_equals_ols():
     rng = np.random.default_rng(8)
     s = random_dyadic_sample(rng, 6)
     w = rand_weights(s, 51)
-    moment = pb.ols_moment(s.variable_names, "y", ("x",), intercept=True)
+    moment = pb.build_moment(OLS_INTERCEPT, s)
     theta, info = pb.gmm(moment, s, w)
     ref = weighted_ols(s, w, "y", ("x",), intercept=True)
     assert np.max(np.abs(theta - ref)) < 1e-10
@@ -325,7 +338,7 @@ def test_iterated_just_identified_single_iteration():
     rng = np.random.default_rng(10)
     s = random_dyadic_sample(rng, 6)
     w = rand_weights(s, 81)
-    moment = pb.ols_moment(s.variable_names, "y", ("x",))
+    moment = pb.build_moment(OLS, s)
     theta, info = pb.gmm(moment, s, w, mode="iterated")
     assert info == {"iterations": 1, "objective_trace": []}
     assert np.allclose(theta, weighted_ols(s, w, "y", ("x",)), atol=1e-10)
@@ -354,18 +367,19 @@ def test_iterated_fixed_point_and_foc(iv_sample):
 
 
 def test_acm_needs_a_residual_instrument_moment(iv_sample):
-    bare = pb.linear_iv_moment(iv_sample.variable_names, "y", ("r",), ("z1", "z2"))
+    bare = pb.build_moment(IV, iv_sample)
     bare = dataclasses.replace(bare, residual_instrument=None)
     w = pb.uniform_weights(iv_sample)
-    with pytest.raises(ParamError, match="residual x instrument"):
-        pb.gmm(bare, iv_sample, w, "iterated", "acm")
+    for mode in ("two-step", "iterated"):
+        with pytest.raises(ParamError, match="residual x instrument"):
+            pb.gmm(bare, iv_sample, w, mode, "acm")
     with pytest.raises(ParamError, match="residual x instrument"):
         pb.weight_factor(bare, iv_sample, w, np.zeros(1), "acm")
     with pytest.raises(ParamError, match="unknown weight style"):
         pb.weight_factor(bare, iv_sample, w, np.zeros(1), "identity")
     # a just-identified moment's estimate is its root under every weight matrix
     just = dataclasses.replace(
-        pb.linear_iv_moment(iv_sample.variable_names, "y", ("r",), ("z1",)),
+        pb.build_moment(dataclasses.replace(IV, instruments=("z1",)), iv_sample),
         residual_instrument=None,
     )
     theta, info = pb.gmm(just, iv_sample, w, "iterated", "acm")
@@ -374,7 +388,7 @@ def test_acm_needs_a_residual_instrument_moment(iv_sample):
 
 
 def test_gmm_rejects_unknown_mode_and_weight_style(iv_sample):
-    moment = pb.linear_iv_moment(iv_sample.variable_names, "y", ("r",), ("z1", "z2"))
+    moment = pb.build_moment(IV, iv_sample)
     w = pb.uniform_weights(iv_sample)
     with pytest.raises(ParamError, match="unknown gmm mode"):
         pb.gmm(moment, iv_sample, w, mode="three-step")
@@ -387,7 +401,7 @@ def test_gmm_rejects_unknown_mode_and_weight_style(iv_sample):
 
 def test_gauss_newton_mean_moment(dyad_sample):
     w = rand_weights(dyad_sample, 101)
-    moment = pb.mean_moment(dyad_sample.variable_names, "y")
+    moment = pb.build_moment(MEAN_Y, dyad_sample)
     theta, _ = pb.gauss_newton(moment, dyad_sample, w)
     assert theta[0] == pytest.approx(weighted_mean(dyad_sample, w, "y"), abs=1e-10)
 
@@ -396,7 +410,7 @@ def test_gauss_newton_ppml_moment_matches_irls():
     # the just-identified PPML moment's root, with no limit patched
     s = poisson_sample(seed=12)
     x = pb.estimators.regressors(s, ("x",), intercept=True)
-    moment = pb.ppml_moment(s.variable_names, "y", ("x",), intercept=True)
+    moment = pb.build_moment(PPML_INTERCEPT, s)
     for b in range(3):
         w = rand_weights(s, 111, b)
         theta, _ = pb.gauss_newton(moment, s, w)
@@ -408,7 +422,7 @@ def test_gauss_newton_linear_closed_form():
     rng = np.random.default_rng(13)
     s = random_dyadic_sample(rng, 5)
     w = rand_weights(s, 121)
-    moment = pb.ols_moment(s.variable_names, "y", ("x",))
+    moment = pb.build_moment(OLS, s)
     theta, iterations = pb.gauss_newton(moment, s, w)
     x, y = s.column("x"), s.column("y")
     ref = float((w * x * y).sum() / (w * x * x).sum())
@@ -447,7 +461,7 @@ def test_gauss_newton_rejects_a_small_step_away_from_the_root(dyad_sample):
     def jacobian(variables, theta):
         return np.full((variables.shape[0], 1, 1), -1e13)
 
-    mean = pb.mean_moment(dyad_sample.variable_names, "y")
+    mean = pb.build_moment(MEAN_Y, dyad_sample)
     moment = pb.MomentFunction("steep-mean", 1, 1, mean.fn, jacobian)
     with pytest.raises(SolverError, match="moment root not found"):
         pb.gauss_newton(moment, dyad_sample, rand_weights(dyad_sample, 151))
@@ -479,9 +493,9 @@ def test_analytic_jacobians_match_finite_differences():
     iv = random_dyadic_sample(rng, 5, columns=("y", "r", "z1", "z2"))
     theta2 = np.array([0.3, -0.7])
     for sample, moment in (
-        (s, pb.ols_moment(s.variable_names, "y", ("x",), intercept=True)),
-        (s, pb.ppml_moment(s.variable_names, "y", ("x",), intercept=True)),
-        (iv, pb.linear_iv_moment(iv.variable_names, "y", ("r",), ("z1", "z2"), intercept=True)),
+        (s, pb.build_moment(OLS_INTERCEPT, s)),
+        (s, pb.build_moment(PPML_INTERCEPT, s)),
+        (iv, pb.build_moment(dataclasses.replace(IV, intercept=True), iv)),
     ):
         bare = pb.MomentFunction(moment.name, moment.n_moments, moment.n_params, moment.fn)
         analytic = moment.jacobian(sample.variables, theta2)

@@ -23,8 +23,8 @@ NOT_FINITE = "SolverError: Gauss-Newton objective or Jacobian is not finite"
 # stopped on an absolute gradient bound, and its relative stop solves them
 GAUSS_NEWTON = {"first-order conditions": "SolverError: Gauss-Newton did not converge in 0 steps",
                 "stalled line search": None}
-MODES = [("one-step", "centered"), ("two-step", "centered"), ("iterated", "acm"),
-         ("iterated", "centered")]
+MODES = [("one-step", "centered"), ("two-step", "centered"), ("two-step", "acm"),
+         ("iterated", "acm"), ("iterated", "centered")]
 
 
 def outcome(evaluate):
@@ -440,6 +440,34 @@ def test_wide_specs_take_the_kernel(monkeypatch):
         w = pb.weights_for_draw(s, "bayes", 4, b)
         assert_oracle(spec, s, w, res.draws[b], info)
         assert_same_outcome((res.draws[b], info), per_row(spec, s, w), 1e-12)
+
+
+@pytest.mark.parametrize("intercept", [False, True])
+def test_two_step_acm_is_iterated_acm_on_both_kernel_forms(iv_sample, intercept):
+    # iterated acm keeps round 1's minimizer, and two-step acm is that round
+    two, iterated = (pb.EstimatorSpec(**IV, gmm_mode=mode, weight_style="acm", intercept=intercept)
+                     for mode in ("two-step", "iterated"))
+    rows = pb.weights_for_block(iv_sample, "bayes", 6, 0, 10)
+
+    def both_forms(spec):
+        solve, (features, finish) = linear_iv.linear_iv_gmm(spec, iv_sample)
+        return solve(rows), finish(rows @ features(), lambda redo: rows[redo])
+
+    for (theta, errors, infos), (theta_it, errors_it, infos_it) in zip(
+        both_forms(two), both_forms(iterated)
+    ):
+        assert errors == errors_it == {} and np.array_equal(theta, theta_it)
+        assert infos == {r: {"weight_matrix_ridged": False} for r in range(len(rows))}
+        assert all(info["iterations"] == 2 for info in infos_it.values())
+        for w, t in zip(rows, theta):
+            per_row_theta, _ = per_row(two, iv_sample, w)
+            assert np.all(np.abs(per_row_theta - t) <= 1e-12 * np.abs(t))
+    # the point estimate: two-step acm is no longer two-step centered
+    w = pb.uniform_weights(iv_sample)
+    centered = dataclasses.replace(two, weight_style="centered")
+    theta = pb.evaluate_estimator(two, iv_sample, w)[0]
+    assert np.array_equal(theta, pb.evaluate_estimator(iterated, iv_sample, w)[0])
+    assert not np.array_equal(theta, pb.evaluate_estimator(centered, iv_sample, w)[0])
 
 
 @pytest.mark.parametrize("style", ["acm", "centered"])

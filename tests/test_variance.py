@@ -7,6 +7,11 @@ from conftest import random_dyadic_sample, weighted_ols
 import oracles
 
 
+MEAN = pb.EstimatorSpec(kind="mean", column="y")
+OLS = pb.EstimatorSpec(kind="ols", y="y", x=("x",))
+OLS_INTERCEPT = pb.EstimatorSpec(kind="ols", y="y", x=("x",), intercept=True)
+
+
 def mean_sample(values, n):
     return pb.PolyadicSample(
         order=2,
@@ -19,14 +24,14 @@ def mean_sample(values, n):
 
 def test_constant_data_zero_variance():
     s = mean_sample(np.full(12, 4.2), 4)
-    moment = pb.mean_moment(s.variable_names, "y")
+    moment = pb.build_moment(MEAN, s)
     est = pb.graham_variance(moment, s, np.array([4.2]))
     assert est.covariance[0, 0] == pytest.approx(0.0, abs=1e-24)
 
 
 def test_accumulator_matches_triple_loop_n3():
     s = mean_sample(np.arange(6.0), 3)
-    moment = pb.mean_moment(s.variable_names, "y")
+    moment = pb.build_moment(MEAN, s)
     theta = np.array([s.variables.mean()])
     est = pb.graham_variance(moment, s, theta)
     phi_tilde = oracles.phi_tilde_matrix(moment, s, theta)
@@ -38,7 +43,7 @@ def test_accumulator_matches_triple_loop_vector_moment():
     rng = np.random.default_rng(42)
     for trial in range(8):
         s = random_dyadic_sample(rng, int(rng.integers(4, 9)))
-        moment = pb.ols_moment(s.variable_names, "y", ("x",), intercept=True)
+        moment = pb.build_moment(OLS_INTERCEPT, s)
         theta = weighted_ols(s, pb.uniform_weights(s), "y", ("x",), intercept=True)
         est = pb.graham_variance(moment, s, theta)
         phi_tilde = oracles.phi_tilde_matrix(moment, s, theta)
@@ -57,7 +62,7 @@ def test_iid_dyads_sigma2_vanishes_and_variance_tracks_sampling():
         s = mean_sample(rng.standard_normal(n * (n - 1)), n)
         theta = np.array([s.variables.mean()])
         estimates.append(theta[0])
-        est = pb.graham_variance(pb.mean_moment(("y",), "y"), s, theta)
+        est = pb.graham_variance(pb.build_moment(MEAN, s), s, theta)
         variances.append(est.covariance[0, 0])
         sigma2s.append(est.sigma2[0, 0])
     empirical = np.var(estimates, ddof=1)
@@ -67,7 +72,7 @@ def test_iid_dyads_sigma2_vanishes_and_variance_tracks_sampling():
 
 def test_strong_unit_effects_naive_understates():
     sample = pb.generate_synthetic(pb.mean_unit_effects_dgp(40), seed=1, r=0)
-    moment = pb.mean_moment(sample.variable_names, "y")
+    moment = pb.build_moment(MEAN, sample)
     theta = np.array([sample.variables.mean()])
     graham = pb.graham_variance(moment, sample, theta)
     naive = pb.naive_dyad_robust(moment, sample, theta)
@@ -76,7 +81,7 @@ def test_strong_unit_effects_naive_understates():
 
 def test_naive_zero_residuals():
     s = mean_sample(np.full(6, 1.5), 3)
-    est = pb.naive_dyad_robust(pb.mean_moment(("y",), "y"), s, np.array([1.5]))
+    est = pb.naive_dyad_robust(pb.build_moment(MEAN, s), s, np.array([1.5]))
     assert est.covariance[0, 0] == pytest.approx(0.0, abs=1e-24)
 
 
@@ -85,7 +90,7 @@ def test_naive_matches_textbook_robust_mean_variance():
     s = mean_sample(rng.standard_normal(20), 5)
     y = s.variables[:, 0]
     theta = np.array([y.mean()])
-    est = pb.naive_dyad_robust(pb.mean_moment(("y",), "y"), s, theta)
+    est = pb.naive_dyad_robust(pb.build_moment(MEAN, s), s, theta)
     textbook = np.mean((y - y.mean()) ** 2) / len(y)
     assert est.covariance[0, 0] == pytest.approx(textbook, rel=1e-12)
 
@@ -101,15 +106,15 @@ def test_symmetrization_invariance():
         sym[r] = 0.5 * (y[r] + y[lookup[(j, i)]])
     s_sym = mean_sample(sym, 5)
     theta = np.array([y.mean()])
-    a = pb.graham_variance(pb.mean_moment(("y",), "y"), s, theta)
-    b = pb.graham_variance(pb.mean_moment(("y",), "y"), s_sym, theta)
+    a = pb.graham_variance(pb.build_moment(MEAN, s), s, theta)
+    b = pb.graham_variance(pb.build_moment(MEAN, s_sym), s_sym, theta)
     assert np.allclose(a.covariance, b.covariance, atol=1e-15)
 
 
 def test_affine_equivariance():
     rng = np.random.default_rng(10)
     s = random_dyadic_sample(rng, 6)
-    base = pb.ols_moment(s.variable_names, "y", ("x",))
+    base = pb.build_moment(OLS, s)
     theta = weighted_ols(s, pb.uniform_weights(s), "y", ("x",))
     c = 4.0
     scaled = pb.MomentFunction(
@@ -128,13 +133,14 @@ def test_unsupported_shapes():
         order=2, unit_labels=s.unit_labels, index=s.index[:-1],
         variables=s.variables[:-1], variable_names=s.variable_names,
     )
-    moment = pb.mean_moment(s.variable_names, "y")
+    moment = pb.build_moment(MEAN, s)
     with pytest.raises(Unsupported, match="full index set"):
         pb.graham_variance(moment, missing, np.array([0.0]))
     from polyboot.fixtures import triadic_sample
 
+    triadic = triadic_sample()
     with pytest.raises(Unsupported, match="dyadic"):
-        pb.graham_variance(pb.mean_moment(("y",), "y"), triadic_sample(), np.array([0.0]))
+        pb.graham_variance(pb.build_moment(MEAN, triadic), triadic, np.array([0.0]))
     # naive handles the missing-dyad sample fine
     pb.naive_dyad_robust(moment, missing, np.array([float(missing.variables.mean())]))
 
